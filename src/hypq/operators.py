@@ -246,12 +246,6 @@ def _require_positive(*rates: float) -> None:
         )
 
 
-def _line(
-    f_vec, a: float, b: float, s: QuadSpec, freq: float, max_panel: float = math.inf
-) -> complex:
-    return _adaptive(f_vec, a, b, s, freq, max_panel)
-
-
 # ---------------------------------------------------------------------------
 # operator application
 # ---------------------------------------------------------------------------
@@ -277,7 +271,7 @@ def _apply_q1(spec: OperatorSpec, f: FunctionHandle, x0: float, q: QuadSpec) -> 
         return ops.two_pi_inv * np.exp(phase * (x0 - y)) * ops.kernel(x0 - y) * f.fn(y)
 
     cap = 1.6 * kernel_pole_distance(spec.family, ops.kernel_coupling)
-    return _line(integrand, lo, hi, q, freq, cap)
+    return _adaptive(integrand, lo, hi, q, freq, cap)
 
 
 def _apply_q2_factored(
@@ -338,7 +332,7 @@ def _apply_q2_factored(
             hi = min(hi, -v + 2.0 * xmax + _tail(q) / s_mid)
         elif s_mid < -1e-12:
             lo = max(lo, v + 2.0 * xmin - _tail(q) / (-s_mid))
-        return _line(g, lo, hi, inner_spec, u_freq, 2.0 * cap)
+        return _adaptive(g, lo, hi, inner_spec, u_freq, 2.0 * cap)
 
     def outer(v):
         v = np.asarray(v, dtype=float)
@@ -346,7 +340,7 @@ def _apply_q2_factored(
         comp = np.exp(ops.ln_measure(v) - drift * v)
         return ops.two_pi_inv**2 * comp * (profile(v) * vals)
 
-    return _line(outer, 0.0, v_max, q, v_freq, 2.0 * cap)
+    return _adaptive(outer, 0.0, v_max, q, v_freq, 2.0 * cap)
 
 
 def _apply_q2_generic(
@@ -386,9 +380,9 @@ def _apply_q2_generic(
                 * f.fn(y1, y2)
             )
 
-        return _line(inner, lo, hi, inner_spec, freq, cap)
+        return _adaptive(inner, lo, hi, inner_spec, freq, cap)
 
-    return ops.two_pi_inv**2 * _line(outer, lo, hi, q, freq, cap)
+    return ops.two_pi_inv**2 * _adaptive(outer, lo, hi, q, freq, cap)
 
 
 def apply_Q(spec: OperatorSpec, f: FunctionHandle, at, q: QuadSpec = QuadSpec()) -> complex:
@@ -430,7 +424,7 @@ def apply_Lambda(
         )
 
     cap = 1.6 * kernel_pole_distance(spec.family, ops.kernel_coupling)
-    return _line(integrand, lo, hi, q, freq, cap)
+    return _adaptive(integrand, lo, hi, q, freq, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +523,7 @@ def qq_convolution_kernel(
             )
 
         cap = 1.6 * kernel_pole_distance(spec.family, ops.kernel_coupling)
-        return _line(integrand, lo, hi, q, freq, cap)
+        return _adaptive(integrand, lo, hi, q, freq, cap)
 
     (x1, x2), (z1, z2) = endpoints
     # u = y1 + y2, v = y1 - y2; integrand symmetric in v
@@ -572,7 +566,7 @@ def qq_convolution_kernel(
 
         lo = -v + u_lo0 - l_neg
         hi = v + u_hi0 + l_pos
-        return _line(gfun, lo, hi, inner_spec, freq, 2.0 * cap)
+        return _adaptive(gfun, lo, hi, inner_spec, freq, 2.0 * cap)
 
     def outer(v):
         v = np.asarray(v, dtype=float)
@@ -582,7 +576,7 @@ def qq_convolution_kernel(
     return (
         ops.two_pi_inv**2
         * outer_measure
-        * _line(outer, 0.0, v_max, q, freq, 2.0 * cap)
+        * _adaptive(outer, 0.0, v_max, q, freq, 2.0 * cap)
     )
 
 

@@ -2,9 +2,16 @@
 
 The adaptive driver uses the embedded Gauss(7)/Kronrod(15) pair on panels of a
 truncated interval; truncation lengths come from the caller-declared
-DecayProfile, never from introspecting the integrand.  Panel subdivision and
-the final compensated summation run in a fixed deterministic order, so
-identical inputs give bit-identical results.
+DecayProfile, never from introspecting the integrand.  The first panels are
+at most one period 2*pi/freq_hint wide; each round then halves every panel
+whose error estimate exceeds its share of the tolerance.  Panel state lives
+in numpy arrays, and one routine can advance many integrals over the same
+interval together, each with its own tolerance test, splits and node budget:
+integrate_plane runs the inner integrals of a whole array of outer abscissae
+that way.  The integrand is never called on more than _CHUNK_NODES nodes at
+once, which bounds the memory of a batch.  Panel subdivision and the final
+compensated summation run in a fixed deterministic order, so identical
+inputs give bit-identical results.
 
 oracle_trapezoid / oracle_trapezoid_2d are deliberately simple fixed-grid
 rules used as the independent reference when freezing expected values.
@@ -17,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import BudgetExceededError, DomainError, NonFiniteSampleError
+from .errors import BudgetExceededError, DomainError, HypqError, NonFiniteSampleError
 
 __all__ = [
     "QuadSpec",
@@ -69,6 +76,15 @@ _K_WEIGHTS = np.concatenate([_WGK[:-1], [_WGK[-1]], _WGK[:-1][::-1]])
 # the embedded Gauss-7 rule lives on nodes 1, 3, ..., 13
 _G_WEIGHTS = np.zeros(15)
 _G_WEIGHTS[1:14:2] = np.concatenate([_WG[:-1], [_WG[-1]], _WG[:-1][::-1]])
+# both rules as the columns of one complex matrix: complex @ complex runs in
+# BLAS, where complex @ float takes a generic loop hundreds of times slower
+_KG_WEIGHTS = np.stack([_K_WEIGHTS, _G_WEIGHTS], axis=1).astype(complex)
+
+# most integrand nodes passed to one call of an integrand; bounds the memory
+# that a batch of panels (or of inner integrals) takes
+_CHUNK_NODES = 32_768
+# adaptive rounds after the first, per integral
+_MAX_ROUNDS = 60
 
 
 @dataclass(frozen=True)
@@ -129,11 +145,16 @@ def _panels_on(a: float, b: float, width: float) -> tuple[np.ndarray, np.ndarray
 
 
 def _eval_batch(f: Callable, x: np.ndarray) -> np.ndarray:
-    """Evaluate f on an array of abscissae, accepting scalar-only callables."""
+    """Evaluate f on an array of abscissae, accepting scalar-only callables.
+
+    A HypqError from f is its verdict on these abscissae and propagates.
+    """
     try:
         y = np.asarray(f(x), dtype=complex)
         if y.shape != x.shape:
             raise TypeError
+    except HypqError:
+        raise
     except (TypeError, ValueError):
         y = np.array([complex(f(float(v))) for v in x])
     if not np.isfinite(y).all():
@@ -142,55 +163,126 @@ def _eval_batch(f: Callable, x: np.ndarray) -> np.ndarray:
     return y
 
 
-def _gk_batch(f, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """Kronrod values and |K15 - G7| error estimates for a batch of panels."""
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    x = mid[:, None] + half[:, None] * _K_NODES[None, :]
-    y = _eval_batch(f, x.ravel()).reshape(x.shape)
-    k = half * (y @ _K_WEIGHTS)
-    g = half * (y @ _G_WEIGHTS)
-    return k, np.abs(k - g), x.size
+def _gk_batch(
+    f, lo: np.ndarray, hi: np.ndarray, own: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Kronrod values and |K15 - G7| error estimates for a batch of panels.
+
+    Panel i belongs to integral own[i]; f(x, k) is called with at most
+    _CHUNK_NODES abscissae x at a time, k holding each node's integral.
+    """
+    val = np.empty(lo.size, dtype=complex)
+    err = np.empty(lo.size)
+    step = _CHUNK_NODES // _K_NODES.size
+    for i in range(0, lo.size, step):
+        part = slice(i, i + step)
+        mid = 0.5 * (lo[part] + hi[part])
+        half = 0.5 * (hi[part] - lo[part])
+        x = mid[:, None] + half[:, None] * _K_NODES[None, :]
+        k = np.repeat(own[part], _K_NODES.size)
+        y = _eval_batch(lambda v: f(v, k), x.ravel()).reshape(x.shape)
+        kg = half[:, None] * (y @ _KG_WEIGHTS)
+        val[part] = kg[:, 0]
+        err[part] = np.abs(kg[:, 0] - kg[:, 1])
+    return val, err
 
 
-def _adaptive(
-    f, a: float, b: float, spec: QuadSpec, freq_hint: float, max_panel: float = math.inf
-) -> complex:
+def _fsum_by_integral(out: np.ndarray, own: np.ndarray, val: np.ndarray) -> None:
+    """out[k] = compensated sum of the panel values val[own == k], for each k in own."""
+    order = np.argsort(own)
+    own = own[order]
+    re, im = val.real[order].tolist(), val.imag[order].tolist()
+    cuts = (np.flatnonzero(own[1:] != own[:-1]) + 1).tolist()
+    for i, j in zip([0] + cuts, cuts + [own.size]):
+        out[own[i]] = complex(math.fsum(re[i:j]), math.fsum(im[i:j]))
+
+
+def _adaptive_many(
+    f,
+    a: float,
+    b: float,
+    spec: QuadSpec,
+    freq_hint: float,
+    m: int,
+    max_panel: float = math.inf,
+) -> np.ndarray:
+    """Integrals over [a, b] of x -> f(x, k) for k = 0, ..., m-1, advanced together.
+
+    Every integral starts on the same panels and then runs the rounds that a
+    lone adaptive integral would: its own tolerance test, splits, round cap
+    and node budget, so its value does not depend on the others.  Integrals
+    are taken in groups whose first round is about _CHUNK_NODES nodes.
+    """
     if not b > a:
         raise DomainError("empty integration interval")
     width = b - a
     w0 = min(width / 8.0, max_panel)
     if freq_hint > 0.0:
-        w0 = min(w0, math.pi / (4.0 * freq_hint))
+        # one oscillation period per first panel
+        w0 = min(w0, 2.0 * math.pi / freq_hint)
     n0 = max(8, int(math.ceil(width / w0)))
-    lo = np.linspace(a, b, n0 + 1)[:-1]
-    hi = np.linspace(a, b, n0 + 1)[1:]
-    val, err, used = _gk_batch(f, lo, hi)
-    panels = list(zip(lo.tolist(), hi.tolist(), val.tolist(), err.tolist()))
+    edges = np.linspace(a, b, n0 + 1)
+    group = max(1, _CHUNK_NODES // (n0 * _K_NODES.size))
+    out = np.empty(m, dtype=complex)
+    for first in range(0, m, group):
+        size = min(group, m - first)
+        _advance(f, edges, first, size, spec, out[first : first + size])
+    return out
 
-    for _ in range(60):
-        total = sum(p[2] for p in panels)
-        tol = max(spec.abs_tol, spec.rel_tol * abs(total))
-        total_err = sum(p[3] for p in panels)
-        if total_err <= tol:
-            break
-        if used >= spec.max_nodes:
-            raise BudgetExceededError(total, total_err, used)
-        cut = tol / (2.0 * len(panels))
-        keep = [p for p in panels if p[3] <= cut]
-        split = [p for p in panels if p[3] > cut]
-        if not split:
-            break
-        lo2 = np.array([p[0] for p in split] + [0.5 * (p[0] + p[1]) for p in split])
-        hi2 = np.array([0.5 * (p[0] + p[1]) for p in split] + [p[1] for p in split])
-        val2, err2, n2 = _gk_batch(f, lo2, hi2)
-        used += n2
-        panels = keep + list(zip(lo2.tolist(), hi2.tolist(), val2.tolist(), err2.tolist()))
 
-    panels.sort(key=lambda p: p[0])
-    re = math.fsum(p[2].real for p in panels)
-    im = math.fsum(p[2].imag for p in panels)
-    return complex(re, im)
+def _advance(f, edges: np.ndarray, first: int, size: int, spec: QuadSpec, out) -> None:
+    """Run integrals first, ..., first+size-1 of _adaptive_many to the end."""
+    lo = np.tile(edges[:-1], size)
+    hi = np.tile(edges[1:], size)
+    own = np.repeat(np.arange(size), edges.size - 1)  # integral of each panel
+    val, err = _gk_batch(f, lo, hi, own + first)
+    used = np.full(size, (edges.size - 1) * _K_NODES.size)
+
+    for _ in range(_MAX_ROUNDS):
+        # sequential per-integral sums, in panel order
+        total = np.bincount(own, val.real, size) + 1j * np.bincount(own, val.imag, size)
+        total_err = np.bincount(own, err, size)
+        count = np.bincount(own, minlength=size)
+        tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total))
+        # integrals finished in earlier rounds have no panels and count as done
+        done = total_err <= tol
+        broke = np.flatnonzero(~done & (used >= spec.max_nodes))
+        if broke.size:
+            k = broke[0]
+            raise BudgetExceededError(complex(total[k]), float(total_err[k]), int(used[k]))
+        cut = tol / (2.0 * np.maximum(count, 1))
+        cut[done] = np.inf
+        split = err > cut[own]
+        done |= np.bincount(own[split], minlength=size) == 0
+        fin = done[own]
+        if fin.any():
+            _fsum_by_integral(out, own[fin], val[fin])
+            if fin.all():
+                return
+        keep = ~(fin | split)
+        lo_s, hi_s = lo[split], hi[split]
+        mid = 0.5 * (lo_s + hi_s)
+        lo2 = np.concatenate([lo_s, mid])
+        hi2 = np.concatenate([mid, hi_s])
+        own2 = np.concatenate([own[split], own[split]])
+        val2, err2 = _gk_batch(f, lo2, hi2, own2 + first)
+        used += _K_NODES.size * np.bincount(own2, minlength=size)
+        lo = np.concatenate([lo[keep], lo2])
+        hi = np.concatenate([hi[keep], hi2])
+        own = np.concatenate([own[keep], own2])
+        val = np.concatenate([val[keep], val2])
+        err = np.concatenate([err[keep], err2])
+
+    _fsum_by_integral(out, own, val)
+
+
+def _adaptive(
+    f, a: float, b: float, spec: QuadSpec, freq_hint: float, max_panel: float = math.inf
+) -> complex:
+    """One adaptive Gauss-Kronrod integral of f over [a, b]."""
+    return complex(
+        _adaptive_many(lambda x, k: f(x), a, b, spec, freq_hint, 1, max_panel)[0]
+    )
 
 
 def _trunc_lengths(d: DecayProfile, s: QuadSpec) -> tuple[float, float]:
@@ -212,8 +304,10 @@ def integrate_line(
     The interval is [center - L-, center + L+] with
     L = truncation_safety * (-ln(abs_tol/10)) / rate, after which adaptive
     Gauss-Kronrod panels drive the estimated error below
-    max(abs_tol, rel_tol * |I|).  ``f`` should accept a numpy array of
-    abscissae (scalar-only callables are mapped, slowly).
+    max(abs_tol, rel_tol * |I|).  With ``freq_hint`` > 0 the first panels are
+    at most one period 2*pi/freq_hint wide.  ``f`` should accept a numpy
+    array of abscissae, of at most 32,768 nodes per call (scalar-only
+    callables are mapped, slowly).
     """
     l_neg, l_pos = _trunc_lengths(d, s)
     return _adaptive(f, d.center - l_neg, d.center + l_pos, s, freq_hint)
@@ -249,18 +343,29 @@ def integrate_plane(
 ) -> complex:
     """Iterated line integral of f(y1, y2) with per-axis truncation.
 
-    The tolerance is split evenly between the axes; the inner (y1) integral
-    runs at the split tolerance for every abscissa of the outer (y2) rule,
-    with y1 vectorized.
+    The tolerance is split evenly between the axes.  The outer (y2) rule is
+    evaluated on arrays of abscissae, and the inner (y1) integrals of one
+    such array are advanced together: each keeps its own tolerance test,
+    splits and node budget at the split tolerance, so it gives the value a
+    separate integrate_line call would.  ``f`` should accept two numpy arrays
+    of equal shape, of at most 32,768 nodes per call (scalar-only callables
+    are mapped, one inner integral at a time, slowly).
     """
     inner_spec = s.split()
+    l_neg, l_pos = _trunc_lengths(d1, inner_spec)
 
-    def outer(y2: float) -> complex:
-        def inner(y1):
-            y1 = np.asarray(y1, dtype=float)
-            return f(y1, np.full_like(y1, y2))
-
-        return integrate_line(inner, d1, inner_spec, freq_hint1)
+    def outer(y2):
+        if np.ndim(y2) == 0:  # the scalar fallback, for an f that takes no arrays
+            return integrate_line(lambda y1: f(y1, y2), d1, inner_spec, freq_hint1)
+        y2 = np.asarray(y2, dtype=float)
+        return _adaptive_many(
+            lambda y1, k: f(y1, y2[k]),
+            d1.center - l_neg,
+            d1.center + l_pos,
+            inner_spec,
+            freq_hint1,
+            y2.size,
+        )
 
     return integrate_line(outer, d2, s, freq_hint2)
 

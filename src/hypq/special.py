@@ -348,8 +348,12 @@ def double_sine(z: complex, p: Periods) -> complex:
             RuntimeWarning,
             stacklevel=2,
         )
-    out = cmath.exp(log_factor + _log_s2_strip(zn, p.omega1 * s, p.omega2 * s))
-    if not (math.isfinite(out.real) and math.isfinite(out.imag)):
+    try:
+        out = cmath.exp(log_factor + _log_s2_strip(zn, p.omega1 * s, p.omega2 * s))
+        finite = math.isfinite(out.real) and math.isfinite(out.imag)
+    except OverflowError:
+        finite = False
+    if not finite:
         raise GammaOverflowError(f"double_sine overflowed at z = {z!r}")
     return out
 

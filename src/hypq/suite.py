@@ -758,19 +758,20 @@ def check_delta_sequence(
             v = np.asarray(v, dtype=float)
             x1 = 0.5 * (u + v)
             x2 = 0.5 * (u - v)
-            fac = (
-                (x1 - y1 - 1j * eps),
-                (x1 - y2 - 1j * eps),
-                (x2 - y1 - 1j * eps),
-                (x2 - y2 - 1j * eps),
-            )
+            diffs = (x1 - y1, x1 - y2, x2 - y1, x2 - y2)
             if g == 1.0:
-                weight = (x1 - x2) ** 2 / (fac[0] * fac[1] * fac[2] * fac[3])
+                weight = (x1 - x2) ** 2 / math.prod(d - 1j * eps for d in diffs)
             else:
-                # per-factor principal powers (not a power of the product)
-                weight = reg ** (2.0 * (1.0 - g))
-                for fk in fac:
-                    weight = weight * fk ** (-g)
+                # per-factor principal powers (not a power of the product):
+                # prod_k (d_k - i eps)^(-g) = e^(-g sum_k (ln|f_k| + i arg f_k)),
+                # with real moduli and arguments of the factors f_k = d_k - i eps
+                ln_mod = 0.5 * np.log(math.prod(d * d + eps * eps for d in diffs))
+                arg = sum(np.arctan2(-eps, d) for d in diffs)
+                weight = (
+                    reg ** (2.0 * (1.0 - g))
+                    * np.exp(-g * ln_mod)
+                    * (np.cos(g * arg) - 1j * np.sin(g * arg))
+                )
             return 0.5 * f(x1, x2) * np.exp(1j * reg * (u - ysum)) * weight
 
         val = integrate_plane(

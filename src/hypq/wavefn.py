@@ -30,12 +30,11 @@ from .kernels import (
 from .special import _nearest_nonpositive_int, complex_gamma
 from .operators import (
     FunctionHandle,
-    _line,
     factored_pair_handle,
     pair_transform,
     pair_transform_rate,
 )
-from .quad import QuadSpec
+from .quad import QuadSpec, _adaptive
 from .special import double_sine
 
 __all__ = [
@@ -154,7 +153,7 @@ def _psi_position_direct(sp, pp, c, family, q) -> complex:
             * ops.kernel(pp.x2 - t)
         )
 
-    return _line(integrand, lo, hi, q, freq)
+    return _adaptive(integrand, lo, hi, q, freq)
 
 
 def psi_mb(
@@ -220,7 +219,7 @@ def _psi_spectral_direct_gamma(sp, pp, c, q) -> complex:
             * np.exp(1j * (pp.x2 * (l1 + l2 - g) + pp.x1 * g))
         )
 
-    return _line(integrand, lo, hi, q, freq)
+    return _adaptive(integrand, lo, hi, q, freq)
 
 
 def psi_factored(

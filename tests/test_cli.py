@@ -3,6 +3,8 @@ import math
 import subprocess
 import sys
 
+import pytest
+
 from hypq.cli import main
 
 RUN = lambda *argv: main(list(argv))
@@ -40,6 +42,26 @@ class TestEval:
         lines = [json.loads(s) for s in out.read_text().splitlines()]
         assert len(lines) == 5
         assert all(math.isfinite(l["lhs_re"]) for l in lines)
+
+    def test_s2_overflow_gives_error_record_and_continues(self, tmp_path):
+        out = tmp_path / "s2.jsonl"
+        cfg = write_cfg(
+            tmp_path,
+            "c.json",
+            {
+                "command": "eval",
+                "target": "S2",
+                "periods": [1.0, 1.4142135623730951],
+                "grid": {"points": [[0.3], [-1e4, 0.3], [0.7]]},
+                "out": str(out),
+            },
+        )
+        with pytest.warns(RuntimeWarning, match="functional-equation steps"):
+            assert RUN("eval", "--config", cfg) == 1
+        lines = [json.loads(s) for s in out.read_text().splitlines()]
+        assert [l["passed"] for l in lines] == [True, False, True]
+        assert "double_sine overflowed" in lines[1]["params"]["error"]
+        assert math.isfinite(lines[2]["lhs_re"])
 
     def test_psi_grid_equivalence(self, tmp_path):
         pts = [[0.4, -0.3, 0.2, -0.6], [0.1, 0.6, -0.3, 0.5], [0.0, 0.9, 1.0, 0.2]]

@@ -123,6 +123,74 @@ class TestIntegratePlane:
         # the grid oracle carries an O(h^2)-level kink error along y1 = y2
         assert abs(v - oracle) <= 2e-7
 
+    def test_scalar_only_callable(self):
+        v = integrate_plane(lambda a, b: math.exp(-a * a - b * b), SECH, SECH, Q)
+        assert abs(v - math.pi) < 5e-11
+
+    def test_integrand_error_propagates(self):
+        def f(a, b):
+            if np.any(np.abs(a) > 30.0):
+                raise DomainError("outside the integrand's domain")
+            return np.exp(-a * a - b * b)
+
+        with pytest.raises(DomainError, match="outside"):
+            integrate_plane(f, SECH, SECH, Q)
+
+    def test_batched_inner_integrals_match_loop(self):
+        def f(a, b):
+            return np.exp(-a * a - 0.5 * b * b + 1j * (6.0 * a + 2.0 * a * b))
+
+        d1, d2 = DecayProfile(1.0, 1.0), DecayProfile(0.5, 0.5)
+        v = integrate_plane(f, d1, d2, Q, freq_hint1=6.0, freq_hint2=1.0)
+
+        def outer(y2):
+            # one separate inner integral per outer abscissa
+            return np.array(
+                [integrate_line(lambda y1: f(y1, b), d1, Q.split(), 6.0) for b in y2]
+            )
+
+        ref = integrate_line(outer, d2, Q, 1.0)
+        assert abs(v - ref) <= 1e-14 * abs(ref)
+
+
+class TestPanelSizing:
+    """First panels span one oscillation period of the declared frequency."""
+
+    @pytest.mark.parametrize("omega", [5.0, 40.0, 200.0, 1000.0])
+    def test_high_frequency_accuracy(self, omega):
+        v = integrate_line(
+            lambda x: np.exp(-x * x) * np.cos(omega * x) ** 2,
+            DecayProfile(1.0, 1.0),
+            Q,
+            freq_hint=2.0 * omega,
+        )
+        exact = 0.5 * math.sqrt(math.pi) * (1.0 + math.exp(-omega * omega))
+        assert abs(v - exact) <= 1e-10 * exact
+
+    def test_line_node_count(self):
+        # eight panels per period took 137,220 nodes here
+        nodes = 0
+
+        def f(x):
+            nonlocal nodes
+            nodes += np.size(x)
+            return np.exp(-x * x) * np.cos(40.0 * x) ** 2
+
+        integrate_line(f, DecayProfile(1.0, 1.0), Q, freq_hint=80.0)
+        assert nodes <= 25_000
+
+    def test_plane_node_count(self):
+        # eight panels per period took 4.21 M nodes here
+        nodes = 0
+
+        def f(a, b):
+            nonlocal nodes
+            nodes += np.size(a)
+            return np.exp(-a * a - b * b + 20j * a)
+
+        integrate_plane(f, SECH, SECH, Q, freq_hint1=20.0)
+        assert nodes <= 700_000
+
 
 class TestOracles:
     def test_constant_exact(self):

@@ -184,6 +184,12 @@ class TestStripExtension:
         with pytest.warns(RuntimeWarning, match="functional-equation steps"):
             double_sine(-70.3 + 0.4j, p)
 
+    @pytest.mark.filterwarnings("ignore:double_sine used")
+    def test_overflow_far_left_is_structured(self):
+        # the shift loop's log factor overflows cmath.exp itself
+        with pytest.raises(GammaOverflowError, match="double_sine overflowed"):
+            double_sine(-1e4 + 0.3j, Periods(1.0, math.sqrt(2.0)))
+
 
 class TestNearZero:
     def test_limit_values(self):
