@@ -15,9 +15,13 @@ Measures of the two-variable operators (f(x +- y) means f(x+y) f(x-y)):
 Real powers of positive quantities are taken in the log domain, and measure
 zeros at coincident arguments come out as exact 0 rather than through gamma or
 double-sine poles.  Real-argument kernels additionally expose fast vectorized
-evaluators for the operator quadratures; the relativistic one is accelerated by
-a piecewise Chebyshev proxy of the direct double-sine integral, switched to the
-exact exponential asymptote at large argument (both validated in the tests).
+evaluators for the operator quadratures.  On the real axis the gamma-family
+kernel and measure need only ln |Gamma(a + ib)|^2 at a fixed real a, which one
+core evaluates from Lanczos' rational form in real arithmetic (no complex
+power); complex arguments keep the complex Lanczos route of special.py.  The
+relativistic evaluator is a piecewise Chebyshev proxy of the direct
+double-sine integral, switched to the exact exponential asymptote at large
+argument (both validated in the tests).
 """
 from __future__ import annotations
 
@@ -29,12 +33,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, KernelPoleError
+from .quad import _panels_on
 from .special import (
+    _ASYM_FACTOR,
     _LANCZOS_C as _LANCZOS_C_K,
     Periods,
     _gamma_vec,
     _nearest_nonpositive_int,
-    _panels,
     complex_gamma,
     double_sine,
 )
@@ -51,6 +56,8 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
+_LN_2PI = math.log(2.0 * math.pi)
+_LANCZOS_K = np.arange(8.0)  # k - 1 for the Lanczos terms c_k / (z - 1 + k)
 
 
 class KernelFamily(str, enum.Enum):
@@ -159,35 +166,45 @@ def kernel_hatK(lam: complex, c: Coupling) -> complex:
     return complex(_hatK_vec(np.asarray(lam), c.g))
 
 
-def _hatK_real_vec(x: np.ndarray, g: float) -> np.ndarray:
-    """Khat on the real axis (positive), vectorized."""
-    z = _gamma_vec(0.5 * (g + 1j * np.asarray(x, dtype=float)))
-    return (2.0 ** (g - 1.0) / float(complex_gamma(g).real)) * (z * z.conjugate()).real
+def _ln_abs_gamma_sq_real(a: float, b) -> np.ndarray:
+    """ln |Gamma(a + ib)|^2 for a fixed real a > 0 and real b, in real arithmetic.
+
+    Lanczos' rational form with z - 1 = (a - 1) + ib: the sum's real and
+    imaginary parts come from c_k / ((a - 1 + k)^2 + b^2), and
+    ln t^(z - 1/2) e^(-t) with t = a + 6.5 + ib from ln|t|^2 and arg t.
+    a < 1.5 is shifted by 2 through |Gamma(z + 2)| = |z (z + 1)| |Gamma(z)|.
+    """
+    b = np.asarray(b, dtype=float)
+    b2 = b * b
+    corr = 0.0
+    if a < 1.5:
+        corr = np.log((a * a + b2) * ((a + 1.0) ** 2 + b2))
+        a += 2.0
+    s = a + _LANCZOS_K  # a - 1 + k
+    inv = _LANCZOS_C_K[1:, None] / np.add.outer(s * s, b2.ravel())
+    acc_re, acc_im = np.stack([s, np.ones_like(s)]) @ inv  # the sum is acc_re - ib acc_im
+    acc_re = _LANCZOS_C_K[0] + acc_re.reshape(b.shape)
+    acc_im = acc_im.reshape(b.shape)
+    t_re = a + 6.5
+    return (
+        _LN_2PI
+        + (a - 0.5) * np.log(t_re * t_re + b2)
+        - 2.0 * b * np.arctan2(b, t_re)
+        - 2.0 * t_re
+        + np.log(acc_re * acc_re + b2 * acc_im * acc_im)
+        - corr
+    )
 
 
 def _ln_hatK_real_vec(x: np.ndarray, g: float) -> np.ndarray:
     """ln Khat on the real axis, overflow-safe for large |x|."""
-    return (
-        (g - 1.0) * _LN2
-        - math.lgamma(g)
-        + _ln_abs_gamma_sq(0.5 * (g + 1j * np.asarray(x, dtype=float)))
-    )
+    x = np.asarray(x, dtype=float)
+    return (g - 1.0) * _LN2 - math.lgamma(g) + _ln_abs_gamma_sq_real(0.5 * g, 0.5 * x)
 
 
-def _ln_abs_gamma_sq(z: np.ndarray) -> np.ndarray:
-    """ln |Gamma(x + iy)|^2 for Re z > 0, vectorized and overflow-safe."""
-    z = np.asarray(z, dtype=complex)
-    shift = z.real < 1.5
-    zz = np.where(shift, z + 2.0, z)
-    zm1 = zz - 1.0
-    acc = np.full_like(zz, _LANCZOS_C_K[0])
-    for k in range(1, len(_LANCZOS_C_K)):
-        acc = acc + _LANCZOS_C_K[k] / (zm1 + k)
-    t = zm1 + 7.5
-    ln = 0.5 * math.log(2.0 * math.pi) + (zm1 + 0.5) * np.log(t) - t + np.log(acc)
-    out = 2.0 * ln.real
-    corr = np.log(z * (z + 1.0))
-    return np.where(shift, out - 2.0 * corr.real, out)
+def _hatK_real_vec(x: np.ndarray, g: float) -> np.ndarray:
+    """Khat on the real axis (positive), vectorized."""
+    return np.exp(_ln_hatK_real_vec(x, g))
 
 
 def measure_gamma(v, c: Coupling):
@@ -196,11 +213,7 @@ def measure_gamma(v, c: Coupling):
     1/(Gamma(i d/2) Gamma(-i d/2)) = (d/2) sinh(pi d/2) / pi collapses the
     zero at d = 0 to an explicit factor, so coincident arguments give exact 0.
     """
-    g = c.g
-    d = np.asarray(v, dtype=float)
-    pref = (2.0 ** (1.0 - g) * float(complex_gamma(g).real)) ** 2
-    gam = _gamma_vec(g + 0.5j * d)
-    out = pref * (0.5 * d) * np.sinh(0.5 * math.pi * d) / (math.pi * (gam * gam.conjugate()).real)
+    out = np.exp(ln_measure_gamma(v, c))
     return float(out) if np.isscalar(v) else out
 
 
@@ -219,11 +232,6 @@ def hatK_asymptotic(gamma_minus_mu_base: float, mu: float, c: Coupling) -> compl
 # ---------------------------------------------------------------------------
 # relativistic family
 # ---------------------------------------------------------------------------
-
-# correction to the B22 asymptote is O(e^(-2 pi |x| / omega_max)); beyond
-# 5.5 * omega_max it is below 1e-14
-_ASYM_FACTOR = 5.5
-
 
 def _re_ln_s2_pair(u: float, d: np.ndarray, w1: float, w2: float) -> np.ndarray:
     """ln S2(u+id) + ln S2(u-id) for real d (vectorized), 0 < u < w1+w2.
@@ -247,7 +255,7 @@ def _re_ln_s2_pair(u: float, d: np.ndarray, w1: float, w2: float) -> np.ndarray:
         width = min(
             8.0 / max(freq, rate, 1.0), t_max / 4.0, 1.6 * math.pi / max(w1, w2)
         )
-        t, wt = _panels(t_max, width)
+        t, wt = _panels_on(0.0, t_max, width)
         core = (
             2.0
             * (np.exp((b - w) * t) - np.exp(-(b + w) * t))
@@ -296,38 +304,13 @@ class _PiecewiseCheb:
 
 
 _kg_cache: dict[tuple[float, float, float], tuple] = {}
-_hatk_cache: dict[float, "_PiecewiseCheb"] = {}
 _kg_lock = threading.Lock()
 
 
 def hatK_ln_evaluator(g: float):
-    """Cached piecewise-Chebyshev proxy of ln Khat on the real axis.
-
-    Covers |x| <= 512 (the operator quadrature ranges); beyond that it falls
-    back to the direct log-gamma form.  Validated against _ln_hatK_real_vec
-    in the tests.
-    """
+    """Vectorized ln Khat on the real axis (the direct real-arithmetic form)."""
     g = float(g)
-    with _kg_lock:
-        proxy = _hatk_cache.get(g)
-    if proxy is None:
-        width = min(0.8 * g, 0.8)
-        proxy = _PiecewiseCheb(lambda x: _ln_hatK_real_vec(x, g), 512.0, width)
-        with _kg_lock:
-            _hatk_cache[g] = proxy
-
-    def ev(x: np.ndarray) -> np.ndarray:
-        xa = np.abs(np.asarray(x, dtype=float))
-        out = np.empty_like(xa)
-        far = xa > 512.0
-        if far.any():
-            out[far] = _ln_hatK_real_vec(xa[far], g)
-        near = ~far
-        if near.any():
-            out[near] = proxy(xa[near])
-        return out
-
-    return ev
+    return lambda x: _ln_hatK_real_vec(x, g)
 
 
 def _kg_real_tables(c: Coupling):
@@ -421,11 +404,11 @@ def ln_measure_hyperbolic(v, c: Coupling) -> np.ndarray:
 def ln_measure_gamma(v, c: Coupling) -> np.ndarray:
     g = c.g
     d = np.abs(np.asarray(v, dtype=float))
-    ln_pref = 2.0 * ((1.0 - g) * _LN2 + math.lgamma(g))
+    ln_pref = 2.0 * ((1.0 - g) * _LN2 + math.lgamma(g)) - math.log(math.pi)
     with np.errstate(divide="ignore"):
         ln_sh = 0.5 * math.pi * d + np.log1p(-np.exp(-math.pi * d)) - _LN2
         ln_d = np.log(0.5 * d)
-    return ln_pref + ln_d + ln_sh - math.log(math.pi) - _ln_abs_gamma_sq(g + 0.5j * d)
+    return ln_pref + ln_d + ln_sh - _ln_abs_gamma_sq_real(g, 0.5 * d)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,9 @@ handle's declared envelope, and integration is refused (DivergenceError) when
 the combined rate is nonpositive.  Plane waves and factored two-variable
 eigenfunctions are special-cased: symmetric factored inputs route the
 two-variable integrals through center-of-mass/separation coordinates, where
-the measure and the factored profile depend on the separation only.
+the measure and the factored profile depend on the separation only.  The
+inner integrals of an iterated two-variable integral are advanced together,
+one batch per array of outer abscissae.
 """
 from __future__ import annotations
 
@@ -52,7 +54,7 @@ from .kernels import (
     measure_hyperbolic,
     measure_relativistic,
 )
-from .quad import QuadSpec, _adaptive, _panels_on
+from .quad import QuadSpec, _adaptive, _adaptive_many, _panels_on, _tail
 
 __all__ = [
     "OperatorSpec",
@@ -69,9 +71,8 @@ __all__ = [
 ]
 
 
-def _tail(q: QuadSpec) -> float:
-    """Envelope exponent at which tails are cut: safety * (-ln(abs_tol/10))."""
-    return q.truncation_safety * (-math.log(q.abs_tol / 10.0))
+# about this many kernel values per block of a vectorized pair_transform
+_PAIR_BLOCK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -274,6 +275,44 @@ def _apply_q1(spec: OperatorSpec, f: FunctionHandle, x0: float, q: QuadSpec) -> 
     return _adaptive(integrand, lo, hi, q, freq, cap)
 
 
+def _rotated_inner(ops, xs, zs, labels, v, window, spec, freq, cap) -> np.ndarray:
+    """Inner integrals of a two-variable operator in rotated coordinates.
+
+    With u = y1 + y2 and, for each outer abscissa, v = y1 - y2 fixed, this is
+
+        int du exp(mu v + i kappa (a (sum xs - u) + b (u - sum zs))
+                   + sum ln K(x - y_j) + sum ln K(y_j - z))
+
+    for (a, b) = labels, x in xs, z in zs and mu the measure growth rate,
+    which the caller takes out again: compensating it here keeps the outer
+    integrand finite on slowly decaying (regularized) tails.  window =
+    (l_neg, l_pos, s_mid, tail) cuts u to [-v + 2 min - l_neg, v + 2 max +
+    l_pos] over the kernel centers; a signed plane-factor rate s_mid between
+    the bumps at u ~ -v and u ~ +v suppresses one of them, whose window is
+    then dropped for large v.  The integrals of all v run as one batch.
+    """
+    a, b = labels
+    xsum, zsum = sum(xs), sum(zs)
+    lo_c, hi_c = 2.0 * min(xs + zs), 2.0 * max(xs + zs)
+    l_neg, l_pos, s_mid, tail = window
+
+    def g(u, k):
+        vk = v[k]
+        ys = (0.5 * (u + vk), 0.5 * (u - vk))
+        diffs = [x - y for x in xs for y in ys] + [y - z for y in ys for z in zs]
+        ln_kern = sum(ops.ln_kernel(d) for d in diffs)
+        plane = 1j * ops.kappa * (a * (xsum - u) + b * (u - zsum))
+        return np.exp(ops.mu_rate * vk + plane + ln_kern)
+
+    lo = -v + lo_c - l_neg
+    hi = v + hi_c + l_pos
+    if s_mid > 1e-12:
+        hi = np.minimum(hi, -v + hi_c + tail / s_mid)
+    elif s_mid < -1e-12:
+        lo = np.maximum(lo, v + lo_c - tail / (-s_mid))
+    return _adaptive_many(g, lo, hi, spec, freq, v.size, 2.0 * cap)
+
+
 def _apply_q2_factored(
     spec: OperatorSpec, f: FunctionHandle, at: tuple[float, float], q: QuadSpec
 ) -> complex:
@@ -282,7 +321,6 @@ def _apply_q2_factored(
     ops = _Ops(spec.family, spec.dual, spec.coupling)
     lam = spec.spectral
     kap = ops.kappa
-    x1, x2 = at
     meta = f.meta
     rho_plus = meta["label_plus"]
     profile = meta["profile"]
@@ -297,47 +335,17 @@ def _apply_q2_factored(
 
     u_freq = kap * abs((lam - rho_plus).real) + meta.get("profile_freq", 0.0)
     v_freq = kap * (abs(lam.real) + abs(rho_plus.real)) + meta.get("profile_freq", 0.0)
-    xsum = x1 + x2
-    xmin, xmax = min(x1, x2), max(x1, x2)
-    l_pos = _tail(q) / u_rate_pos
-    l_neg = _tail(q) / u_rate_neg
     v_max = _tail(q) / v_rate
-    inner_spec = q.split()
     cap = 1.6 * kernel_pole_distance(spec.family, ops.kernel_coupling)
-    phase = 1j * kap
     # between the kernel bumps at u ~ -v and u ~ +v the plane factors decay at
     # this signed rate; one of the bumps is then exponentially suppressed and
     # its window can be dropped for large v
     s_mid = kap * (rho_plus.imag - lam.imag)
-    # the measure growth is compensated inside the inner integral so that the
-    # outer integrand never overflows on slowly decaying (regularized) tails
-    drift = ops.mu_rate
-
-    def inner(v: float) -> complex:
-        def g(u):
-            u = np.asarray(u, dtype=float)
-            y1 = 0.5 * (u + v)
-            y2 = 0.5 * (u - v)
-            ln_kern = (
-                ops.ln_kernel(x1 - y1)
-                + ops.ln_kernel(x1 - y2)
-                + ops.ln_kernel(x2 - y1)
-                + ops.ln_kernel(x2 - y2)
-            )
-            return np.exp(drift * v + phase * (lam * (xsum - u) + rho_plus * u) + ln_kern)
-
-        lo = -v + 2.0 * xmin - l_neg
-        hi = v + 2.0 * xmax + l_pos
-        if s_mid > 1e-12:
-            hi = min(hi, -v + 2.0 * xmax + _tail(q) / s_mid)
-        elif s_mid < -1e-12:
-            lo = max(lo, v + 2.0 * xmin - _tail(q) / (-s_mid))
-        return _adaptive(g, lo, hi, inner_spec, u_freq, 2.0 * cap)
+    window = (_tail(q) / u_rate_neg, _tail(q) / u_rate_pos, s_mid, _tail(q))
 
     def outer(v):
-        v = np.asarray(v, dtype=float)
-        vals = np.array([inner(float(vv)) for vv in v])
-        comp = np.exp(ops.ln_measure(v) - drift * v)
+        vals = _rotated_inner(ops, at, (), (lam, rho_plus), v, window, q.split(), u_freq, cap)
+        comp = np.exp(ops.ln_measure(v) - ops.mu_rate * v)
         return ops.two_pi_inv**2 * comp * (profile(v) * vals)
 
     return _adaptive(outer, 0.0, v_max, q, v_freq, 2.0 * cap)
@@ -363,24 +371,25 @@ def _apply_q2_generic(
     phase = 1j * kap * lam
     xsum = x1 + x2
 
-    def outer(y2s: float) -> complex:
-        def inner(y1):
-            y1 = np.asarray(y1, dtype=float)
-            y2 = np.full_like(y1, y2s)
+    def outer(y2):
+        y2 = np.asarray(y2, dtype=float)
+
+        def inner(y1, k):
+            y2k = y2[k]
             kern = (
                 ops.kernel(x1 - y1)
-                * ops.kernel(x1 - y2)
+                * ops.kernel(x1 - y2k)
                 * ops.kernel(x2 - y1)
-                * ops.kernel(x2 - y2)
+                * ops.kernel(x2 - y2k)
             )
             return (
-                ops.measure(y1 - y2s)
-                * np.exp(phase * (xsum - y1 - y2s))
+                ops.measure(y1 - y2k)
+                * np.exp(phase * (xsum - y1 - y2k))
                 * kern
-                * f.fn(y1, y2)
+                * f.fn(y1, y2k)
             )
 
-        return _adaptive(inner, lo, hi, inner_spec, freq, cap)
+        return _adaptive_many(inner, lo, hi, inner_spec, freq, y2.size, cap)
 
     return ops.two_pi_inv**2 * _adaptive(outer, lo, hi, q, freq, cap)
 
@@ -452,6 +461,14 @@ def pair_transform(
     eigenfunctions: the full function is e^(i kappa (l1+l2)(x1+x2)/2) times
     pair_transform at delta = l1 - l2, v = x1 - x2.  The gamma family carries
     its 1/(2 pi).
+
+    Evenness lets v be replaced by |v|, and s = y + |v|/2 turns the integral
+    into e^(-i kappa delta |v|/2) int ds Kf(s) e^(i kappa delta s) Kf(|v| - s)
+    over [-L-, |v| + L+], L = tail / rate.  One composite Gauss-Legendre rule
+    on [-L-, max|v| + L+] serves every v, so the weighted factor
+    w Kf(s) e^(i kappa delta s) is evaluated once.  The v are taken in blocks
+    of sorted |v| of about _PAIR_BLOCK kernel values, each on the node prefix
+    up to its largest |v| + L+, which is the interval a lone v would use.
     """
     kind = KernelFamily(kind)
     ops = _Ops(kind, kind is not KernelFamily.HYPERBOLIC, c_kernel)
@@ -461,24 +478,39 @@ def pair_transform(
     rate_pos = 2.0 * k + kap * delta.imag
     rate_neg = 2.0 * k - kap * delta.imag
     _require_positive(rate_pos, rate_neg)
-    scalar = np.isscalar(v)
-    v_arr = np.atleast_1d(np.asarray(v, dtype=float))
-    vmax = float(np.max(np.abs(v_arr)))
-    lo = -0.5 * vmax - _tail(q) / rate_neg
-    hi = 0.5 * vmax + _tail(q) / rate_pos
-    freq = kap * abs(delta.real)
+    w = np.abs(np.asarray(v, dtype=float))
+    l_pos = _tail(q) / rate_pos
+    lo = -_tail(q) / rate_neg
+    hi = float(np.max(w)) + l_pos
     width = min(
-        8.0 / max(freq, k, 1.0),
+        8.0 / max(kap * abs(delta.real), k, 1.0),
         (hi - lo) / 8.0,
         1.6 * kernel_pole_distance(kind, c_kernel),
     )
-    y, wt = _panels_on(lo, hi, width)
-    half = 0.5 * v_arr[:, None]
-    kern = ops.kernel((half - y[None, :]).ravel()).reshape(len(v_arr), -1) * ops.kernel(
-        (half + y[None, :]).ravel()
-    ).reshape(len(v_arr), -1)
-    vals = ops.two_pi_inv * (kern * np.exp(1j * kap * delta * y)[None, :]) @ wt
-    return complex(vals[0]) if scalar else vals
+    s, wt = _panels_on(lo, hi, width)
+    row = ops.two_pi_inv * wt * ops.kernel(s) * np.exp(1j * kap * delta * s)
+    back = lambda w: np.exp(-0.5j * kap * delta * w)
+    if w.ndim == 0:
+        return complex(back(w) * (ops.kernel(w - s) @ row))
+
+    order = np.argsort(w, axis=None, kind="stable")
+    ws = w.ravel()[order]
+    # nodes each v needs: the 16-point panels whose first node is below |v| + L+
+    used = 16 * np.searchsorted(s[::16], ws + l_pos)
+    # real and imaginary columns: the real kernel blocks need no complex copy
+    row_ri = np.stack([row.real, row.imag], axis=1)
+    out = np.empty(ws.size, dtype=complex)
+    i = 0
+    while i < ws.size:
+        # the most rows whose block, on the last row's prefix, fits _PAIR_BLOCK
+        size = np.arange(1, ws.size - i + 1) * used[i:]
+        j = i + max(1, int(np.searchsorted(size, _PAIR_BLOCK, side="right")))
+        p = int(used[j - 1])
+        kern = ops.kernel((ws[i:j, None] - s[None, :p]).ravel()).reshape(j - i, p)
+        re, im = (kern @ row_ri[:p]).T
+        out[order[i:j]] = back(ws[i:j]) * (re + 1j * im)
+        i = j
+    return out.reshape(w.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -531,47 +563,17 @@ def qq_convolution_kernel(
     u_rate_neg = 4.0 * ops.k_rate - dimag
     v_rate = 4.0 * ops.k_rate - ops.mu_rate - abs(dimag)
     _require_positive(u_rate_pos, u_rate_neg, v_rate)
-    pts = (x1, x2, z1, z2)
-    u_lo0, u_hi0 = 2.0 * min(pts), 2.0 * max(pts)
-    l_pos = _tail(q) / u_rate_pos
-    l_neg = _tail(q) / u_rate_neg
     v_max = _tail(q) / v_rate
     freq = kap * (abs(first.real) + abs(second.real))
-    inner_spec = q.split()
     cap = 1.6 * kernel_pole_distance(spec.family, ops.kernel_coupling)
     outer_measure = ops.measure(z1 - z2)
-    xsum = x1 + x2
-    zsum = z1 + z2
-
-    drift = ops.mu_rate
-
-    def inner(v: float) -> complex:
-        def gfun(u):
-            u = np.asarray(u, dtype=float)
-            y1 = 0.5 * (u + v)
-            y2 = 0.5 * (u - v)
-            ln_kern = (
-                ops.ln_kernel(x1 - y1)
-                + ops.ln_kernel(x1 - y2)
-                + ops.ln_kernel(x2 - y1)
-                + ops.ln_kernel(x2 - y2)
-                + ops.ln_kernel(y1 - z1)
-                + ops.ln_kernel(y1 - z2)
-                + ops.ln_kernel(y2 - z1)
-                + ops.ln_kernel(y2 - z2)
-            )
-            return np.exp(
-                drift * v + 1j * kap * (first * (xsum - u) + second * (u - zsum)) + ln_kern
-            )
-
-        lo = -v + u_lo0 - l_neg
-        hi = v + u_hi0 + l_pos
-        return _adaptive(gfun, lo, hi, inner_spec, freq, 2.0 * cap)
+    window = (_tail(q) / u_rate_neg, _tail(q) / u_rate_pos, 0.0, _tail(q))
 
     def outer(v):
-        v = np.asarray(v, dtype=float)
-        vals = np.array([inner(float(vv)) for vv in v])
-        return np.exp(ops.ln_measure(v) - drift * v) * vals
+        vals = _rotated_inner(
+            ops, (x1, x2), (z1, z2), (first, second), v, window, q.split(), freq, cap
+        )
+        return np.exp(ops.ln_measure(v) - ops.mu_rate * v) * vals
 
     return (
         ops.two_pi_inv**2

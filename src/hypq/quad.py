@@ -5,10 +5,12 @@ truncated interval; truncation lengths come from the caller-declared
 DecayProfile, never from introspecting the integrand.  The first panels are
 at most one period 2*pi/freq_hint wide; each round then halves every panel
 whose error estimate exceeds its share of the tolerance.  Panel state lives
-in numpy arrays, and one routine can advance many integrals over the same
-interval together, each with its own tolerance test, splits and node budget:
-integrate_plane runs the inner integrals of a whole array of outer abscissae
-that way.  The integrand is never called on more than _CHUNK_NODES nodes at
+in numpy arrays, and one routine can advance many integrals together, each
+over its own interval and with its own tolerance test, splits and node
+budget, starting from the panels a lone call would take, so each value is
+bit-identical to a lone call's: integrate_plane and the two-variable
+operators run the inner integrals of a whole array of outer abscissae that
+way.  The integrand is never called on more than _CHUNK_NODES nodes at
 once, which bounds the memory of a batch.  Panel subdivision and the final
 compensated summation run in a fixed deterministic order, so identical
 inputs give bit-identical results.
@@ -199,44 +201,56 @@ def _fsum_by_integral(out: np.ndarray, own: np.ndarray, val: np.ndarray) -> None
 
 def _adaptive_many(
     f,
-    a: float,
-    b: float,
+    a,
+    b,
     spec: QuadSpec,
     freq_hint: float,
     m: int,
     max_panel: float = math.inf,
 ) -> np.ndarray:
-    """Integrals over [a, b] of x -> f(x, k) for k = 0, ..., m-1, advanced together.
+    """Integrals over [a[k], b[k]] of x -> f(x, k) for k = 0, ..., m-1, advanced together.
 
-    Every integral starts on the same panels and then runs the rounds that a
-    lone adaptive integral would: its own tolerance test, splits, round cap
+    ``a`` and ``b`` are scalars or length-m arrays.  Every integral starts on
+    the panels that a lone adaptive integral over its interval takes and then
+    runs the rounds that it would: its own tolerance test, splits, round cap
     and node budget, so its value does not depend on the others.  Integrals
-    are taken in groups whose first round is about _CHUNK_NODES nodes.
+    are taken in consecutive groups whose first round is at most _CHUNK_NODES
+    nodes (or one integral).
     """
-    if not b > a:
+    a = np.full(m, a, dtype=float)
+    b = np.full(m, b, dtype=float)
+    if not (b > a).all():
         raise DomainError("empty integration interval")
     width = b - a
-    w0 = min(width / 8.0, max_panel)
+    w0 = np.minimum(width / 8.0, max_panel)
     if freq_hint > 0.0:
         # one oscillation period per first panel
-        w0 = min(w0, 2.0 * math.pi / freq_hint)
-    n0 = max(8, int(math.ceil(width / w0)))
-    edges = np.linspace(a, b, n0 + 1)
-    group = max(1, _CHUNK_NODES // (n0 * _K_NODES.size))
+        w0 = np.minimum(w0, 2.0 * math.pi / freq_hint)
+    n0 = np.maximum(8, np.ceil(width / w0).astype(np.int64))
+    ends = np.cumsum(n0)  # first-round panels up to each integral
     out = np.empty(m, dtype=complex)
-    for first in range(0, m, group):
-        size = min(group, m - first)
-        _advance(f, edges, first, size, spec, out[first : first + size])
+    first = 0
+    while first < m:
+        room = (ends[first - 1] if first else 0) + _CHUNK_NODES // _K_NODES.size
+        last = max(first + 1, int(np.searchsorted(ends, room, side="right")))
+        part = slice(first, last)
+        _advance(f, a[part], b[part], n0[part], first, spec, out[part])
+        first = last
     return out
 
 
-def _advance(f, edges: np.ndarray, first: int, size: int, spec: QuadSpec, out) -> None:
-    """Run integrals first, ..., first+size-1 of _adaptive_many to the end."""
-    lo = np.tile(edges[:-1], size)
-    hi = np.tile(edges[1:], size)
-    own = np.repeat(np.arange(size), edges.size - 1)  # integral of each panel
+def _advance(f, a, b, n0, first: int, spec: QuadSpec, out) -> None:
+    """Run integrals first, ..., first+len(out)-1 of _adaptive_many to the end,
+    from n0[k] equal first panels on [a[k], b[k]]."""
+    size = out.size
+    own = np.repeat(np.arange(size), n0)  # integral of each panel
+    # panel edges as np.linspace(a, b, n0 + 1) computes them
+    i = np.arange(own.size) - np.repeat(np.cumsum(n0) - n0, n0)
+    step = ((b - a) / n0)[own]
+    lo = i * step + a[own]
+    hi = np.where(i + 1 == n0[own], b[own], (i + 1) * step + a[own])
     val, err = _gk_batch(f, lo, hi, own + first)
-    used = np.full(size, (edges.size - 1) * _K_NODES.size)
+    used = _K_NODES.size * n0
 
     for _ in range(_MAX_ROUNDS):
         # sequential per-integral sums, in panel order
@@ -285,12 +299,13 @@ def _adaptive(
     )
 
 
+def _tail(q: QuadSpec) -> float:
+    """Envelope exponent at which tails are cut: safety * (-ln(abs_tol/10))."""
+    return q.truncation_safety * (-math.log(q.abs_tol / 10.0))
+
+
 def _trunc_lengths(d: DecayProfile, s: QuadSpec) -> tuple[float, float]:
-    target = -math.log(s.abs_tol / 10.0)
-    return (
-        s.truncation_safety * target / d.rate_neg,
-        s.truncation_safety * target / d.rate_pos,
-    )
+    return _tail(s) / d.rate_neg, _tail(s) / d.rate_pos
 
 
 def integrate_line(

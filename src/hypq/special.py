@@ -33,6 +33,7 @@ from .errors import (
     LatticePoleError,
     StripError,
 )
+from .quad import _panels_on
 
 __all__ = [
     "AnalyticStrip",
@@ -201,23 +202,13 @@ class Periods:
 # ln S2 inside the strip
 # ---------------------------------------------------------------------------
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 # e^{-rate*T} < 1e-17 at rate*T = 39.2
 _TAIL_EXPONENT = 39.2
 # switch to the B22 asymptotic at |Im z| > _ASYM_FACTOR * omega_max
 # (correction there is O(e^{-2 pi Im z / omega_max}) ~ 1e-15)
 _ASYM_FACTOR = 5.5
-
-
-def _panels(total: float, width: float) -> tuple[np.ndarray, np.ndarray]:
-    """Composite 16-point Gauss-Legendre nodes/weights on [0, total]."""
-    n = max(1, int(math.ceil(total / width)))
-    edges = np.linspace(0.0, total, n + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
-    weights = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
-    return nodes, weights
+# most functional-equation steps double_sine takes before refusing the argument
+_MAX_SHIFT_STEPS = 1 << 20
 
 
 def _log_s2_strip(z: complex, w1: float, w2: float) -> complex:
@@ -231,7 +222,7 @@ def _log_s2_strip(z: complex, w1: float, w2: float) -> complex:
     freq = 2.0 * abs(z.imag)
     # integrand poles at t = i pi k / omega limit the panel width
     width = min(8.0 / max(freq, rate, 1.0), t_max / 4.0, 1.6 * math.pi / max(w1, w2))
-    t, wt = _panels(t_max, width)
+    t, wt = _panels_on(0.0, t_max, width)
     # overflow-safe form of sinh(a t) / (sinh(w1 t) sinh(w2 t)): both surviving
     # exponents are negative throughout the strip
     ratio = (
@@ -308,7 +299,8 @@ def double_sine(z: complex, p: Periods) -> complex:
     Exact 0 is returned at lattice zeros; LatticePoleError is raised at
     lattice poles.  Arguments outside the analytic strip are reduced with
     the functional equations, shifting by the larger period; more than 64
-    shift steps triggers an ill-conditioning warning.
+    shift steps triggers an ill-conditioning warning, and |Re z| beyond 2^20
+    steps is refused with DomainError.
     """
     z = complex(z)
     zero = _lattice_index(z, p, "zero")
@@ -329,18 +321,18 @@ def double_sine(z: complex, p: Periods) -> complex:
     # land Re z in a band with a healthy gap to both strip edges
     lo = 0.45
     hi = total - 0.45
-    log_factor = 0.0 + 0.0j
-    steps = 0
-    while zn.real < lo:
-        # S2(z) = 2 sin(pi z / omega_min) S2(z + omega_max)
-        log_factor += np.log(2.0 * np.sin(np.pi * zn))
-        zn += wmax
-        steps += 1
-    while zn.real > hi:
-        # S2(z) = S2(z - omega_max) / (2 sin(pi (z - omega_max) / omega_min))
-        zn -= wmax
-        log_factor -= np.log(2.0 * np.sin(np.pi * zn))
-        steps += 1
+    if abs(zn.real) > _MAX_SHIFT_STEPS * wmax:
+        raise DomainError(f"double_sine refuses Re z = {z.real!r}: too many shift steps")
+    path = [zn]  # z, then each shift by omega_max
+    while path[-1].real < lo:
+        path.append(path[-1] + wmax)
+    while path[-1].real > hi:
+        path.append(path[-1] - wmax)
+    steps = len(path) - 1
+    left = zn.real < lo
+    # left:  S2(z) = 2 sin(pi z / omega_min) S2(z + omega_max)
+    # right: S2(z) = S2(z - omega_max) / (2 sin(pi (z - omega_max) / omega_min))
+    at = path[:-1] if left else path[1:]
     if steps > 64:
         warnings.warn(
             f"double_sine used {steps} functional-equation steps; "
@@ -348,8 +340,13 @@ def double_sine(z: complex, p: Periods) -> complex:
             RuntimeWarning,
             stacklevel=2,
         )
+        # many factors take one numpy pass
+        ln_sin = np.log(2.0 * np.sin(np.pi * np.array(at))).sum()
+    else:
+        ln_sin = sum(np.log(2.0 * np.sin(np.pi * x)) for x in at)
+    log_factor = ln_sin if left else -ln_sin
     try:
-        out = cmath.exp(log_factor + _log_s2_strip(zn, p.omega1 * s, p.omega2 * s))
+        out = cmath.exp(log_factor + _log_s2_strip(path[-1], p.omega1 * s, p.omega2 * s))
         finite = math.isfinite(out.real) and math.isfinite(out.imag)
     except OverflowError:
         finite = False

@@ -34,7 +34,7 @@ from .operators import (
     pair_transform,
     pair_transform_rate,
 )
-from .quad import QuadSpec, _adaptive
+from .quad import QuadSpec, _adaptive, _tail
 from .special import double_sine
 
 __all__ = [
@@ -51,9 +51,6 @@ __all__ = [
     "sutherland_gauge",
     "eigenfunction_handle",
 ]
-
-def _tail(q: QuadSpec) -> float:
-    return q.truncation_safety * (-math.log(q.abs_tol / 10.0))
 
 
 @dataclass(frozen=True)

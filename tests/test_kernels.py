@@ -201,6 +201,37 @@ class TestRelativisticKernel:
             assert abs(v - rhs) < 1e-7
 
 
+class TestRealAxisGammaCore:
+    """ln |Gamma(a + ib)|^2 against closed forms at a = 1/2, 1, 3/2."""
+
+    @staticmethod
+    def _ln_cosh(x):
+        x = np.abs(x)
+        return x + np.log1p(np.exp(-2.0 * x)) - math.log(2.0)
+
+    @pytest.mark.parametrize("a", [0.5, 1.0, 1.5])
+    def test_closed_forms(self, a):
+        from hypq.kernels import _ln_abs_gamma_sq_real
+
+        b = np.linspace(-256.0, 256.0, 2048)  # even count: no b = 0
+        pb = math.pi * b
+        if a == 0.5:
+            want = math.log(math.pi) - self._ln_cosh(pb)
+        elif a == 1.0:
+            # pi b / sinh(pi b)
+            ln_sinh = np.abs(pb) + np.log1p(-np.exp(-2.0 * np.abs(pb))) - math.log(2.0)
+            want = np.log(np.abs(pb)) - ln_sinh
+        else:
+            want = np.log(0.25 + b * b) + math.log(math.pi) - self._ln_cosh(pb)
+        got = _ln_abs_gamma_sq_real(a, b)
+        assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+
+    def test_scalar_argument(self):
+        from hypq.kernels import _ln_abs_gamma_sq_real
+
+        assert _ln_abs_gamma_sq_real(0.5, 0.0) == pytest.approx(math.log(math.pi), rel=1e-15)
+
+
 class TestMeasures:
     def test_zeros_at_coincidence(self):
         c = Coupling(1.0)

@@ -248,6 +248,30 @@ class TestPairTransform:
         singles = [pair_transform(HYP, c, 0.5, float(v), Q) for v in vs]
         assert np.max(np.abs(batch - np.array(singles))) < 1e-11
 
+    def test_gamma_batch_matches_scalar_to_large_separation(self):
+        c = Coupling(1.0)
+        vs = np.linspace(-345.0, 345.0, 47)
+        batch = pair_transform(GAM, c, 0.5, vs, Q)
+        singles = np.array([pair_transform(GAM, c, 0.5, float(v), Q) for v in vs])
+        assert np.all(np.abs(batch - singles) <= 1e-11 * np.abs(singles))
+
+    def test_gamma_kernel_work_ceiling(self, monkeypatch):
+        # each Khat factor is evaluated on the node prefix its |v| needs;
+        # two full dense len(v) x len(y) matrices would be 11.92 M points
+        from hypq import operators
+
+        points = [0]
+        direct = operators._hatK_real_vec
+
+        def counted(x, g):
+            points[0] += np.size(x)
+            return direct(x, g)
+
+        monkeypatch.setattr(operators, "_hatK_real_vec", counted)
+        q = QuadSpec(rel_tol=1e-8, abs_tol=1e-9)
+        pair_transform(GAM, Coupling(1.0), 0.5, np.linspace(0.01, 345.0, 1620), q)
+        assert 0 < points[0] <= 4_500_000
+
 
 class TestKernelConvolutions:
     @pytest.mark.parametrize(

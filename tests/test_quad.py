@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypq import quad
 from hypq.errors import BudgetExceededError, DomainError, NonFiniteSampleError
 from hypq.quad import (
     DecayProfile,
@@ -151,6 +152,35 @@ class TestIntegratePlane:
 
         ref = integrate_line(outer, d2, Q, 1.0)
         assert abs(v - ref) <= 1e-14 * abs(ref)
+
+
+class TestPerIntegralIntervals:
+    @pytest.mark.parametrize("chunk", [600, None])
+    def test_many_matches_lone_calls(self, monkeypatch, chunk):
+        # 50 oscillatory integrals, each on its own interval; a small chunk
+        # splits them into several groups and integrand calls
+        if chunk is not None:
+            monkeypatch.setattr(quad, "_CHUNK_NODES", chunk)
+        rng = np.random.RandomState(11)
+        a = rng.uniform(-10.0, 2.0, 50)
+        b = a + rng.uniform(0.5, 30.0, 50)
+        w = rng.uniform(1.0, 20.0, 50)
+        spec = QuadSpec(rel_tol=1e-10, abs_tol=1e-12)
+
+        def f(x, k):
+            return np.exp(1j * w[k] * x) / np.cosh(0.3 * x)
+
+        many = quad._adaptive_many(f, a, b, spec, 5.0, 50, 2.0)
+        lone = [
+            quad._adaptive(lambda x: f(x, np.full(x.shape, k)), a[k], b[k], spec, 5.0, 2.0)
+            for k in range(50)
+        ]
+        assert (many == np.array(lone)).all()
+
+    def test_empty_interval_refused(self):
+        with pytest.raises(DomainError):
+            b = np.array([1.0, 0.0, 2.0])
+            quad._adaptive_many(lambda x, k: x, np.zeros(3), b, Q, 0.0, 3)
 
 
 class TestPanelSizing:

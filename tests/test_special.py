@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -25,6 +26,7 @@ from _frozen import GAMMA_0P3_0P7I, LOG_S2_0P7_W11
 from oracles import gamma_oracle, log_double_sine_oracle
 
 PERIOD_PAIRS = [Periods(1.0, 1.0), Periods(1.0, math.sqrt(2.0)), Periods(0.7, 1.9)]
+OMIN_ONE_PAIRS = [Periods(1.0, 1.0), Periods(1.0, math.sqrt(2.0)), Periods(1.6, 1.0)]
 
 
 class TestComplexGamma:
@@ -189,6 +191,42 @@ class TestStripExtension:
         # the shift loop's log factor overflows cmath.exp itself
         with pytest.raises(GammaOverflowError, match="double_sine overflowed"):
             double_sine(-1e4 + 0.3j, Periods(1.0, math.sqrt(2.0)))
+
+    @staticmethod
+    def _loop(z, p):
+        # the functional-equation reduction one step at a time; omega_min = 1
+        # keeps the normalized and unnormalized arguments identical
+        log_factor = 0.0
+        while z.real < 0.45:
+            log_factor += cmath.log(2.0 * cmath.sin(math.pi * z))
+            z += p.omax
+        while z.real > p.total - 0.45:
+            z -= p.omax
+            log_factor -= cmath.log(2.0 * cmath.sin(math.pi * z))
+        return cmath.exp(log_factor + log_double_sine(z, p))
+
+    @pytest.mark.parametrize("p", OMIN_ONE_PAIRS)
+    def test_shift_matches_step_by_step_loop(self, p):
+        rng = np.random.RandomState(9)
+        reach = 5.0 * p.omax  # at most five steps either way
+        re = rng.uniform(0.45 - reach, p.total - 0.45 + reach, 60)
+        im = rng.uniform(0.05, 2.0, 60) * rng.choice([-1.0, 1.0], 60)
+        for z in re + 1j * im:
+            want = self._loop(complex(z), p)
+            assert abs(double_sine(z, p) - want) <= 1e-13 * abs(want)
+
+    @pytest.mark.filterwarnings("ignore:double_sine used")
+    @pytest.mark.parametrize("p", OMIN_ONE_PAIRS)
+    def test_many_shift_factors_match_loop(self, p):
+        # beyond 64 steps the factors take one numpy pass; the sum of ~100
+        # logarithms carries ~100 roundings
+        for z in (-70.3 + 0.4j, -95.1 - 0.2j, 120.7 + 0.3j, 101.2 - 0.6j):
+            want = self._loop(z, p)
+            assert abs(double_sine(z, p) - want) <= 1e-12 * abs(want)
+
+    def test_refuses_beyond_step_cap(self):
+        with pytest.raises(DomainError, match="too many shift steps"):
+            double_sine(-1e7 + 0.3j, Periods(1.0, 1.0))
 
 
 class TestNearZero:
