@@ -54,7 +54,7 @@ from .kernels import (
     measure_hyperbolic,
     measure_relativistic,
 )
-from .quad import QuadSpec, _adaptive, _adaptive_many, _panels_on, _tail
+from .quad import _GL16_NODES, QuadSpec, _adaptive, _adaptive_many, _panels_on, _tail
 
 __all__ = [
     "OperatorSpec",
@@ -372,7 +372,7 @@ def _apply_q2_generic(
     xsum = x1 + x2
 
     def outer(y2):
-        y2 = np.asarray(y2, dtype=float)
+        y2 = np.asarray(y2, dtype=float).ravel()  # as in quad.integrate_plane
 
         def inner(y1, k):
             y2k = y2[k]
@@ -495,8 +495,8 @@ def pair_transform(
 
     order = np.argsort(w, axis=None, kind="stable")
     ws = w.ravel()[order]
-    # nodes each v needs: the 16-point panels whose first node is below |v| + L+
-    used = 16 * np.searchsorted(s[::16], ws + l_pos)
+    # nodes each v needs: the panels whose first node is below |v| + L+
+    used = _GL16_NODES.size * np.searchsorted(s[:: _GL16_NODES.size], ws + l_pos)
     # real and imaginary columns: the real kernel blocks need no complex copy
     row_ri = np.stack([row.real, row.imag], axis=1)
     out = np.empty(ws.size, dtype=complex)

@@ -146,9 +146,11 @@ def _panels_on(a: float, b: float, width: float) -> tuple[np.ndarray, np.ndarray
     return nodes, weights
 
 
-def _eval_batch(f: Callable, x: np.ndarray) -> np.ndarray:
+def _eval_batch(f: Callable, x: np.ndarray, each: Callable | None = None) -> np.ndarray:
     """Evaluate f on an array of abscissae, accepting scalar-only callables.
 
+    If f fails on the array, node i is evaluated alone, as each(i) when given
+    (for an integrand that needs more than the abscissa), else as f(x[i]).
     A HypqError from f is its verdict on these abscissae and propagates.
     """
     try:
@@ -158,7 +160,9 @@ def _eval_batch(f: Callable, x: np.ndarray) -> np.ndarray:
     except HypqError:
         raise
     except (TypeError, ValueError):
-        y = np.array([complex(f(float(v))) for v in x])
+        if each is None:
+            each = lambda i: f(float(x[i]))
+        y = np.array([complex(each(i)) for i in range(x.size)])
     if not np.isfinite(y).all():
         bad = np.flatnonzero(~np.isfinite(y))[0]
         raise NonFiniteSampleError(float(x[bad]))
@@ -181,8 +185,10 @@ def _gk_batch(
         mid = 0.5 * (lo[part] + hi[part])
         half = 0.5 * (hi[part] - lo[part])
         x = mid[:, None] + half[:, None] * _K_NODES[None, :]
-        k = np.repeat(own[part], _K_NODES.size)
-        y = _eval_batch(lambda v: f(v, k), x.ravel()).reshape(x.shape)
+        xs, k = x.ravel(), np.repeat(own[part], _K_NODES.size)
+        y = _eval_batch(
+            lambda v: f(v, k), xs, lambda j: f(float(xs[j]), int(k[j]))
+        ).reshape(x.shape)
         kg = half[:, None] * (y @ _KG_WEIGHTS)
         val[part] = kg[:, 0]
         err[part] = np.abs(kg[:, 0] - kg[:, 1])
@@ -364,15 +370,14 @@ def integrate_plane(
     splits and node budget at the split tolerance, so it gives the value a
     separate integrate_line call would.  ``f`` should accept two numpy arrays
     of equal shape, of at most 32,768 nodes per call (scalar-only callables
-    are mapped, one inner integral at a time, slowly).
+    are mapped, slowly).
     """
     inner_spec = s.split()
     l_neg, l_pos = _trunc_lengths(d1, inner_spec)
 
     def outer(y2):
-        if np.ndim(y2) == 0:  # the scalar fallback, for an f that takes no arrays
-            return integrate_line(lambda y1: f(y1, y2), d1, inner_spec, freq_hint1)
-        y2 = np.asarray(y2, dtype=float)
+        # 1-d even for the scalar y2 of an f failing on scalars, so f's error surfaces
+        y2 = np.asarray(y2, dtype=float).ravel()
         return _adaptive_many(
             lambda y1, k: f(y1, y2[k]),
             d1.center - l_neg,

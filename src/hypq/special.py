@@ -299,10 +299,15 @@ def double_sine(z: complex, p: Periods) -> complex:
     Exact 0 is returned at lattice zeros; LatticePoleError is raised at
     lattice poles.  Arguments outside the analytic strip are reduced with
     the functional equations, shifting by the larger period; more than 64
-    shift steps triggers an ill-conditioning warning, and |Re z| beyond 2^20
-    steps is refused with DomainError.
+    shift steps triggers an ill-conditioning warning, and a non-finite z, or
+    |Re z| beyond 2^20 steps below the asymptotic region, is refused with
+    DomainError.
     """
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise DomainError(f"double_sine needs a finite argument, got {z!r}")
+    if abs(z.imag) <= _ASYM_FACTOR * p.omax and abs(z.real) > _MAX_SHIFT_STEPS * p.omax:
+        raise DomainError(f"double_sine refuses Re z = {z.real!r}: too many shift steps")
     zero = _lattice_index(z, p, "zero")
     if zero is not None:
         return 0.0 + 0.0j
@@ -321,18 +326,18 @@ def double_sine(z: complex, p: Periods) -> complex:
     # land Re z in a band with a healthy gap to both strip edges
     lo = 0.45
     hi = total - 0.45
-    if abs(zn.real) > _MAX_SHIFT_STEPS * wmax:
-        raise DomainError(f"double_sine refuses Re z = {z.real!r}: too many shift steps")
-    path = [zn]  # z, then each shift by omega_max
-    while path[-1].real < lo:
-        path.append(path[-1] + wmax)
-    while path[-1].real > hi:
-        path.append(path[-1] - wmax)
-    steps = len(path) - 1
-    left = zn.real < lo
-    # left:  S2(z) = 2 sin(pi z / omega_min) S2(z + omega_max)
-    # right: S2(z) = S2(z - omega_max) / (2 sin(pi (z - omega_max) / omega_min))
-    at = path[:-1] if left else path[1:]
+    log_factor = 0.0 + 0.0j
+    steps = 0
+    while zn.real < lo:
+        # S2(z) = 2 sin(pi z / omega_min) S2(z + omega_max)
+        log_factor += np.log(2.0 * np.sin(np.pi * zn))
+        zn += wmax
+        steps += 1
+    while zn.real > hi:
+        # S2(z) = S2(z - omega_max) / (2 sin(pi (z - omega_max) / omega_min))
+        zn -= wmax
+        log_factor -= np.log(2.0 * np.sin(np.pi * zn))
+        steps += 1
     if steps > 64:
         warnings.warn(
             f"double_sine used {steps} functional-equation steps; "
@@ -340,13 +345,8 @@ def double_sine(z: complex, p: Periods) -> complex:
             RuntimeWarning,
             stacklevel=2,
         )
-        # many factors take one numpy pass
-        ln_sin = np.log(2.0 * np.sin(np.pi * np.array(at))).sum()
-    else:
-        ln_sin = sum(np.log(2.0 * np.sin(np.pi * x)) for x in at)
-    log_factor = ln_sin if left else -ln_sin
     try:
-        out = cmath.exp(log_factor + _log_s2_strip(path[-1], p.omega1 * s, p.omega2 * s))
+        out = cmath.exp(log_factor + _log_s2_strip(zn, p.omega1 * s, p.omega2 * s))
         finite = math.isfinite(out.real) and math.isfinite(out.imag)
     except OverflowError:
         finite = False

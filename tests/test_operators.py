@@ -166,6 +166,19 @@ class TestTwoVariable:
         oracle = oracle_trapezoid_2d(full, 18.0, 3001)
         assert abs(got - oracle) < 2e-7
 
+    def test_q2_generic_scalar_only_handle(self):
+        # a handle that takes no arrays is mapped node by node and gives the
+        # value of the array handle
+        c = Coupling(1.0)
+        spec = OperatorSpec(HYP, 2, False, c, 0.3)
+        q = QuadSpec(rel_tol=1e-4, abs_tol=1e-6)
+        at = (0.2, -0.4)
+        env = Envelope(1.5, 1.5)
+        scalar = FunctionHandle(lambda y1, y2: math.exp(-y1 * y1 - y2 * y2), env)
+        array = FunctionHandle(lambda y1, y2: np.exp(-y1 * y1 - y2 * y2), env)
+        want = apply_Q(spec, array, at, q)
+        assert abs(apply_Q(spec, scalar, at, q) - want) <= 1e-12 * abs(want)
+
     def test_q2_constant_input_refused(self):
         # measure growth beats the kernels on a non-decaying input
         c = Coupling(1.0)

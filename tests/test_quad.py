@@ -177,6 +177,14 @@ class TestPerIntegralIntervals:
         ]
         assert (many == np.array(lone)).all()
 
+    def test_scalar_only_integrand(self):
+        # each node is passed with its own integral's index
+        a, b = np.array([0.0, -1.0, 2.0]), np.array([1.0, 3.0, 2.5])
+        w = [1.0, 4.0, 9.0]
+        got = quad._adaptive_many(lambda x, k: math.cos(w[k] * x), a, b, Q, 0.0, 3)
+        want = [(math.sin(w[k] * b[k]) - math.sin(w[k] * a[k])) / w[k] for k in range(3)]
+        assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+
     def test_empty_interval_refused(self):
         with pytest.raises(DomainError):
             b = np.array([1.0, 0.0, 2.0])

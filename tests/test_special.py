@@ -218,15 +218,23 @@ class TestStripExtension:
     @pytest.mark.filterwarnings("ignore:double_sine used")
     @pytest.mark.parametrize("p", OMIN_ONE_PAIRS)
     def test_many_shift_factors_match_loop(self, p):
-        # beyond 64 steps the factors take one numpy pass; the sum of ~100
+        # beyond 64 steps, where the warning fires; the sum of ~100
         # logarithms carries ~100 roundings
         for z in (-70.3 + 0.4j, -95.1 - 0.2j, 120.7 + 0.3j, 101.2 - 0.6j):
             want = self._loop(z, p)
             assert abs(double_sine(z, p) - want) <= 1e-12 * abs(want)
 
-    def test_refuses_beyond_step_cap(self):
+    @pytest.mark.parametrize("z", [-1e7 + 0.3j, 1e7 - 0.3j, -1e12 + 0.3j, -1e12 + 0j])
+    def test_refuses_beyond_step_cap(self, z):
+        # -1e12 + 0.3j lies within the lattice test's tolerance of the real
+        # axis, so the cap must come before the lattice search
         with pytest.raises(DomainError, match="too many shift steps"):
-            double_sine(-1e7 + 0.3j, Periods(1.0, 1.0))
+            double_sine(z, Periods(1.0, 1.0))
+
+    @pytest.mark.parametrize("z", [complex("nan"), complex(1, math.nan), complex(math.inf, 0)])
+    def test_refuses_non_finite(self, z):
+        with pytest.raises(DomainError, match="finite argument"):
+            double_sine(z, Periods(1.0, math.sqrt(2.0)))
 
 
 class TestNearZero:
