@@ -176,13 +176,8 @@ def _jsonl_line(fields: dict) -> str:
     for k in _FIELDS:
         v = fields[k]
         if k in ("check_name", "version", "config_hash", "timestamp"):
-            parts.append(f"{json.dumps(k)}: {json.dumps(v)}")
-        elif k == "params":
-            parts.append(f"{json.dumps(k)}: {v}")
-        elif k == "passed":
-            parts.append(f"{json.dumps(k)}: {v}")
-        else:
-            parts.append(f"{json.dumps(k)}: {v}")
+            v = json.dumps(v)
+        parts.append(f"{json.dumps(k)}: {v}")
     return "{" + ", ".join(parts) + "}"
 
 

@@ -14,12 +14,15 @@ Operators evaluate pointwise against caller-supplied function handles; no
 discretized operator matrices are built.  The envelope of the composed
 integrand is computed mechanically from kernel decay, measure growth and the
 handle's declared envelope, and integration is refused (DivergenceError) when
-the combined rate is nonpositive.  Plane waves and factored two-variable
-eigenfunctions are special-cased: symmetric factored inputs route the
-two-variable integrals through center-of-mass/separation coordinates, where
-the measure and the factored profile depend on the separation only.  The
-inner integrals of an iterated two-variable integral are advanced together,
-one batch per array of outer abscissae.
+the combined rate is nonpositive.  Every one-fold integral (the one-variable
+operator, the raising operator, the one-variable QQ kernel and the direct
+wave-function routes of wavefn) is one kernel-product line integral,
+_kernel_line, which does that envelope work once.  Plane waves and factored
+two-variable eigenfunctions are special-cased: symmetric factored inputs
+route the two-variable integrals through center-of-mass/separation
+coordinates, where the measure and the factored profile depend on the
+separation only.  The inner integrals of an iterated two-variable integral
+are advanced together, one batch per array of outer abscissae.
 """
 from __future__ import annotations
 
@@ -37,11 +40,10 @@ from .kernels import (
     exponent_scale,
     kernel_decay_rate,
     _hatK_real_vec,
+    _hatK_vec,
     hatK_ln_evaluator,
     kernel_hatK,
     kernel_K,
-    kernel_K_complex,
-    kernel_Kg,
     kernel_pole_distance,
     kg_ln_evaluator,
     kg_real_evaluator,
@@ -147,7 +149,12 @@ class _Ops:
             self.two_pi_inv = 1.0
         elif family is KernelFamily.GAMMA:
             kc = c
-            self.kernel = lambda x: _hatK_real_vec(np.asarray(x, dtype=float), kc.g)
+            # complex arguments (continued spectral values) take the complex route
+            self.kernel = lambda x: (
+                _hatK_vec(x, kc.g)
+                if np.iscomplexobj(x)
+                else _hatK_real_vec(np.asarray(x, dtype=float), kc.g)
+            )
             self.ln_kernel = hatK_ln_evaluator(kc.g)
             self.measure = lambda v: measure_gamma(np.asarray(v, dtype=float), kc)
             self.ln_measure = lambda v: ln_measure_gamma(v, kc)
@@ -162,13 +169,6 @@ class _Ops:
         self.kernel_coupling = kc
         self.k_rate = kernel_decay_rate(family, kc)
         self.mu_rate = measure_growth_rate(family, kc)
-
-    def kernel_complex(self, z: complex) -> complex:
-        if self.family is KernelFamily.HYPERBOLIC:
-            return kernel_K_complex(z, self.kernel_coupling)
-        if self.family is KernelFamily.GAMMA:
-            return kernel_hatK(z, self.kernel_coupling)
-        return kernel_Kg(z, self.kernel_coupling)
 
     def eigen(self, spectral: complex, label: complex) -> complex:
         if self.family is KernelFamily.RELATIVISTIC:
@@ -236,7 +236,7 @@ def factored_pair_handle(
 
 
 # ---------------------------------------------------------------------------
-# fixed composite panels (deterministic vectorized building block)
+# operator application
 # ---------------------------------------------------------------------------
 
 
@@ -247,31 +247,46 @@ def _require_positive(*rates: float) -> None:
         )
 
 
-# ---------------------------------------------------------------------------
-# operator application
-# ---------------------------------------------------------------------------
+def _kernel_line(ops, xs, zs, labels, q: QuadSpec, f: FunctionHandle | None = None) -> complex:
+    """The one-fold kernel-product line integral of the operator layer,
 
+        c0 int dy e^(i kappa (a (sum xs - y) + b (y - sum zs)))
+                  prod K(x - y) prod K(y - z) f(y)
 
-def _apply_q1(spec: OperatorSpec, f: FunctionHandle, x0: float, q: QuadSpec) -> complex:
-    ops = _Ops(spec.family, spec.dual, spec.coupling)
-    lam = spec.spectral
+    for (a, b) = labels, x in xs, z in zs, c0 = ops.two_pi_inv and f an
+    optional handle.  The n = len(xs) + len(zs) kernels decay at n k_rate, the
+    plane factor adds -+ kappa Im(b - a) and the handle its own rates; the
+    tails are cut beyond the outermost of the centers Re xs, Re zs and the
+    handle's center.  Complex xs or zs (continued spectral values) reach the
+    kernel as complex arguments.
+    """
+    a, b = labels
     kap = ops.kappa
-    env = f.envelope
-    # |e^(i kap lam (x0 - y))| = e^(kap Im(lam) y) up to a constant
-    rate_pos = ops.k_rate + env.rate_pos - kap * lam.imag
-    rate_neg = ops.k_rate + env.rate_neg + kap * lam.imag
+    centers = [complex(c).real for c in (*xs, *zs)]
+    env = Envelope()
+    if f is not None:
+        env = f.envelope
+        centers.append(env.center)
+    n = len(xs) + len(zs)
+    d = b - a
+    rate_pos = n * ops.k_rate + env.rate_pos + kap * d.imag
+    rate_neg = n * ops.k_rate + env.rate_neg - kap * d.imag
     _require_positive(rate_pos, rate_neg)
-    lo = min(x0, env.center) - _tail(q) / rate_neg
-    hi = max(x0, env.center) + _tail(q) / rate_pos
-    freq = kap * abs(lam.real) + env.freq
-
-    phase = 1j * kap * lam
+    lo = min(centers) - _tail(q) / rate_neg
+    hi = max(centers) + _tail(q) / rate_pos
+    freq = kap * abs(d.real) + env.freq
+    xsum, zsum = sum(xs), sum(zs)
 
     def integrand(y):
         y = np.asarray(y, dtype=float)
-        return ops.two_pi_inv * np.exp(phase * (x0 - y)) * ops.kernel(x0 - y) * f.fn(y)
+        out = ops.two_pi_inv * np.exp(1j * kap * (a * (xsum - y) + b * (y - zsum)))
+        for x in xs:
+            out = out * ops.kernel(x - y)
+        for z in zs:
+            out = out * ops.kernel(y - z)
+        return out if f is None else out * f.fn(y)
 
-    cap = 1.6 * kernel_pole_distance(spec.family, ops.kernel_coupling)
+    cap = 1.6 * kernel_pole_distance(ops.family, ops.kernel_coupling)
     return _adaptive(integrand, lo, hi, q, freq, cap)
 
 
@@ -397,7 +412,8 @@ def _apply_q2_generic(
 def apply_Q(spec: OperatorSpec, f: FunctionHandle, at, q: QuadSpec = QuadSpec()) -> complex:
     """[Q f] at one point (arity 1: at is a float; arity 2: a pair)."""
     if spec.arity == 1:
-        return _apply_q1(spec, f, float(at), q)
+        ops = _Ops(spec.family, spec.dual, spec.coupling)
+        return _kernel_line(ops, (float(at),), (), (spec.spectral, 0.0), q, f)
     x1, x2 = at
     if f.kind == "factored_pair":
         return _apply_q2_factored(spec, f, (float(x1), float(x2)), q)
@@ -409,31 +425,7 @@ def apply_Lambda(
 ) -> complex:
     """Raising operator at a pair of points: one integral, no measure factor."""
     ops = _Ops(spec.family, spec.dual, spec.coupling)
-    lam = spec.spectral
-    kap = ops.kappa
-    x1, x2 = float(at[0]), float(at[1])
-    env = f.envelope
-    rate_pos = 2.0 * ops.k_rate + env.rate_pos - kap * lam.imag
-    rate_neg = 2.0 * ops.k_rate + env.rate_neg + kap * lam.imag
-    _require_positive(rate_pos, rate_neg)
-    lo = min(x1, x2, env.center) - _tail(q) / rate_neg
-    hi = max(x1, x2, env.center) + _tail(q) / rate_pos
-    freq = kap * abs(lam.real) + env.freq
-    phase = 1j * kap * lam
-    xsum = x1 + x2
-
-    def integrand(y):
-        y = np.asarray(y, dtype=float)
-        return (
-            ops.two_pi_inv
-            * np.exp(phase * (xsum - y))
-            * ops.kernel(x1 - y)
-            * ops.kernel(x2 - y)
-            * f.fn(y)
-        )
-
-    cap = 1.6 * kernel_pole_distance(spec.family, ops.kernel_coupling)
-    return _adaptive(integrand, lo, hi, q, freq, cap)
+    return _kernel_line(ops, (float(at[0]), float(at[1])), (), (spec.spectral, 0.0), q, f)
 
 
 # ---------------------------------------------------------------------------
@@ -532,31 +524,14 @@ def qq_convolution_kernel(
     outside it DivergenceError is raised.
     """
     ops = _Ops(spec.family, spec.dual, spec.coupling)
-    kap = ops.kappa
     first = complex(first)
     second = complex(second)
-    dimag = kap * (second - first).imag
     if spec.arity == 1:
         x, z = float(endpoints[0]), float(endpoints[1])
-        rate_pos = 2.0 * ops.k_rate + dimag
-        rate_neg = 2.0 * ops.k_rate - dimag
-        _require_positive(rate_pos, rate_neg)
-        lo = min(x, z) - _tail(q) / rate_neg
-        hi = max(x, z) + _tail(q) / rate_pos
-        freq = kap * (abs(first.real) + abs(second.real))
+        return _kernel_line(ops, (x,), (z,), (first, second), q)
 
-        def integrand(s):
-            s = np.asarray(s, dtype=float)
-            return (
-                ops.two_pi_inv
-                * np.exp(1j * kap * (first * (x - s) + second * (s - z)))
-                * ops.kernel(x - s)
-                * ops.kernel(s - z)
-            )
-
-        cap = 1.6 * kernel_pole_distance(spec.family, ops.kernel_coupling)
-        return _adaptive(integrand, lo, hi, q, freq, cap)
-
+    kap = ops.kappa
+    dimag = kap * (second - first).imag
     (x1, x2), (z1, z2) = endpoints
     # u = y1 + y2, v = y1 - y2; integrand symmetric in v
     u_rate_pos = 4.0 * ops.k_rate + dimag

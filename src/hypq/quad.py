@@ -32,7 +32,6 @@ __all__ = [
     "QuadSpec",
     "DecayProfile",
     "integrate_line",
-    "integrate_half_line",
     "integrate_plane",
     "oracle_trapezoid",
     "oracle_trapezoid_2d",
@@ -332,26 +331,6 @@ def integrate_line(
     """
     l_neg, l_pos = _trunc_lengths(d, s)
     return _adaptive(f, d.center - l_neg, d.center + l_pos, s, freq_hint)
-
-
-def integrate_half_line(
-    f: Callable,
-    rate: float,
-    s: QuadSpec = QuadSpec(),
-    freq_hint: float = 0.0,
-    start: float = 0.0,
-    safety_scale: float = 1.0,
-) -> complex:
-    """Integrate f on [start, start + L], L sized from the declared decay rate.
-
-    ``safety_scale`` multiplies the tail target to account for integrands with
-    a slowly growing prefactor on top of the exponential envelope.
-    """
-    if rate <= 0:
-        raise DomainError("decay rate must be positive")
-    target = -math.log(s.abs_tol / 10.0) + math.log(max(safety_scale, 1.0))
-    length = s.truncation_safety * target / rate
-    return _adaptive(f, start, start + length, s, freq_hint)
 
 
 def integrate_plane(

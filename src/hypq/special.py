@@ -36,7 +36,6 @@ from .errors import (
 from .quad import _panels_on
 
 __all__ = [
-    "AnalyticStrip",
     "Periods",
     "complex_gamma",
     "log_complex_gamma",
@@ -152,17 +151,6 @@ def log_complex_gamma(z: complex) -> complex:
 
 
 @dataclass(frozen=True)
-class AnalyticStrip:
-    """Open vertical strip 0 < Re z < hi where the integral representation holds."""
-
-    lo: float
-    hi: float
-
-    def contains(self, z: complex) -> bool:
-        return self.lo < complex(z).real < self.hi
-
-
-@dataclass(frozen=True)
 class Periods:
     """The pair of positive real quasi-periods of the double sine function."""
 
@@ -193,9 +181,6 @@ class Periods:
     @property
     def product(self) -> float:
         return self.omega1 * self.omega2
-
-    def strip(self) -> AnalyticStrip:
-        return AnalyticStrip(0.0, self.total)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +227,7 @@ def log_double_sine(z: complex, p: Periods) -> complex:
     functional equations first (double_sine does this automatically).
     """
     z = complex(z)
-    if not p.strip().contains(z):
+    if not 0.0 < z.real < p.total:
         raise StripError(
             f"Re z = {z.real!r} outside the analytic strip (0, {p.total!r})"
         )

@@ -114,6 +114,22 @@ class CheckResult:
             passed=bool(abs_err <= tol or rel_err <= tol),
         )
 
+    @classmethod
+    def bound(
+        cls, name: str, params: dict, value: float, tol: float, passed: bool | None = None
+    ) -> "CheckResult":
+        """A nonnegative deviation that must stay within tol (or meet ``passed``)."""
+        return cls(
+            check_name=name,
+            params=params,
+            lhs=complex(value),
+            rhs=0.0,
+            abs_err=float(value),
+            rel_err=float(value),
+            tolerance=tol,
+            passed=bool(value <= tol if passed is None else passed),
+        )
+
 
 @dataclass(frozen=True)
 class RegSchedule:
@@ -155,18 +171,7 @@ def _trend_results(name: str, params_list, devs, final_tol: float) -> list[Check
         decreasing = i == 0 or d < devs[i - 1]
         last = i == len(devs) - 1
         passed = decreasing and (not last or d < final_tol)
-        out.append(
-            CheckResult(
-                check_name=name,
-                params=p,
-                lhs=complex(d),
-                rhs=0.0,
-                abs_err=float(d),
-                rel_err=float(d),
-                tolerance=final_tol,
-                passed=bool(passed),
-            )
-        )
+        out.append(CheckResult.bound(name, p, d, final_tol, passed))
     return out
 
 
@@ -1113,46 +1118,23 @@ def check_dual_construction(q: QuadSpec = QuadSpec(), tol: float = 1e-7) -> list
 # ---------------------------------------------------------------------------
 
 
-def check_schrodinger(q: QuadSpec = QuadSpec(), tol: float = 1e-4) -> list[CheckResult]:
+def _residual_results(name: str, residual, q: QuadSpec, tol: float) -> list[CheckResult]:
+    """Equation residuals of the g = 1 wave function at three position points."""
     c = Coupling(1.0)
     sp = SpectralPoint(0.4, -0.3)
     out = []
     for pp in (PositionPoint(0.5, -0.5), PositionPoint(0.9, 0.2), PositionPoint(-0.3, -1.1)):
-        r = schrodinger_residual(sp, pp, c, 1e-2, q)
-        out.append(
-            CheckResult(
-                check_name="schrodinger_residual",
-                params={"g": c.g, "x": (pp.x1, pp.x2), "h": 1e-2},
-                lhs=complex(r),
-                rhs=0.0,
-                abs_err=float(r),
-                rel_err=float(r),
-                tolerance=tol,
-                passed=bool(r <= tol),
-            )
-        )
+        r = residual(sp, pp, c, 1e-2, q)
+        out.append(CheckResult.bound(name, {"g": c.g, "x": (pp.x1, pp.x2), "h": 1e-2}, r, tol))
     return out
+
+
+def check_schrodinger(q: QuadSpec = QuadSpec(), tol: float = 1e-4) -> list[CheckResult]:
+    return _residual_results("schrodinger_residual", schrodinger_residual, q, tol)
 
 
 def check_momentum(q: QuadSpec = QuadSpec(), tol: float = 1e-6) -> list[CheckResult]:
-    c = Coupling(1.0)
-    sp = SpectralPoint(0.4, -0.3)
-    out = []
-    for pp in (PositionPoint(0.5, -0.5), PositionPoint(0.9, 0.2), PositionPoint(-0.3, -1.1)):
-        r = momentum_residual(sp, pp, c, 1e-2, q)
-        out.append(
-            CheckResult(
-                check_name="momentum_residual",
-                params={"g": c.g, "x": (pp.x1, pp.x2), "h": 1e-2},
-                lhs=complex(r),
-                rhs=0.0,
-                abs_err=float(r),
-                rel_err=float(r),
-                tolerance=tol,
-                passed=bool(r <= tol),
-            )
-        )
-    return out
+    return _residual_results("momentum_residual", momentum_residual, q, tol)
 
 
 def check_dual_difference(q: QuadSpec = QuadSpec(), tol_p: float = 1e-6, tol_h: float = 1e-5) -> list[CheckResult]:
@@ -1160,17 +1142,11 @@ def check_dual_difference(q: QuadSpec = QuadSpec(), tol_p: float = 1e-6, tol_h: 
     sp = SpectralPoint(0.4, -0.3)
     pp = PositionPoint(0.2, -0.1)
     res = dual_difference_residual(sp, pp, c, q)
-    mk = lambda nm, v, tol: CheckResult(
-        check_name=nm,
-        params={"g": c.g, "lam": (0.4, -0.3), "x": (0.2, -0.1)},
-        lhs=complex(v),
-        rhs=0.0,
-        abs_err=float(v),
-        rel_err=float(v),
-        tolerance=tol,
-        passed=bool(v <= tol),
-    )
-    return [mk("dual_difference_momentum", res.momentum, tol_p), mk("dual_difference_hamiltonian", res.hamiltonian, tol_h)]
+    params = {"g": c.g, "lam": (0.4, -0.3), "x": (0.2, -0.1)}
+    return [
+        CheckResult.bound("dual_difference_momentum", params, res.momentum, tol_p),
+        CheckResult.bound("dual_difference_hamiltonian", params, res.hamiltonian, tol_h),
+    ]
 
 
 def check_psi_asymptotics(q: QuadSpec = QuadSpec(), tol: float | None = None) -> list[CheckResult]:

@@ -9,7 +9,8 @@ routes reduce to a single shared separation profile,
     Psi(x1, x2) = e^(i kappa (l1+l2)(x1+x2)/2) * phi(x1 - x2),
 
 with phi given by operators.pair_transform; complex spectral continuations
-fall back to the direct integrals.
+fall back to the direct one-fold integrals, both taken by the operator
+layer's kernel-product line integral, operators._kernel_line.
 """
 from __future__ import annotations
 
@@ -20,22 +21,17 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ContinuationError, DomainError, KernelPoleError
-from .kernels import (
-    Coupling,
-    KernelFamily,
-    _hatK_vec,
-    exponent_scale,
-    measure_hyperbolic,
-)
-from .special import _nearest_nonpositive_int, complex_gamma
+from .kernels import Coupling, KernelFamily, exponent_scale, measure_hyperbolic
 from .operators import (
     FunctionHandle,
+    _kernel_line,
+    _Ops,
     factored_pair_handle,
     pair_transform,
     pair_transform_rate,
 )
-from .quad import QuadSpec, _adaptive, _tail
-from .special import double_sine
+from .quad import QuadSpec
+from .special import _nearest_nonpositive_int, complex_gamma, double_sine
 
 __all__ = [
     "SpectralPoint",
@@ -124,33 +120,8 @@ def psi_hr(
     if sp.is_real:
         prof = pair_transform(family, c, sp.delta, pp.delta, q)
         return complex(np.exp(1j * kap * sp.plus * pp.xsum) * prof)
-    return _psi_position_direct(sp, pp, c, family, q)
-
-
-def _psi_position_direct(sp, pp, c, family, q) -> complex:
-    from .operators import _Ops  # local import: shared kernel closures
-
     ops = _Ops(family, family is KernelFamily.RELATIVISTIC, c)
-    kap = ops.kappa
-    l1, l2 = sp.lambda1, sp.lambda2
-    d_im = kap * (l1 - l2).imag
-    rate_pos = 2.0 * ops.k_rate + d_im
-    rate_neg = 2.0 * ops.k_rate - d_im
-    if min(rate_pos, rate_neg) <= 0:
-        raise DomainError("Im(lambda1 - lambda2) outside the kernel-decay strip")
-    lo = min(pp.x1, pp.x2) - _tail(q) / rate_neg
-    hi = max(pp.x1, pp.x2) + _tail(q) / rate_pos
-    freq = kap * abs((l1 - l2).real)
-
-    def integrand(t):
-        t = np.asarray(t, dtype=float)
-        return (
-            np.exp(1j * kap * (l2 * (pp.xsum - t) + l1 * t))
-            * ops.kernel(pp.x1 - t)
-            * ops.kernel(pp.x2 - t)
-        )
-
-    return _adaptive(integrand, lo, hi, q, freq)
+    return _kernel_line(ops, (pp.x1, pp.x2), (), (sp.lambda2, sp.lambda1), q)
 
 
 def psi_mb(
@@ -176,7 +147,12 @@ def psi_mb(
         if sp.is_real:
             prof = pair_transform(KernelFamily.GAMMA, c, pp.delta, sp.delta.real, q)
             return complex(np.exp(1j * sp.plus * pp.xsum) * prof)
-        return _psi_spectral_direct_gamma(sp, pp, c, q)
+        if _mb_pole_clearance(sp, c) < 1e-9:
+            raise ContinuationError(
+                "gamma poles on the real spectral contour; continuation refused"
+            )
+        ops = _Ops(KernelFamily.GAMMA, True, c)
+        return _kernel_line(ops, (sp.lambda1, sp.lambda2), (), (pp.x2, pp.x1), q)
     kap = exponent_scale(family, c)
     if not sp.is_real:
         raise ContinuationError("relativistic spectral-side form is real-argument only")
@@ -193,30 +169,6 @@ def _mb_pole_clearance(sp: SpectralPoint, c: Coupling) -> float:
     the real-contour integral is no longer the analytic continuation.
     """
     return min(c.g - abs(lam.imag) for lam in (sp.lambda1, sp.lambda2))
-
-
-def _psi_spectral_direct_gamma(sp, pp, c, q) -> complex:
-    if _mb_pole_clearance(sp, c) < 1e-9:
-        raise ContinuationError(
-            "gamma poles on the real spectral contour; continuation refused"
-        )
-    l1, l2 = sp.lambda1, sp.lambda2
-    rate = math.pi  # two Khat factors at rate pi/2 each; e^(i g (x1-x2)) is unimodular
-    lo = min(l1.real, l2.real) - _tail(q) / rate
-    hi = max(l1.real, l2.real) + _tail(q) / rate
-    freq = abs(pp.delta)
-    pref = 1.0 / (2.0 * math.pi)
-
-    def integrand(g):
-        g = np.asarray(g, dtype=float)
-        return (
-            pref
-            * _hatK_vec(l1 - g, c.g)
-            * _hatK_vec(l2 - g, c.g)
-            * np.exp(1j * (pp.x2 * (l1 + l2 - g) + pp.x1 * g))
-        )
-
-    return _adaptive(integrand, lo, hi, q, freq)
 
 
 def psi_factored(

@@ -10,7 +10,6 @@ from hypq.errors import BudgetExceededError, DomainError, NonFiniteSampleError
 from hypq.quad import (
     DecayProfile,
     QuadSpec,
-    integrate_half_line,
     integrate_line,
     integrate_plane,
     oracle_trapezoid,
@@ -90,10 +89,6 @@ class TestIntegrateLine:
         with pytest.raises(NonFiniteSampleError) as exc:
             integrate_line(bad, SECH, Q)
         assert abs(exc.value.abscissa - 0.3) < 0.06
-
-    def test_half_line(self):
-        v = integrate_half_line(lambda t: np.exp(-2.0 * t), 2.0, Q)
-        assert abs(v - 0.5) < 1e-12
 
 
 class TestIntegratePlane:

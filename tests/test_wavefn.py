@@ -149,6 +149,37 @@ def _relativistic_position_integrand(sp, pp, c):
     return f
 
 
+class TestComplexContinuation:
+    """At complex spectral values both representations take their direct
+    one-fold integrals; the dual pair must still agree."""
+
+    @pytest.mark.parametrize(
+        "sp",
+        [
+            SpectralPoint(0.4 + 0.3j, -0.3 - 0.2j),
+            SpectralPoint(0.7 - 0.4j, 0.2 + 0.3j),
+            SpectralPoint(0.4 + 0.1j, -0.3),
+        ],
+    )
+    @pytest.mark.parametrize("pp", [PositionPoint(0.2, -0.6), PositionPoint(1.1, 0.3)])
+    def test_dual_representations_agree_g1(self, sp, pp):
+        a = psi_hr(sp, pp, C1, HYP, Q)
+        b = psi_mb(sp, pp, C1, GAM, Q)
+        assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
+
+    def test_dual_representations_agree_g16(self):
+        sp, c = SpectralPoint(0.4 + 0.5j, -0.3 - 0.6j), Coupling(1.6)
+        a = psi_hr(sp, PP, c, HYP, Q)
+        b = psi_mb(sp, PP, c, GAM, Q)
+        assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
+
+    @pytest.mark.parametrize("d_im", [2.0, -2.0, 2.5])
+    def test_position_side_outside_strip(self, d_im):
+        sp = SpectralPoint(0.4 + 0.5j * d_im, -0.3 - 0.5j * d_im)
+        with pytest.raises(DomainError):
+            psi_hr(sp, PP, C1, HYP, Q)
+
+
 class TestFactoredForm:
     def test_factorization_at_random_points(self):
         rng = np.random.RandomState(21)
