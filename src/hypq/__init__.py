@@ -44,7 +44,6 @@ from .special import (  # noqa: F401
     complex_gamma,
     double_sine,
     double_sine_asymptotic,
-    double_sine_near_zero,
     log_complex_gamma,
     log_double_sine,
 )

@@ -15,10 +15,11 @@ Measures of the two-variable operators (f(x +- y) means f(x+y) f(x-y)):
 Real powers of positive quantities are taken in the log domain, and measure
 zeros at coincident arguments come out as exact 0 rather than through gamma or
 double-sine poles.  Real-argument kernels additionally expose fast vectorized
-evaluators for the operator quadratures.  On the real axis the gamma-family
-kernel and measure need only ln |Gamma(a + ib)|^2 at a fixed real a, which one
-core evaluates from Lanczos' rational form in real arithmetic (no complex
-power); complex arguments keep the complex Lanczos route of special.py.  The
+evaluators for the operator quadratures, in log form (the operators sum the
+logs before one exp).  On the real axis the gamma-family kernel and measure
+need only ln |Gamma(a + ib)|^2 at a fixed real a, which one core evaluates
+from Lanczos' rational form in real arithmetic (no complex power); complex
+kernel arguments take the complex ln Gamma core of special.py.  The
 relativistic evaluator is a piecewise Chebyshev proxy of the direct
 double-sine integral, switched to the exact exponential asymptote at large
 argument (both validated in the tests).
@@ -38,7 +39,7 @@ from .special import (
     _ASYM_FACTOR,
     _LANCZOS_C as _LANCZOS_C_K,
     Periods,
-    _gamma_vec,
+    _ln_gamma_vec,
     _nearest_nonpositive_int,
     complex_gamma,
     double_sine,
@@ -150,11 +151,16 @@ def measure_hyperbolic(v, c: Coupling):
 # ---------------------------------------------------------------------------
 
 
+def _ln_hatK_vec(lam: np.ndarray, g: float) -> np.ndarray:
+    """Vectorized ln Khat(lam) for complex lam (no pole screening, Im on any branch)."""
+    lam = np.asarray(lam, dtype=complex)
+    ln_pair = _ln_gamma_vec(0.5 * (g + 1j * lam)) + _ln_gamma_vec(0.5 * (g - 1j * lam))
+    return (g - 1.0) * _LN2 - math.lgamma(g) + ln_pair
+
+
 def _hatK_vec(lam: np.ndarray, g: float) -> np.ndarray:
     """Vectorized Khat(lam) without pole screening."""
-    lam = np.asarray(lam, dtype=complex)
-    pref = 2.0 ** (g - 1.0) / complex_gamma(g)
-    return pref * _gamma_vec(0.5 * (g + 1j * lam)) * _gamma_vec(0.5 * (g - 1j * lam))
+    return np.exp(_ln_hatK_vec(lam, g))
 
 
 def kernel_hatK(lam: complex, c: Coupling) -> complex:
@@ -303,14 +309,18 @@ class _PiecewiseCheb:
         return s * b1 - b2 + c[:, 0]
 
 
+# Kg tables kept at most (oldest evicted first), so coupling sweeps stay bounded
+_KG_CACHE_MAX = 64
 _kg_cache: dict[tuple[float, float, float], tuple] = {}
 _kg_lock = threading.Lock()
 
 
 def hatK_ln_evaluator(g: float):
-    """Vectorized ln Khat on the real axis (the direct real-arithmetic form)."""
+    """Vectorized ln Khat: real-arithmetic core for real x, complex core otherwise."""
     g = float(g)
-    return lambda x: _ln_hatK_real_vec(x, g)
+    return lambda x: (
+        _ln_hatK_vec(x, g) if np.iscomplexobj(x) else _ln_hatK_real_vec(x, g)
+    )
 
 
 def _kg_real_tables(c: Coupling):
@@ -332,6 +342,8 @@ def _kg_real_tables(c: Coupling):
     tables = (proxy, x_asym, slope, s)
     with _kg_lock:
         _kg_cache[key] = tables
+        while len(_kg_cache) > _KG_CACHE_MAX:
+            del _kg_cache[next(iter(_kg_cache))]
     return tables
 
 

@@ -14,15 +14,18 @@ Operators evaluate pointwise against caller-supplied function handles; no
 discretized operator matrices are built.  The envelope of the composed
 integrand is computed mechanically from kernel decay, measure growth and the
 handle's declared envelope, and integration is refused (DivergenceError) when
-the combined rate is nonpositive.  Every one-fold integral (the one-variable
-operator, the raising operator, the one-variable QQ kernel and the direct
-wave-function routes of wavefn) is one kernel-product line integral,
-_kernel_line, which does that envelope work once.  Plane waves and factored
-two-variable eigenfunctions are special-cased: symmetric factored inputs
-route the two-variable integrals through center-of-mass/separation
-coordinates, where the measure and the factored profile depend on the
-separation only.  The inner integrals of an iterated two-variable integral
-are advanced together, one batch per array of outer abscissae.
+the combined rate is nonpositive.  Every integrand is formed as one
+exp(sum ln K + sum ln mu + i kappa phase), so growing plane factors cancel
+against decaying kernels before anything is exponentiated.  Every one-fold
+integral (the one-variable operator, the raising operator, the one-variable
+QQ kernel and the direct wave-function routes of wavefn) is one
+kernel-product line integral, _kernel_line, which does that envelope work
+once.  Plane waves and factored two-variable eigenfunctions are
+special-cased: symmetric factored inputs route the two-variable integrals
+through center-of-mass/separation coordinates, where the measure and the
+factored profile depend on the separation only.  The inner integrals of an
+iterated two-variable integral are advanced together, one batch per array of
+outer abscissae.
 """
 from __future__ import annotations
 
@@ -39,22 +42,15 @@ from .kernels import (
     eigenvalue,
     exponent_scale,
     kernel_decay_rate,
-    _hatK_real_vec,
-    _hatK_vec,
     hatK_ln_evaluator,
     kernel_hatK,
-    kernel_K,
     kernel_pole_distance,
     kg_ln_evaluator,
-    kg_real_evaluator,
     ln_cosh,
     ln_measure_gamma,
     ln_measure_hyperbolic,
     ln_measure_relativistic,
-    measure_gamma,
     measure_growth_rate,
-    measure_hyperbolic,
-    measure_relativistic,
 )
 from .quad import _GL16_NODES, QuadSpec, _adaptive, _adaptive_many, _panels_on, _tail
 
@@ -134,7 +130,8 @@ class OperatorSpec:
 
 
 class _Ops:
-    """Vectorized kernel/measure closures for one operator family instance."""
+    """Vectorized ln-kernel/ln-measure closures for one operator family instance;
+    integrands sum them with the plane-wave exponent and take one exp."""
 
     def __init__(self, family: KernelFamily, dual: bool, c: Coupling):
         family = KernelFamily(family)
@@ -142,28 +139,17 @@ class _Ops:
         self.kappa = exponent_scale(family, c)
         if family is KernelFamily.HYPERBOLIC:
             kc = c
-            self.kernel = lambda x: kernel_K(np.asarray(x, dtype=float), kc)
             self.ln_kernel = lambda x: -kc.g * ln_cosh(x)
-            self.measure = lambda v: measure_hyperbolic(np.asarray(v, dtype=float), kc)
             self.ln_measure = lambda v: ln_measure_hyperbolic(v, kc)
             self.two_pi_inv = 1.0
         elif family is KernelFamily.GAMMA:
             kc = c
-            # complex arguments (continued spectral values) take the complex route
-            self.kernel = lambda x: (
-                _hatK_vec(x, kc.g)
-                if np.iscomplexobj(x)
-                else _hatK_real_vec(np.asarray(x, dtype=float), kc.g)
-            )
             self.ln_kernel = hatK_ln_evaluator(kc.g)
-            self.measure = lambda v: measure_gamma(np.asarray(v, dtype=float), kc)
             self.ln_measure = lambda v: ln_measure_gamma(v, kc)
             self.two_pi_inv = 1.0 / (2.0 * math.pi)
         else:
             kc = c if dual else c.dual()
-            self.kernel = kg_real_evaluator(kc)
             self.ln_kernel = kg_ln_evaluator(kc)
-            self.measure = lambda v: measure_relativistic(np.asarray(v, dtype=float), kc)
             self.ln_measure = lambda v: ln_measure_relativistic(v, kc)
             self.two_pi_inv = 1.0
         self.kernel_coupling = kc
@@ -257,8 +243,9 @@ def _kernel_line(ops, xs, zs, labels, q: QuadSpec, f: FunctionHandle | None = No
     optional handle.  The n = len(xs) + len(zs) kernels decay at n k_rate, the
     plane factor adds -+ kappa Im(b - a) and the handle its own rates; the
     tails are cut beyond the outermost of the centers Re xs, Re zs and the
-    handle's center.  Complex xs or zs (continued spectral values) reach the
-    kernel as complex arguments.
+    handle's center.  The kernel logs join the plane exponent under one exp;
+    complex xs or zs (continued spectral values) reach the kernel as complex
+    arguments.
     """
     a, b = labels
     kap = ops.kappa
@@ -279,11 +266,10 @@ def _kernel_line(ops, xs, zs, labels, q: QuadSpec, f: FunctionHandle | None = No
 
     def integrand(y):
         y = np.asarray(y, dtype=float)
-        out = ops.two_pi_inv * np.exp(1j * kap * (a * (xsum - y) + b * (y - zsum)))
-        for x in xs:
-            out = out * ops.kernel(x - y)
-        for z in zs:
-            out = out * ops.kernel(y - z)
+        diffs = [x - y for x in xs] + [y - z for z in zs]
+        ln_kern = sum(ops.ln_kernel(d) for d in diffs)
+        plane = 1j * kap * (a * (xsum - y) + b * (y - zsum))
+        out = ops.two_pi_inv * np.exp(plane + ln_kern)
         return out if f is None else out * f.fn(y)
 
     cap = 1.6 * kernel_pole_distance(ops.family, ops.kernel_coupling)
@@ -391,18 +377,10 @@ def _apply_q2_generic(
 
         def inner(y1, k):
             y2k = y2[k]
-            kern = (
-                ops.kernel(x1 - y1)
-                * ops.kernel(x1 - y2k)
-                * ops.kernel(x2 - y1)
-                * ops.kernel(x2 - y2k)
-            )
-            return (
-                ops.measure(y1 - y2k)
-                * np.exp(phase * (xsum - y1 - y2k))
-                * kern
-                * f.fn(y1, y2k)
-            )
+            diffs = (x1 - y1, x1 - y2k, x2 - y1, x2 - y2k)
+            ln_kern = sum(ops.ln_kernel(d) for d in diffs)
+            ln = ops.ln_measure(y1 - y2k) + phase * (xsum - y1 - y2k) + ln_kern
+            return np.exp(ln) * f.fn(y1, y2k)
 
         return _adaptive_many(inner, lo, hi, inner_spec, freq, y2.size, cap)
 
@@ -480,10 +458,10 @@ def pair_transform(
         1.6 * kernel_pole_distance(kind, c_kernel),
     )
     s, wt = _panels_on(lo, hi, width)
-    row = ops.two_pi_inv * wt * ops.kernel(s) * np.exp(1j * kap * delta * s)
+    row = ops.two_pi_inv * wt * np.exp(ops.ln_kernel(s)) * np.exp(1j * kap * delta * s)
     back = lambda w: np.exp(-0.5j * kap * delta * w)
     if w.ndim == 0:
-        return complex(back(w) * (ops.kernel(w - s) @ row))
+        return complex(back(w) * (np.exp(ops.ln_kernel(w - s)) @ row))
 
     order = np.argsort(w, axis=None, kind="stable")
     ws = w.ravel()[order]
@@ -498,7 +476,8 @@ def pair_transform(
         size = np.arange(1, ws.size - i + 1) * used[i:]
         j = i + max(1, int(np.searchsorted(size, _PAIR_BLOCK, side="right")))
         p = int(used[j - 1])
-        kern = ops.kernel((ws[i:j, None] - s[None, :p]).ravel()).reshape(j - i, p)
+        # one expression: a named ln block would stay alive beside the next block
+        kern = np.exp(ops.ln_kernel((ws[i:j, None] - s[None, :p]).ravel())).reshape(j - i, p)
         re, im = (kern @ row_ri[:p]).T
         out[order[i:j]] = back(ws[i:j]) * (re + 1j * im)
         i = j
@@ -541,7 +520,7 @@ def qq_convolution_kernel(
     v_max = _tail(q) / v_rate
     freq = kap * (abs(first.real) + abs(second.real))
     cap = 1.6 * kernel_pole_distance(spec.family, ops.kernel_coupling)
-    outer_measure = ops.measure(z1 - z2)
+    outer_measure = np.exp(ops.ln_measure(z1 - z2))
     window = (_tail(q) / u_rate_neg, _tail(q) / u_rate_pos, 0.0, _tail(q))
 
     def outer(v):

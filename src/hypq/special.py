@@ -41,18 +41,18 @@ __all__ = [
     "log_complex_gamma",
     "log_double_sine",
     "double_sine",
-    "double_sine_near_zero",
     "b22",
     "double_sine_asymptotic",
 ]
 
 # ---------------------------------------------------------------------------
-# Complex gamma via the Lanczos rational approximation.
+# Complex gamma via the Lanczos rational approximation, in log form.
 #
 # Coefficient set: g = 7, n = 9 (Godfrey's coefficients, the same set used by
 # Boost.Math and the GNU Scientific Library documentation).  Relative error of
 # the approximation is below ~1e-13 throughout Re z >= 0.5; arguments with
-# Re z < 0.5 go through the reflection formula.
+# Re z < 0.5 go through the reflection formula.  _ln_gamma_vec is the one
+# complex core: callers sum its logs and exponentiate once.
 # ---------------------------------------------------------------------------
 
 _LANCZOS_G = 7.0
@@ -70,29 +70,29 @@ _LANCZOS_C = np.array(
     ]
 )
 
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
 _POLE_TOL = 1e-12
 
 
-def _lanczos_core(z: np.ndarray) -> np.ndarray:
-    """Lanczos gamma for Re z >= 0.5 (vectorized, no domain checks)."""
-    zm1 = z - 1.0
+def _ln_gamma_vec(z) -> np.ndarray:
+    """Vectorized ln Gamma(z), no domain checks (poles give inf/nan).
+
+    Reflected below Re z = 0.5, where Im leaves the canonical branch: only
+    exp(_ln_gamma_vec(z)) == Gamma(z) holds, up to rounding.
+    """
+    z = np.asarray(z, dtype=complex)
+    refl = z.real < 0.5
+    zm1 = np.where(refl, 1.0 - z, z) - 1.0
     acc = np.full_like(zm1, _LANCZOS_C[0])
     for k in range(1, len(_LANCZOS_C)):
         acc = acc + _LANCZOS_C[k] / (zm1 + k)
     t = zm1 + _LANCZOS_G + 0.5
-    return _SQRT_2PI * t ** (zm1 + 0.5) * np.exp(-t) * acc
-
-
-def _gamma_vec(z: np.ndarray) -> np.ndarray:
-    """Vectorized Gamma(z); poles propagate as inf/nan, callers must screen."""
-    z = np.asarray(z, dtype=complex)
-    refl = z.real < 0.5
-    zz = np.where(refl, 1.0 - z, z)
-    g = _lanczos_core(zz)
+    ln = 0.5 * math.log(2.0 * math.pi) + (zm1 + 0.5) * np.log(t) - t + np.log(acc)
+    # ln sin(pi z) via |e^(2w)| = e^(-2 pi |Im z|); sin overflows past |Im z| ~ 226
+    s = np.where(z.imag < 0.0, -1.0, 1.0)
+    w = 1j * np.pi * s * z
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(refl, np.pi / (np.sin(np.pi * z) * g), g)
-    return out
+        ln_sin = np.log(-np.expm1(2.0 * w)) - w + np.log(0.5j * s)
+    return np.where(refl, math.log(math.pi) - ln_sin - ln, ln)
 
 
 def _nearest_nonpositive_int(z: complex) -> int | None:
@@ -113,7 +113,7 @@ def complex_gamma(z: complex) -> complex:
     if _nearest_nonpositive_int(z) is not None:
         raise GammaPoleError(f"gamma pole at z = {z!r}")
     with np.errstate(invalid="ignore", over="ignore"):
-        out = complex(_gamma_vec(np.asarray(z)))
+        out = complex(np.exp(_ln_gamma_vec(z)))
     if not (math.isfinite(out.real) and math.isfinite(out.imag)):
         raise GammaOverflowError(
             f"|Gamma({z!r})| is not representable; request log_complex_gamma instead"
@@ -122,7 +122,7 @@ def complex_gamma(z: complex) -> complex:
 
 
 def log_complex_gamma(z: complex) -> complex:
-    """log Gamma(z) via the Lanczos sum in log form.
+    """log Gamma(z) via the Lanczos sum in log form, at one point.
 
     The imaginary part is continuous on Re z >= 0.5 but is not glued to the
     canonical branch across the reflection; intended for magnitude-safe
@@ -131,18 +131,7 @@ def log_complex_gamma(z: complex) -> complex:
     z = complex(z)
     if _nearest_nonpositive_int(z) is not None:
         raise GammaPoleError(f"gamma pole at z = {z!r}")
-    if z.real < 0.5:
-        return (
-            math.log(math.pi)
-            - np.log(complex(np.sin(np.pi * z)))
-            - log_complex_gamma(1.0 - z)
-        )
-    zm1 = z - 1.0
-    acc = _LANCZOS_C[0] + sum(
-        _LANCZOS_C[k] / (zm1 + k) for k in range(1, len(_LANCZOS_C))
-    )
-    t = zm1 + _LANCZOS_G + 0.5
-    return 0.5 * math.log(2.0 * math.pi) + (zm1 + 0.5) * np.log(t) - t + np.log(acc)
+    return complex(_ln_gamma_vec(z))
 
 
 # ---------------------------------------------------------------------------
@@ -338,24 +327,3 @@ def double_sine(z: complex, p: Periods) -> complex:
     if not finite:
         raise GammaOverflowError(f"double_sine overflowed at z = {z!r}")
     return out
-
-
-def double_sine_near_zero(z: complex, p: Periods) -> complex:
-    """S2(z)/z evaluated stably for |z| < 0.1 min(omega); continuous at 0.
-
-    At z = 0 the value is 2 pi / sqrt(omega1 omega2).
-    """
-    z = complex(z)
-    if abs(z) >= 0.1 * p.omin:
-        raise DomainError(f"|z| = {abs(z)!r} not within 0.1*min(omega) of the zero")
-    s = 1.0 / p.omin
-    zn = z * s
-    wmax = p.omax * s
-    # S2(z)/z = [2 sin(pi z')/z'] * S2(z' + omega_max') / omega_min
-    w = np.pi * zn
-    if abs(w) < 1e-8:
-        sinc = np.pi * (1.0 - w * w / 6.0)
-    else:
-        sinc = np.sin(w) / zn
-    shifted = cmath.exp(_log_s2_strip(zn + wmax, p.omega1 * s, p.omega2 * s))
-    return complex(2.0 * sinc * shifted * s)

@@ -165,13 +165,14 @@ class RegSchedule:
 
 
 def _trend_results(name: str, params_list, devs, final_tol: float) -> list[CheckResult]:
-    """CheckResults for a deviation sequence that must strictly decrease."""
+    """CheckResults for a deviation sequence that must strictly decrease: each
+    record's tolerance is the step before it (inf first), the last also final_tol."""
     out = []
     for i, (p, d) in enumerate(zip(params_list, devs)):
-        decreasing = i == 0 or d < devs[i - 1]
-        last = i == len(devs) - 1
-        passed = decreasing and (not last or d < final_tol)
-        out.append(CheckResult.bound(name, p, d, final_tol, passed))
+        tol = math.inf if i == 0 else devs[i - 1]
+        if i == len(devs) - 1:
+            tol = min(tol, final_tol)
+        out.append(CheckResult.bound(name, p, d, tol, d < tol))
     return out
 
 

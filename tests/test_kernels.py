@@ -23,7 +23,7 @@ from hypq.kernels import (
     measure_relativistic,
 )
 from hypq.quad import DecayProfile, QuadSpec, integrate_line
-from hypq.special import Periods, _gamma_vec, double_sine
+from hypq.special import Periods, _ln_gamma_vec, double_sine
 
 
 HYP, GAM, REL = KernelFamily.HYPERBOLIC, KernelFamily.GAMMA, KernelFamily.RELATIVISTIC
@@ -272,7 +272,11 @@ class TestMeasures:
         v = np.array([0.4, 1.1, 3.0])
         # the gamma measure against the complex Gamma route
         pref = (2 ** (1 - c.g) * math.gamma(c.g)) ** 2
-        direct = pref / np.abs(_gamma_vec(c.g + 0.5j * v) * _gamma_vec(0.5j * v)) ** 2
+        direct = (
+            pref
+            / np.abs(np.exp(_ln_gamma_vec(c.g + 0.5j * v)) * np.exp(_ln_gamma_vec(0.5j * v)))
+            ** 2
+        )
         assert np.allclose(np.exp(ln_measure_gamma(v, c)), direct, rtol=1e-12)
         assert np.allclose(measure_gamma(v, c), direct, rtol=1e-12)
         assert np.allclose(
@@ -293,6 +297,30 @@ class TestMeasures:
             * complex_gamma(-0.5j * d)
         )
         assert abs(measure(GAM, d, 0.0, c) - direct.real) < 1e-12 * abs(direct)
+
+
+class TestKgCache:
+    def test_bounded_and_still_hits(self, monkeypatch):
+        import hypq.kernels as K
+
+        builds = []
+
+        class Stub:
+            def __init__(self, *args, **kwargs):
+                builds.append(args)
+
+        monkeypatch.setattr(K, "_PiecewiseCheb", Stub)
+        monkeypatch.setattr(K, "_kg_cache", {})
+        couplings = [Coupling(0.5 + 0.01 * i, P12) for i in range(70)]
+        for c in couplings:
+            K._kg_real_tables(c)
+        assert len(builds) == 70
+        assert len(K._kg_cache) <= K._KG_CACHE_MAX
+        # the oldest entry went first; a repeated recent coupling still hits
+        assert K._kg_real_tables(couplings[-1]) is K._kg_real_tables(couplings[-1])
+        assert len(builds) == 70
+        K._kg_real_tables(couplings[0])
+        assert len(builds) == 71
 
 
 class TestConcurrency:

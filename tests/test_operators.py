@@ -271,16 +271,16 @@ class TestPairTransform:
     def test_gamma_kernel_work_ceiling(self, monkeypatch):
         # each Khat factor is evaluated on the node prefix its |v| needs;
         # two full dense len(v) x len(y) matrices would be 11.92 M points
-        from hypq import operators
+        from hypq import kernels
 
         points = [0]
-        direct = operators._hatK_real_vec
+        direct = kernels._ln_hatK_real_vec
 
         def counted(x, g):
             points[0] += np.size(x)
             return direct(x, g)
 
-        monkeypatch.setattr(operators, "_hatK_real_vec", counted)
+        monkeypatch.setattr(kernels, "_ln_hatK_real_vec", counted)
         q = QuadSpec(rel_tol=1e-8, abs_tol=1e-9)
         pair_transform(GAM, Coupling(1.0), 0.5, np.linspace(0.01, 345.0, 1620), q)
         assert 0 < points[0] <= 4_500_000

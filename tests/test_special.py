@@ -17,7 +17,6 @@ from hypq.special import (
     complex_gamma,
     double_sine,
     double_sine_asymptotic,
-    double_sine_near_zero,
     log_complex_gamma,
     log_double_sine,
 )
@@ -66,6 +65,17 @@ class TestComplexGamma:
             complex_gamma(400.0)
         lg = log_complex_gamma(400.0)
         assert lg.real == pytest.approx(math.lgamma(400.0), rel=1e-13)
+
+    def test_log_form_off_the_real_axis(self):
+        # both signs of Im z, and Re z < 0.5 through the reflection, also
+        # beyond |Im z| ~ 226, where sin(pi z) overflows
+        rng = np.random.RandomState(13)
+        zs = [complex(rng.uniform(-8, 8), rng.uniform(0.2, 8) * s) for s in (1, -1) * 20]
+        for z in zs + [-3.7 + 0.5j, 0.2 - 6j, 0.49 + 0.01j, 0.3 + 300j, -2.5 - 250j]:
+            ref = gamma_oracle(z)
+            assert abs(cmath.exp(log_complex_gamma(z)) - ref) <= 5e-12 * abs(ref)
+        for x in (0.3, 1.0, 2.5, 17.25, 140.0, -0.5, -2.3, -7.9):
+            assert log_complex_gamma(x).real == pytest.approx(math.lgamma(x), rel=1e-13, abs=1e-14)
 
     def test_accuracy_radius_50(self):
         for z in (49.5, 30 + 39j, -20 + 40j, 0.5 - 49j):
@@ -235,29 +245,6 @@ class TestStripExtension:
     def test_refuses_non_finite(self, z):
         with pytest.raises(DomainError, match="finite argument"):
             double_sine(z, Periods(1.0, math.sqrt(2.0)))
-
-
-class TestNearZero:
-    def test_limit_values(self):
-        assert double_sine_near_zero(0.0, Periods(1, 1)) == pytest.approx(
-            2 * math.pi, rel=1e-12
-        )
-        assert double_sine_near_zero(0.0, Periods(2, 2)) == pytest.approx(
-            math.pi, rel=1e-12
-        )
-
-    def test_matches_ratio_at_small_z(self):
-        p = Periods(1.0, math.sqrt(2.0))
-        z = 1e-4
-        direct = double_sine(z, p) / z
-        stable = double_sine_near_zero(z, p)
-        assert abs(direct - stable) <= 1e-9 * abs(stable)
-        # within O(z) of the limit
-        assert abs(stable - 2 * math.pi / math.sqrt(p.product)) < 5e-4
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            double_sine_near_zero(0.5, Periods(1, 1))
 
 
 class TestB22AndAsymptotics:

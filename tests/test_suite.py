@@ -118,6 +118,45 @@ class TestReductions:
             check_reduction("nope", (0.2, 0.1))
 
 
+TREND_CHECKS = [
+    "reduction_Kg_to_hatK",
+    "reduction_Kgstar_to_K",
+    "reduction_beta_1",
+    "reduction_beta_2",
+    "reduction_S2_to_gamma",
+    "delta_n1_g1",
+    "delta_n1_general",
+    "delta_n2_vandermonde",
+    "delta_n2_power",
+    "psi_asymptotic",
+    "hatK_asymptotic",
+    "q_to_lambda_degeneration",
+]
+
+
+class TestTrendRecords:
+    @pytest.mark.parametrize("name", TREND_CHECKS)
+    def test_each_step_states_its_bound(self, name):
+        # each step is held below the step before it, and the last also below
+        # the final threshold; the record's tolerance is that bound
+        rs = run_suite([name])
+        assert rs[0].tolerance == math.inf
+        for prev, r in zip(rs, rs[1:]):
+            assert r.tolerance <= prev.abs_err
+        for r in rs:
+            assert r.passed == (r.abs_err < r.tolerance)
+
+    def test_bounds_of_a_sequence(self):
+        from hypq.suite import _trend_results
+
+        rs = _trend_results("t", [{}] * 3, [0.3, 0.2, 0.1], 0.5)
+        assert [r.tolerance for r in rs] == [math.inf, 0.3, 0.2]
+        assert all(r.passed for r in rs)
+        rs = _trend_results("t", [{}] * 3, [0.3, 0.4, 0.01], 0.05)
+        assert [r.tolerance for r in rs] == [math.inf, 0.3, 0.05]
+        assert [r.passed for r in rs] == [True, False, True]
+
+
 class TestDeterminantRoute:
     def test_all_steps(self):
         rs = check_g1_determinant_route()

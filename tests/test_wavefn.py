@@ -78,9 +78,8 @@ class TestRepresentations:
     def test_mb_matches_explicit_gamma_normalization(self):
         # the spectral-side integral written with explicit gamma factors and
         # the 2^(2g-3)/(pi Gamma^2(g)) constant
-        from hypq.kernels import _gamma_vec
         from hypq.quad import DecayProfile, integrate_line
-        from hypq.special import complex_gamma
+        from hypq.special import _ln_gamma_vec, complex_gamma
 
         g = 1.0
         l1, l2, x1, x2 = 0.4, -0.3, 0.2, -0.6
@@ -89,10 +88,10 @@ class TestRepresentations:
         def integrand(gam):
             return (
                 pref
-                * _gamma_vec(0.5 * (1j * l1 - 1j * gam + g))
-                * _gamma_vec(0.5 * (1j * gam - 1j * l1 + g))
-                * _gamma_vec(0.5 * (1j * l2 - 1j * gam + g))
-                * _gamma_vec(0.5 * (1j * gam - 1j * l2 + g))
+                * np.exp(_ln_gamma_vec(0.5 * (1j * l1 - 1j * gam + g)))
+                * np.exp(_ln_gamma_vec(0.5 * (1j * gam - 1j * l1 + g)))
+                * np.exp(_ln_gamma_vec(0.5 * (1j * l2 - 1j * gam + g)))
+                * np.exp(_ln_gamma_vec(0.5 * (1j * gam - 1j * l2 + g)))
                 * np.exp(1j * (l1 + l2 - gam) * x2)
                 * np.exp(1j * gam * x1)
             )
@@ -159,6 +158,10 @@ class TestComplexContinuation:
             SpectralPoint(0.4 + 0.3j, -0.3 - 0.2j),
             SpectralPoint(0.7 - 0.4j, 0.2 + 0.3j),
             SpectralPoint(0.4 + 0.1j, -0.3),
+            # near the strip edge |Im(l1 - l2)| -> 2g the plane factor grows
+            # almost as fast as the kernels decay, over a long tail
+            SpectralPoint(0.4 + 0.95j, -0.3 - 0.95j),
+            SpectralPoint(0.4 - 0.95j, -0.3 + 0.95j),
         ],
     )
     @pytest.mark.parametrize("pp", [PositionPoint(0.2, -0.6), PositionPoint(1.1, 0.3)])
