@@ -19,10 +19,16 @@ evaluators for the operator quadratures, in log form (the operators sum the
 logs before one exp).  On the real axis the gamma-family kernel and measure
 need only ln |Gamma(a + ib)|^2 at a fixed real a, which one core evaluates
 from Lanczos' rational form in real arithmetic (no complex power); complex
-kernel arguments take the complex ln Gamma core of special.py.  The
-relativistic evaluator is a piecewise Chebyshev proxy of the direct
-double-sine integral, switched to the exact exponential asymptote at large
-argument (both validated in the tests).
+kernel arguments take the complex ln Gamma core of special.py.
+
+On the real axis ln S2(u + id) + ln S2(u - id) is the closed-form log
+ln((u^2 + d^2)/((w - u)^2 + d^2)) of S2's zero at 0 and pole at
+w = omega1 + omega2, plus a t-integral that decays at least as fast as
+e^(-2 min(omega1, omega2) t) whatever u is, so its cost does not grow as u
+nears either strip edge.  The relativistic evaluator is a piecewise
+Chebyshev proxy of that smooth t-integral with the log added back, switched
+to the exact exponential asymptote at large argument (both validated in the
+tests).
 """
 from __future__ import annotations
 
@@ -239,38 +245,47 @@ def hatK_asymptotic(gamma_minus_mu_base: float, mu: float, c: Coupling) -> compl
 # relativistic family
 # ---------------------------------------------------------------------------
 
+def _ln_s2_pair_smooth(u: float, d: np.ndarray, w1: float, w2: float) -> np.ndarray:
+    """ln S2(u+id) + ln S2(u-id) - ln((u^2+d^2)/((w-u)^2+d^2)) for real d >= 0.
+
+    The cosine form of the integral representation has the core
+    2 (e^(-2(w-u)t) - e^(-2ut)) / D(t), D(t) = (1 - e^(-2 w1 t))(1 - e^(-2 w2 t)).
+    Its leading part 2 (e^(-2(w-u)t) - e^(-2ut)) carries the zero of S2 at 0
+    and its pole at w and integrates in closed form (Frullani) to the log
+    taken out above.  The rest, that part times (1/D - 1), decays at
+    2 min(u, w-u) + 2 min(w1, w2) whatever u is, which bounds the t range.
+    """
+    w = w1 + w2
+    b = 2.0 * u - w
+    rate = 2.0 * min(u, w - u) + 2.0 * min(w1, w2)
+    t_max = 39.2 / rate
+    freq = 2.0 * float(d.max(initial=0.0))
+    width = min(8.0 / max(freq, rate, 1.0), t_max / 4.0, 1.6 * math.pi / max(w1, w2))
+    t, wt = _panels_on(0.0, t_max, width)
+    dt = np.expm1(-2.0 * w1 * t) * np.expm1(-2.0 * w2 * t)  # D(t)
+    rest = 2.0 * np.exp(-2.0 * u * t) * np.expm1(2.0 * b * t) * ((1.0 - dt) / dt)
+    integrand = rest * np.cos(np.outer(d, 2.0 * t)) - b / (w1 * w2 * t)
+    return integrand @ (wt / t) - b / (w1 * w2 * t_max)
+
+
 def _re_ln_s2_pair(u: float, d: np.ndarray, w1: float, w2: float) -> np.ndarray:
     """ln S2(u+id) + ln S2(u-id) for real d (vectorized), 0 < u < w1+w2.
 
-    Uses the cosine form of the integral representation; |d| beyond the
-    asymptotic switch point uses the exact B22 limit -pi |d| (2u-w)/(w1 w2).
+    |d| beyond the asymptotic switch point uses the exact B22 limit
+    -pi |d| (2u-w)/(w1 w2).
     """
     d = np.abs(np.asarray(d, dtype=float))
     w = w1 + w2
-    b = 2.0 * u - w
     out = np.empty_like(d)
-    x_asym = _ASYM_FACTOR * max(w1, w2)
-    far = d > x_asym
-    out[far] = -math.pi * d[far] * b / (w1 * w2)
+    far = d > _ASYM_FACTOR * max(w1, w2)
+    out[far] = -math.pi * d[far] * (2.0 * u - w) / (w1 * w2)
     near = ~far
     if near.any():
         dn = d[near]
-        rate = w - abs(b)
-        t_max = 39.2 / rate
-        freq = 2.0 * float(dn.max(initial=0.0))
-        width = min(
-            8.0 / max(freq, rate, 1.0), t_max / 4.0, 1.6 * math.pi / max(w1, w2)
+        d2 = dn * dn
+        out[near] = _ln_s2_pair_smooth(u, dn, w1, w2) + np.log(
+            (u * u + d2) / ((w - u) ** 2 + d2)
         )
-        t, wt = _panels_on(0.0, t_max, width)
-        core = (
-            2.0
-            * (np.exp((b - w) * t) - np.exp(-(b + w) * t))
-            / ((1.0 - np.exp(-2.0 * w1 * t)) * (1.0 - np.exp(-2.0 * w2 * t)))
-        )
-        integrand = (
-            core[None, :] * np.cos(2.0 * np.outer(dn, t)) - (b / (w1 * w2 * t))[None, :]
-        ) / t[None, :]
-        out[near] = integrand @ wt - b / (w1 * w2 * t_max)
     return out
 
 
@@ -324,7 +339,13 @@ def hatK_ln_evaluator(g: float):
 
 
 def _kg_real_tables(c: Coupling):
-    """Cached (proxy, x_asym, slope) for ln Kg on the real axis, unit-normalized."""
+    """Cached (proxy, x_asym, slope, s, u^2, v^2) for ln Kg on the real axis.
+
+    In units where the smaller period is 1 (x -> s x), the proxy fits the
+    smooth ln Kg + ln((u^2+x^2)/(v^2+x^2)), u = g/2 and v = w - g/2, which
+    leaves out the log of S2's zero and pole nearest the real axis; the
+    evaluator adds that log back.
+    """
     p = c.require_periods()
     key = (c.g, p.omega1, p.omega2)
     with _kg_lock:
@@ -334,12 +355,10 @@ def _kg_real_tables(c: Coupling):
     s = 1.0 / p.omin
     w1, w2, gn = p.omega1 * s, p.omega2 * s, c.g * s
     x_asym = _ASYM_FACTOR * max(w1, w2)
-    width = min(0.4 * gn, 0.75)
-    proxy = _PiecewiseCheb(
-        lambda x: -_re_ln_s2_pair(0.5 * gn, x, w1, w2), x_asym, width
-    )
+    u = 0.5 * gn
+    proxy = _PiecewiseCheb(lambda x: -_ln_s2_pair_smooth(u, x, w1, w2), x_asym, 0.75)
     slope = -math.pi * (w1 + w2 - gn) / (w1 * w2)  # d ln Kg / d|x|, exact beyond x_asym
-    tables = (proxy, x_asym, slope, s)
+    tables = (proxy, x_asym, slope, s, u * u, (w1 + w2 - u) ** 2)
     with _kg_lock:
         _kg_cache[key] = tables
         while len(_kg_cache) > _KG_CACHE_MAX:
@@ -349,7 +368,7 @@ def _kg_real_tables(c: Coupling):
 
 def kg_ln_evaluator(c: Coupling):
     """Fast vectorized ln Kg on the real axis (Kg is real positive and even)."""
-    proxy, x_asym, slope, s = _kg_real_tables(c)
+    proxy, x_asym, slope, s, u2, v2 = _kg_real_tables(c)
 
     def ev(x: np.ndarray) -> np.ndarray:
         xn = np.abs(np.asarray(x, dtype=float)) * s
@@ -358,7 +377,9 @@ def kg_ln_evaluator(c: Coupling):
         out[far] = slope * xn[far]
         near = ~far
         if near.any():
-            out[near] = proxy(xn[near])
+            xs = xn[near]
+            x2 = xs * xs
+            out[near] = proxy(xs) + np.log((v2 + x2) / (u2 + x2))
         return out
 
     return ev

@@ -10,8 +10,10 @@ over its own interval and with its own tolerance test, splits and node
 budget, starting from the panels a lone call would take, so each value is
 bit-identical to a lone call's: integrate_plane and the two-variable
 operators run the inner integrals of a whole array of outer abscissae that
-way.  The integrand is never called on more than _CHUNK_NODES nodes at
-once, which bounds the memory of a batch.  Panel subdivision and the final
+way, in groups whose first round is at most _CHUNK_NODES nodes.  The
+integrand is never called on more than _CALL_NODES nodes at once, which
+keeps each array of a call below the size at which the C allocator maps it
+from fresh pages and unmaps it on free.  Panel subdivision and the final
 compensated summation run in a fixed deterministic order, so identical
 inputs give bit-identical results.
 
@@ -81,9 +83,12 @@ _G_WEIGHTS[1:14:2] = np.concatenate([_WG[:-1], [_WG[-1]], _WG[:-1][::-1]])
 # BLAS, where complex @ float takes a generic loop hundreds of times slower
 _KG_WEIGHTS = np.stack([_K_WEIGHTS, _G_WEIGHTS], axis=1).astype(complex)
 
-# most integrand nodes passed to one call of an integrand; bounds the memory
-# that a batch of panels (or of inner integrals) takes
+# first-round nodes of one group of integrals advanced together
 _CHUNK_NODES = 32_768
+# most integrand nodes passed to one call of an integrand (546 panels): a
+# complex array of this many nodes stays under glibc's default 128 KiB mmap
+# threshold, so it is not mapped afresh, page by page, on every call
+_CALL_NODES = 8_190
 # adaptive rounds after the first, per integral
 _MAX_ROUNDS = 60
 
@@ -174,11 +179,11 @@ def _gk_batch(
     """Kronrod values and |K15 - G7| error estimates for a batch of panels.
 
     Panel i belongs to integral own[i]; f(x, k) is called with at most
-    _CHUNK_NODES abscissae x at a time, k holding each node's integral.
+    _CALL_NODES abscissae x at a time, k holding each node's integral.
     """
     val = np.empty(lo.size, dtype=complex)
     err = np.empty(lo.size)
-    step = _CHUNK_NODES // _K_NODES.size
+    step = _CALL_NODES // _K_NODES.size
     for i in range(0, lo.size, step):
         part = slice(i, i + step)
         mid = 0.5 * (lo[part] + hi[part])
@@ -326,7 +331,7 @@ def integrate_line(
     Gauss-Kronrod panels drive the estimated error below
     max(abs_tol, rel_tol * |I|).  With ``freq_hint`` > 0 the first panels are
     at most one period 2*pi/freq_hint wide.  ``f`` should accept a numpy
-    array of abscissae, of at most 32,768 nodes per call (scalar-only
+    array of abscissae, of at most 8,190 nodes per call (scalar-only
     callables are mapped, slowly).
     """
     l_neg, l_pos = _trunc_lengths(d, s)
@@ -348,7 +353,7 @@ def integrate_plane(
     such array are advanced together: each keeps its own tolerance test,
     splits and node budget at the split tolerance, so it gives the value a
     separate integrate_line call would.  ``f`` should accept two numpy arrays
-    of equal shape, of at most 32,768 nodes per call (scalar-only callables
+    of equal shape, of at most 8,190 nodes per call (scalar-only callables
     are mapped, slowly).
     """
     inner_spec = s.split()

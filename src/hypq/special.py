@@ -50,8 +50,9 @@ __all__ = [
 #
 # Coefficient set: g = 7, n = 9 (Godfrey's coefficients, the same set used by
 # Boost.Math and the GNU Scientific Library documentation).  Relative error of
-# the approximation is below ~1e-13 throughout Re z >= 0.5; arguments with
-# Re z < 0.5 go through the reflection formula.  _ln_gamma_vec is the one
+# the approximation grows with |Im z| to about 3e-13 (2.2e-13 at
+# Gamma(0.3 + 300i) against 25-digit values); arguments with Re z < 0.5 go
+# through the reflection formula.  _ln_gamma_vec is the one
 # complex core: callers sum its logs and exponentiate once.
 # ---------------------------------------------------------------------------
 

@@ -175,6 +175,55 @@ class TestRelativisticKernel:
             direct = np.array([kernel_Kg(float(x), c).real for x in xs])
             assert np.max(np.abs(ev(xs) / direct - 1.0)) < 1e-9
 
+    def test_fast_evaluator_near_the_strip_edges(self):
+        # small g puts S2's zero at 0 next to the real axis, g near
+        # omega1 + omega2 does the same for its pole: the proxy fits only the
+        # smooth part and the evaluator adds their log back
+        for g, p in ((0.3, Periods(1.0, 1.7)), (2.5, Periods(1.0, 1.7)), (0.2, Periods(2.0, 0.9))):
+            c = Coupling(g, p)
+            ev = kg_real_evaluator(c)
+            rng = np.random.RandomState(321)
+            xs = np.concatenate([[0.0, 1e-3, 0.05], rng.uniform(0, 12, 40)])
+            direct = np.array([kernel_Kg(float(x), c).real for x in xs])
+            assert np.max(np.abs(ev(xs) / direct - 1.0)) < 1e-9
+
+    @pytest.mark.parametrize("p", [Periods(1.0, 1.7), Periods(1.0, 2.6)])
+    def test_ln_s2_pair_against_log_double_sine(self, p):
+        # the closed-form zero and pole plus the remaining t-integral against
+        # the strip integral of special.py, and against the B22 line at the
+        # asymptotic switch
+        from hypq.kernels import _re_ln_s2_pair
+        from hypq.special import _ASYM_FACTOR, log_double_sine
+
+        w1, w2 = p.omega1, p.omega2
+        x_asym = _ASYM_FACTOR * p.omax
+        d = np.linspace(0.0, 0.999 * x_asym, 37)
+        for u in (0.15, 0.29, 0.7, 1.1, 2.0, 2.5):
+            got = _re_ln_s2_pair(u, d, w1, w2)
+            ref = np.array([2.0 * log_double_sine(u + 1j * x, p).real for x in d])
+            assert np.max(np.abs(got - ref)) < 2e-10
+            b22_line = -math.pi * d[-1] * (2.0 * u - p.total) / p.product
+            assert abs(got[-1] - b22_line) < 2e-10
+
+    def test_kg_build_work_ceiling(self, monkeypatch):
+        # (d, t) pairs of one proxy build at small g: the t range no longer
+        # grows like 1/g once S2's zero and pole are integrated in closed form
+        import hypq.kernels as K
+
+        t_nodes = []
+        panels = K._panels_on
+
+        def counted(a, b, width):
+            t, wt = panels(a, b, width)
+            t_nodes.append(t.size)
+            return t, wt
+
+        monkeypatch.setattr(K, "_panels_on", counted)
+        monkeypatch.setattr(K, "_kg_cache", {})
+        proxy = K._kg_real_tables(Coupling(0.3, Periods(1.0, 1.7)))[0]
+        assert len(t_nodes) == 1
+        assert 0 < t_nodes[0] * proxy.coef.size <= 250_000
+
     def test_gamma_ln_proxy_matches_direct(self):
         # the real-axis evaluator against the complex Gamma route; beyond
         # |x| ~ 440 the complex product underflows

@@ -77,6 +77,28 @@ class TestComplexGamma:
         for x in (0.3, 1.0, 2.5, 17.25, 140.0, -0.5, -2.3, -7.9):
             assert log_complex_gamma(x).real == pytest.approx(math.lgamma(x), rel=1e-13, abs=1e-14)
 
+    @pytest.mark.parametrize(
+        "z,ref",
+        [
+            (
+                0.3 + 300j,
+                -1.713900637626996240259166e-205 - 4.295228130257249866233341e-206j,
+            ),
+            (
+                0.5 + 100j,
+                -1.091785689781882948055395e-68 + 1.049640686487808307035985e-68j,
+            ),
+            (
+                -2.7 + 40j,
+                -2.845578357647613370085537e-33 + 9.197679994157274886598763e-33j,
+            ),
+        ],
+    )
+    def test_large_imaginary_part_pinned(self, z, ref):
+        # 25-digit reference values; the Lanczos set's own error reaches
+        # ~2e-13 at large |Im z|
+        assert abs(complex_gamma(z) - ref) <= 5e-13 * abs(ref)
+
     def test_accuracy_radius_50(self):
         for z in (49.5, 30 + 39j, -20 + 40j, 0.5 - 49j):
             ref = gamma_oracle(complex(z))
