@@ -254,16 +254,21 @@ def _ln_s2_pair_smooth(u: float, d: np.ndarray, w1: float, w2: float) -> np.ndar
     and its pole at w and integrates in closed form (Frullani) to the log
     taken out above.  The rest, that part times (1/D - 1), decays at
     2 min(u, w-u) + 2 min(w1, w2) whatever u is, which bounds the t range.
+    The leading part is formed on its decaying side,
+    -sign(b) 2 e^(-2mt) expm1(-2|b|t) with m = min(u, w-u), so it cannot
+    overflow however far u sits from the strip's middle.
     """
     w = w1 + w2
     b = 2.0 * u - w
-    rate = 2.0 * min(u, w - u) + 2.0 * min(w1, w2)
+    m = min(u, w - u)
+    rate = 2.0 * m + 2.0 * min(w1, w2)
     t_max = 39.2 / rate
     freq = 2.0 * float(d.max(initial=0.0))
     width = min(8.0 / max(freq, rate, 1.0), t_max / 4.0, 1.6 * math.pi / max(w1, w2))
     t, wt = _panels_on(0.0, t_max, width)
     dt = np.expm1(-2.0 * w1 * t) * np.expm1(-2.0 * w2 * t)  # D(t)
-    rest = 2.0 * np.exp(-2.0 * u * t) * np.expm1(2.0 * b * t) * ((1.0 - dt) / dt)
+    lead = -math.copysign(2.0, b) * np.exp(-2.0 * m * t) * np.expm1(-2.0 * abs(b) * t)
+    rest = lead * ((1.0 - dt) / dt)
     integrand = rest * np.cos(np.outer(d, 2.0 * t)) - b / (w1 * w2 * t)
     return integrand @ (wt / t) - b / (w1 * w2 * t_max)
 

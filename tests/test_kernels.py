@@ -166,24 +166,22 @@ class TestRelativisticKernel:
 
     def test_fast_evaluator_matches_direct(self):
         # validates the piecewise-Chebyshev accelerator and its asymptotic
-        # switch against the double-sine route
-        for g, p in ((0.8, P12), (1.3, Periods(0.7, 1.9)), (0.45, Periods(1.0, 1.0))):
+        # switch against the double-sine route; small g puts S2's zero at 0
+        # next to the real axis, g near omega1 + omega2 does the same for its
+        # pole (the proxy fits only the smooth part and the evaluator adds
+        # their log back)
+        for g, p in (
+            (0.8, P12),
+            (1.3, Periods(0.7, 1.9)),
+            (0.45, Periods(1.0, 1.0)),
+            (0.3, Periods(1.0, 1.7)),
+            (2.5, Periods(1.0, 1.7)),
+            (0.2, Periods(2.0, 0.9)),
+        ):
             c = Coupling(g, p)
             ev = kg_real_evaluator(c)
             rng = np.random.RandomState(123)
-            xs = np.concatenate([rng.uniform(0, 12, 40), [0.0, 25.0]])
-            direct = np.array([kernel_Kg(float(x), c).real for x in xs])
-            assert np.max(np.abs(ev(xs) / direct - 1.0)) < 1e-9
-
-    def test_fast_evaluator_near_the_strip_edges(self):
-        # small g puts S2's zero at 0 next to the real axis, g near
-        # omega1 + omega2 does the same for its pole: the proxy fits only the
-        # smooth part and the evaluator adds their log back
-        for g, p in ((0.3, Periods(1.0, 1.7)), (2.5, Periods(1.0, 1.7)), (0.2, Periods(2.0, 0.9))):
-            c = Coupling(g, p)
-            ev = kg_real_evaluator(c)
-            rng = np.random.RandomState(321)
-            xs = np.concatenate([[0.0, 1e-3, 0.05], rng.uniform(0, 12, 40)])
+            xs = np.concatenate([rng.uniform(0, 12, 40), [0.0, 1e-3, 0.05, 25.0]])
             direct = np.array([kernel_Kg(float(x), c).real for x in xs])
             assert np.max(np.abs(ev(xs) / direct - 1.0)) < 1e-9
 
@@ -314,6 +312,26 @@ class TestMeasures:
             * double_sine(cr.g - 1j * d, p)
         )
         assert abs(got - direct) < 1e-10 * abs(direct)
+
+    def test_relativistic_at_large_period_ratio(self):
+        # S2(omega_max +- id) and S2(g +- id) with g near omega1 + omega2 sit
+        # far from the strip's middle: the t-integral must stay finite
+        for g, p in ((1.0, Periods(1.0, 40.0)), (20.9, Periods(1.0, 20.0))):
+            cr = Coupling(g, p)
+            ds = np.array([0.05, 0.3, 1.0, 2.5, 7.0])
+            got = measure_relativistic(ds, cr)
+            direct = np.array(
+                [
+                    (
+                        double_sine(1j * d, p)
+                        * double_sine(-1j * d, p)
+                        * double_sine(g + 1j * d, p)
+                        * double_sine(g - 1j * d, p)
+                    ).real
+                    for d in ds
+                ]
+            )
+            assert np.max(np.abs(got / direct - 1.0)) < 1e-10
 
     def test_log_forms_match(self):
         c = Coupling(0.8)

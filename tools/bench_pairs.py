@@ -22,12 +22,13 @@ import sys
 import time
 from pathlib import Path
 
-WORKLOADS = ("suite_quadrature", "suite_operators", "eval_grid", "sweep_couplings")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from run import WORKLOADS  # noqa: E402
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(checkout: Path, workload: str, seed: int) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(seed), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
     last = json.loads(proc.stdout.strip().splitlines()[-1])
     return {"failed": last["failed"], "attempted": last["attempted"],
@@ -69,26 +70,23 @@ def main(argv=None) -> int:
     ap.add_argument("--base", type=Path, required=True, help="checkout measured as the base")
     ap.add_argument("--change", type=Path, required=True, help="checkout measured as the change")
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=10.0)
-    ap.add_argument("--workload", action="append", choices=WORKLOADS,
-                    help="workload to measure (repeatable; default all four)")
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
     sides = {"base": args.base.resolve(), "change": args.change.resolve()}
     record = {
-        "command": "perfbench/run.py --trace 0 --seconds %g, seed = pair index + 1" % args.seconds,
+        "command": "perfbench/run.py --trace 0, seed = pair index + 1",
         "machine": {"cpus": os.cpu_count(), "platform": platform.platform(),
                     "python": platform.python_version()},
         "revisions": {k: revision(v) for k, v in sides.items()},
         "workloads": {},
     }
-    for workload in args.workload or WORKLOADS:
+    for workload in WORKLOADS:
         pairs = []
         for i in range(args.pairs):
             order = ("base", "change") if i % 2 == 0 else ("change", "base")
             pair = {"seed": i + 1, "first": order[0]}
             for side in order:
-                pair[side] = run_once(sides[side], workload, i + 1, args.seconds)
+                pair[side] = run_once(sides[side], workload, i + 1)
             pairs.append(pair)
             print(f"{time.strftime('%H:%M:%S')} {workload} pair {i + 1}: wall_s "
                   f"{pair['base']['metrics']['wall_s']:.3f} -> "
