@@ -55,6 +55,23 @@ class BudgetExceededError(QuadratureError):
         )
 
 
+class NonConvergenceError(QuadratureError):
+    """Adaptive rounds exhausted before reaching the requested tolerance.
+
+    Carries the estimate, its error bound and the nodes used, as
+    BudgetExceededError does.
+    """
+
+    def __init__(self, estimate: complex, error_bound: float, nodes_used: int):
+        self.estimate = estimate
+        self.error_bound = error_bound
+        self.nodes_used = nodes_used
+        super().__init__(
+            f"no convergence in the round limit after {nodes_used} evaluations; "
+            f"best estimate {estimate!r} with error bound {error_bound:.3e}"
+        )
+
+
 class NonFiniteSampleError(QuadratureError):
     """Integrand returned NaN/Inf at some abscissa."""
 

@@ -28,7 +28,13 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import BudgetExceededError, DomainError, HypqError, NonFiniteSampleError
+from .errors import (
+    BudgetExceededError,
+    DomainError,
+    HypqError,
+    NonConvergenceError,
+    NonFiniteSampleError,
+)
 
 __all__ = [
     "QuadSpec",
@@ -122,7 +128,11 @@ class QuadSpec:
 
 @dataclass(frozen=True)
 class DecayProfile:
-    """Exponential envelope exponents of an integrand about a center point."""
+    """Exponential envelope exponents of an integrand about a center point.
+
+    A rate of math.inf on one side ends the interval at ``center`` on that
+    side, so DecayProfile(r, math.inf) integrates over [center, center + L+].
+    """
 
     rate_pos: float
     rate_neg: float
@@ -251,7 +261,11 @@ def _adaptive_many(
 
 def _advance(f, a, b, n0, first: int, spec: QuadSpec, out) -> None:
     """Run integrals first, ..., first+len(out)-1 of _adaptive_many to the end,
-    from n0[k] equal first panels on [a[k], b[k]]."""
+    from n0[k] equal first panels on [a[k], b[k]].
+
+    An integral still above its tolerance after _MAX_ROUNDS splitting rounds
+    raises NonConvergenceError rather than returning its partial sum.
+    """
     size = out.size
     own = np.repeat(np.arange(size), n0)  # integral of each panel
     # panel edges as np.linspace(a, b, n0 + 1) computes them
@@ -262,7 +276,7 @@ def _advance(f, a, b, n0, first: int, spec: QuadSpec, out) -> None:
     val, err = _gk_batch(f, lo, hi, own + first)
     used = _K_NODES.size * n0
 
-    for _ in range(_MAX_ROUNDS):
+    for rounds in range(_MAX_ROUNDS + 1):
         # sequential per-integral sums, in panel order
         total = np.bincount(own, val.real, size) + 1j * np.bincount(own, val.imag, size)
         total_err = np.bincount(own, err, size)
@@ -283,6 +297,9 @@ def _advance(f, a, b, n0, first: int, spec: QuadSpec, out) -> None:
             _fsum_by_integral(out, own[fin], val[fin])
             if fin.all():
                 return
+        if rounds == _MAX_ROUNDS:
+            k = np.flatnonzero(~done)[0]
+            raise NonConvergenceError(complex(total[k]), float(total_err[k]), int(used[k]))
         keep = ~(fin | split)
         lo_s, hi_s = lo[split], hi[split]
         mid = 0.5 * (lo_s + hi_s)
@@ -296,8 +313,6 @@ def _advance(f, a, b, n0, first: int, spec: QuadSpec, out) -> None:
         own = np.concatenate([own[keep], own2])
         val = np.concatenate([val[keep], val2])
         err = np.concatenate([err[keep], err2])
-
-    _fsum_by_integral(out, own, val)
 
 
 def _adaptive(
@@ -329,10 +344,14 @@ def integrate_line(
     The interval is [center - L-, center + L+] with
     L = truncation_safety * (-ln(abs_tol/10)) / rate, after which adaptive
     Gauss-Kronrod panels drive the estimated error below
-    max(abs_tol, rel_tol * |I|).  With ``freq_hint`` > 0 the first panels are
-    at most one period 2*pi/freq_hint wide.  ``f`` should accept a numpy
-    array of abscissae, of at most 8,190 nodes per call (scalar-only
-    callables are mapped, slowly).
+    max(abs_tol, rel_tol * |I|).  A rate of math.inf gives L = 0, so the
+    interval ends at ``center`` on that side (a half-line integral).  With
+    ``freq_hint`` > 0 the first panels are at most one period 2*pi/freq_hint
+    wide.  ``f`` should accept a numpy array of abscissae, of at most 8,190
+    nodes per call (scalar-only callables are mapped, slowly).  An integral
+    that misses its tolerance raises BudgetExceededError (node budget spent)
+    or NonConvergenceError (60 splitting rounds spent), each carrying the
+    estimate and its bound.
     """
     l_neg, l_pos = _trunc_lengths(d, s)
     return _adaptive(f, d.center - l_neg, d.center + l_pos, s, freq_hint)

@@ -686,6 +686,12 @@ def check_delta_sequence(
     (the last is the conjecture-level power form, tested numerically only).
     Deviations must decrease along the schedule, final below the pinned
     threshold.
+
+    For n = 2 the plane is integrated in u = x1 + x2, v = x1 - x2.  The
+    kernel is even in v (swapping x1 and x2 permutes its four factors), so
+    it sees only the symmetric part of f: the v axis runs over [0, L] with
+    the folded weight [f(x1, x2) + f(x2, x1)], which equals the full-line
+    integral for any test_fn at half the nodes.
     """
     if q is None:
         q = QuadSpec(rel_tol=1e-8, abs_tol=1e-10)
@@ -765,25 +771,27 @@ def check_delta_sequence(
             x1 = 0.5 * (u + v)
             x2 = 0.5 * (u - v)
             diffs = (x1 - y1, x1 - y2, x2 - y1, x2 - y2)
+            # the Jacobian 1/2 times the weight folded from v < 0 onto v > 0
+            folded = 0.5 * (f(x1, x2) + f(x2, x1))
             if g == 1.0:
                 weight = (x1 - x2) ** 2 / math.prod(d - 1j * eps for d in diffs)
-            else:
-                # per-factor principal powers (not a power of the product):
-                # prod_k (d_k - i eps)^(-g) = e^(-g sum_k (ln|f_k| + i arg f_k)),
-                # with real moduli and arguments of the factors f_k = d_k - i eps
-                ln_mod = 0.5 * np.log(math.prod(d * d + eps * eps for d in diffs))
-                arg = sum(np.arctan2(-eps, d) for d in diffs)
-                weight = (
-                    reg ** (2.0 * (1.0 - g))
-                    * np.exp(-g * ln_mod)
-                    * (np.cos(g * arg) - 1j * np.sin(g * arg))
-                )
-            return 0.5 * f(x1, x2) * np.exp(1j * reg * (u - ysum)) * weight
+                return folded * np.exp(1j * reg * (u - ysum)) * weight
+            # per-factor principal powers (not a power of the product):
+            # prod_k (d_k - i eps)^(-g) = e^(-g sum_k (ln|f_k| + i arg f_k)),
+            # with real moduli and arguments of the factors f_k = d_k - i eps;
+            # the regulator power, this and the plane phase form one exp
+            ln_mod = 0.5 * np.log(math.prod(d * d + eps * eps for d in diffs))
+            arg = sum(np.arctan2(-eps, d) for d in diffs)
+            return folded * np.exp(
+                (2.0 * (1.0 - g) * math.log(reg) - g * ln_mod)
+                + 1j * (reg * (u - ysum) - g * arg)
+            )
 
+        # the kernel is even in v: v < 0 is folded onto the half-line [0, L]
         val = integrate_plane(
             fu,
             DecayProfile(4.0, 4.0),  # u axis (Gaussian-dominated)
-            DecayProfile(4.0, 4.0),  # v axis
+            DecayProfile(4.0, math.inf),  # v axis, v >= 0
             q,
             freq_hint1=reg,
             freq_hint2=0.5,

@@ -6,7 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypq import quad
-from hypq.errors import BudgetExceededError, DomainError, NonFiniteSampleError
+from hypq.errors import (
+    BudgetExceededError,
+    DomainError,
+    NonConvergenceError,
+    NonFiniteSampleError,
+)
 from hypq.quad import (
     DecayProfile,
     QuadSpec,
@@ -81,6 +86,38 @@ class TestIntegrateLine:
         assert exc.value.error_bound > 0
         assert exc.value.nodes_used >= 64
 
+    def test_round_limit_raises_instead_of_summing(self):
+        # the x^(-1/2) endpoint singularity halves its panel's error bound only
+        # by sqrt(2) per round, so 60 rounds stop near 1.7e-10, short of the
+        # requested 1e-11 (the partial sum was returned silently, 6.3e-11 off)
+        spec = QuadSpec(rel_tol=1e-11, abs_tol=1e-15)
+        with pytest.raises(NonConvergenceError) as exc:
+            integrate_line(lambda x: x**-0.5 * np.exp(-x), DecayProfile(1.0, math.inf), spec)
+        e = exc.value
+        assert e.error_bound > spec.rel_tol * abs(e.estimate)
+        assert abs(e.estimate - math.sqrt(math.pi)) <= e.error_bound
+        assert 0 < e.nodes_used < spec.max_nodes
+
+    def test_round_limit_on_interior_singularity(self, monkeypatch):
+        # |x - pi/10|^(-1/2) e^(-x^2) on [-6, 6] at rel_tol 1e-9 stops after 45
+        # rounds on its own error estimate (the value is 1.3e-8 off, below the
+        # estimator's sight); under a 30-round cap it must raise, not sum
+        monkeypatch.setattr(quad, "_MAX_ROUNDS", 30)
+        f = lambda x: np.abs(x - math.pi / 10) ** -0.5 * np.exp(-x * x)
+        with pytest.raises(NonConvergenceError) as exc:
+            quad._adaptive(f, -6.0, 6.0, QuadSpec(rel_tol=1e-9), 0.0)
+        assert exc.value.error_bound > 1e-9 * abs(exc.value.estimate)
+        assert abs(exc.value.estimate - 3.45383793) < 1e-3
+
+    def test_half_line(self):
+        # a rate of inf on the negative side ends the interval at the center
+        v = integrate_line(lambda x: np.exp(-x), DecayProfile(1.0, math.inf), Q)
+        assert abs(v - 1.0) < 1e-12
+        v = integrate_line(
+            lambda x: np.exp(x - 2.0), DecayProfile(math.inf, 1.0, center=2.0), Q
+        )
+        assert abs(v - 1.0) < 1e-12
+
     def test_non_finite_sample(self):
         def bad(z):
             z = np.asarray(z, dtype=float)
@@ -118,6 +155,14 @@ class TestIntegratePlane:
         oracle = oracle_trapezoid_2d(f, 20.0, 4001)
         # the grid oracle carries an O(h^2)-level kink error along y1 = y2
         assert abs(v - oracle) <= 2e-7
+
+    def test_one_sided_outer_axis(self):
+        # y2 over [0, inf): half the Gaussian plane and its first y2 moment
+        half = DecayProfile(1.0, math.inf)
+        v = integrate_plane(lambda a, b: np.exp(-a * a - b * b), SECH, half, Q)
+        assert abs(v - 0.5 * math.pi) < 5e-11
+        v = integrate_plane(lambda a, b: b * np.exp(-a * a - b * b), SECH, half, Q)
+        assert abs(v - 0.5 * math.sqrt(math.pi)) < 5e-11
 
     def test_scalar_only_callable(self):
         v = integrate_plane(lambda a, b: math.exp(-a * a - b * b), SECH, SECH, Q)

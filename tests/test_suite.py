@@ -1,12 +1,13 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypq.errors import DomainError, UnknownCheckError
 from hypq.kernels import Coupling, KernelFamily
-from hypq.quad import QuadSpec
+from hypq.quad import DecayProfile, QuadSpec, integrate_plane
 from hypq.special import Periods
 from hypq.suite import (
     CheckResult,
@@ -218,6 +219,51 @@ class TestDeltaSequences:
     def test_invalid_n(self):
         with pytest.raises(DomainError):
             check_delta_sequence(3, 1.0)
+
+    def test_n2_fold_sees_asymmetric_test_function(self):
+        # the v >= 0 fold equals the full (u, v) plane for an f that is not
+        # symmetric under x1 <-> x2 (with f(x1, x2) in place of f(x2, x1) the
+        # first step's deviation reads 0.0066 instead of 0.077)
+        def f(x1, x2):
+            return np.exp(-x1 * x1 - x2 * x2) * (1.0 + 0.3 * x1)
+
+        eps, reg, y1, y2 = 4e-3, 10.0, 0.3, -0.3
+        rs = check_delta_sequence(
+            2, 1.0, test_fn=f, schedule=RegSchedule((eps,), (reg,))
+        )
+
+        def full(u, v):
+            x1, x2 = 0.5 * (u + v), 0.5 * (u - v)
+            poles = (x1 - y1 - 1j * eps) * (x1 - y2 - 1j * eps)
+            poles = poles * (x2 - y1 - 1j * eps) * (x2 - y2 - 1j * eps)
+            return 0.5 * f(x1, x2) * np.exp(1j * reg * (u - y1 - y2)) * (x1 - x2) ** 2 / poles
+
+        d = DecayProfile(4.0, 4.0)
+        val = integrate_plane(
+            full, d, d, QuadSpec(rel_tol=1e-10, abs_tol=1e-12), freq_hint1=reg, freq_hint2=0.5
+        )
+        target = 4.0 * math.pi**2 * (f(y1, y2) + f(y2, y1))
+        assert abs(rs[0].abs_err - abs(val - target) / abs(target)) <= 1e-8 * rs[0].abs_err
+
+    @pytest.mark.parametrize(
+        "name,ceiling",
+        [("delta_n2_vandermonde", 6_300_000), ("delta_n2_power", 6_700_000)],
+    )
+    def test_n2_work_ceiling(self, monkeypatch, name, ceiling):
+        # integrand nodes of the whole three-step check; the unfolded (u, v)
+        # plane took 10.67 M (Vandermonde) and 11.34 M (power)
+        from hypq import quad
+
+        nodes = [0]
+        gk_batch = quad._gk_batch
+
+        def counted(f, lo, hi, own):
+            nodes[0] += lo.size * quad._K_NODES.size
+            return gk_batch(f, lo, hi, own)
+
+        monkeypatch.setattr(quad, "_gk_batch", counted)
+        assert all(r.passed for r in run_suite([name]))
+        assert 0 < nodes[0] <= ceiling
 
 
 class TestQQCommutativity:
