@@ -245,10 +245,11 @@ def hatK_asymptotic(gamma_minus_mu_base: float, mu: float, c: Coupling) -> compl
 # relativistic family
 # ---------------------------------------------------------------------------
 
-def _ln_s2_pair_smooth(u: float, d: np.ndarray, w1: float, w2: float) -> np.ndarray:
-    """ln S2(u+id) + ln S2(u-id) - ln((u^2+d^2)/((w-u)^2+d^2)) for real d >= 0.
+def _ln_s2_pair_smooth(u: float, mid: np.ndarray, off: np.ndarray, w1: float, w2: float):
+    """ln S2(u+id) + ln S2(u-id) - ln((u^2+d^2)/((w-u)^2+d^2)) on d = mid + off >= 0.
 
-    The cosine form of the integral representation has the core
+    An outer sum: entry (i, j) is at d = mid[i] + off[j].  The cosine form of
+    the integral representation has the core
     2 (e^(-2(w-u)t) - e^(-2ut)) / D(t), D(t) = (1 - e^(-2 w1 t))(1 - e^(-2 w2 t)).
     Its leading part 2 (e^(-2(w-u)t) - e^(-2ut)) carries the zero of S2 at 0
     and its pole at w and integrates in closed form (Frullani) to the log
@@ -256,21 +257,35 @@ def _ln_s2_pair_smooth(u: float, d: np.ndarray, w1: float, w2: float) -> np.ndar
     2 min(u, w-u) + 2 min(w1, w2) whatever u is, which bounds the t range.
     The leading part is formed on its decaying side,
     -sign(b) 2 e^(-2mt) expm1(-2|b|t) with m = min(u, w-u), so it cannot
-    overflow however far u sits from the strip's middle.
+    overflow however far u sits from the strip's middle.  The integrand
+    rest cos(2dt) - c0/t, c0 = b/(w1 w2), is split as (rest - c0/t) -
+    2 rest sin^2(dt): the 1/t parts cancel in the first term, which is free
+    of d, and the second is finite at t = 0.  With A = mid t and B = off t,
+    sin^2(A + B) = sin^2 A cos^2 B + cos^2 A sin^2 B + sin 2A sin B cos B is
+    three (mid, t) @ (t, off) products, so sines and cosines are taken per
+    mid and per off, not per (d, t) pair.
     """
     w = w1 + w2
     b = 2.0 * u - w
+    c0 = b / (w1 * w2)
     m = min(u, w - u)
     rate = 2.0 * m + 2.0 * min(w1, w2)
     t_max = 39.2 / rate
-    freq = 2.0 * float(d.max(initial=0.0))
+    freq = 2.0 * (float(mid.max(initial=0.0)) + float(off.max(initial=0.0)))
     width = min(8.0 / max(freq, rate, 1.0), t_max / 4.0, 1.6 * math.pi / max(w1, w2))
     t, wt = _panels_on(0.0, t_max, width)
     dt = np.expm1(-2.0 * w1 * t) * np.expm1(-2.0 * w2 * t)  # D(t)
     lead = -math.copysign(2.0, b) * np.exp(-2.0 * m * t) * np.expm1(-2.0 * abs(b) * t)
     rest = lead * ((1.0 - dt) / dt)
-    integrand = rest * np.cos(np.outer(d, 2.0 * t)) - b / (w1 * w2 * t)
-    return integrand @ (wt / t) - b / (w1 * w2 * t_max)
+    wt = wt / t
+    v = 2.0 * rest * wt
+    sa2 = np.sin(np.outer(mid, t)) ** 2
+    sb, cb = np.sin(np.outer(off, t)), np.cos(np.outer(off, t))
+    lhs, rhs = [sa2 * v, (1.0 - sa2) * v], [cb * cb, sb * sb]
+    if off.any():  # sin 2A sin B cos B is 0 at the single zero offset of _re_ln_s2_pair
+        lhs.append(np.sin(np.outer(mid, 2.0 * t)) * v)
+        rhs.append(sb * cb)
+    return (rest - c0 / t) @ wt - c0 / t_max - np.hstack(lhs) @ np.hstack(rhs).T
 
 
 def _re_ln_s2_pair(u: float, d: np.ndarray, w1: float, w2: float) -> np.ndarray:
@@ -288,45 +303,47 @@ def _re_ln_s2_pair(u: float, d: np.ndarray, w1: float, w2: float) -> np.ndarray:
     if near.any():
         dn = d[near]
         d2 = dn * dn
-        out[near] = _ln_s2_pair_smooth(u, dn, w1, w2) + np.log(
+        out[near] = _ln_s2_pair_smooth(u, dn, np.zeros(1), w1, w2)[:, 0] + np.log(
             (u * u + d2) / ((w - u) ** 2 + d2)
         )
     return out
 
 
 class _PiecewiseCheb:
-    """Piecewise Chebyshev proxy of a smooth even function on [0, xmax]."""
+    """Piecewise Chebyshev proxy of a smooth even function on [0, xmax].
 
-    def __init__(self, fn_batch, xmax: float, width: float, degree: int = 24):
+    Uniform pieces at mid, half-width h, share the node offsets h cos(theta):
+    fn_grid(mid, off) gives the function at mid[:, None] + off[None, :].
+    """
+
+    def __init__(self, fn_grid, xmax: float, width: float, degree: int = 24):
         n_pieces = max(1, int(math.ceil(xmax / width)))
-        self.edges = np.linspace(0.0, xmax, n_pieces + 1)
+        self.h = 0.5 * xmax / n_pieces
+        self.mid = self.h * (2.0 * np.arange(n_pieces) + 1.0)
         k = np.arange(degree + 1)
         theta = (k + 0.5) * math.pi / (degree + 1)
-        nodes = np.cos(theta)
-        # DCT-II style coefficient matrix for Chebyshev-Gauss nodes
-        self._eval_deg = degree
-        mid = 0.5 * (self.edges[:-1] + self.edges[1:])
-        half = 0.5 * (self.edges[1:] - self.edges[:-1])
-        x = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-        y = fn_batch(x).reshape(n_pieces, degree + 1)
+        y = fn_grid(self.mid, self.h * np.cos(theta))  # (n_pieces, degree + 1)
+        # DCT-II style coefficients for Chebyshev-Gauss nodes; row j holds
+        # every piece's c_j
         basis = np.cos(np.outer(k, theta))  # (deg+1, deg+1)
-        coef = (2.0 / (degree + 1)) * (y @ basis.T)
-        coef[:, 0] *= 0.5
+        coef = (2.0 / (degree + 1)) * (basis @ y.T)
+        coef[0] *= 0.5
         self.coef = coef
-        self.half = half
-        self.mid = mid
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        idx = np.clip(np.searchsorted(self.edges, x, side="right") - 1, 0, len(self.mid) - 1)
-        s = (x - self.mid[idx]) / self.half[idx]
-        # Clenshaw over the shared degree
-        b1 = np.zeros_like(s)
-        b2 = np.zeros_like(s)
-        c = self.coef[idx]
-        for j in range(self._eval_deg, 0, -1):
-            b1, b2 = 2.0 * s * b1 - b2 + c[:, j], b1
-        return s * b1 - b2 + c[:, 0]
+        # fmin/fmax rather than clip: a NaN goes to the last piece and stays NaN
+        idx = np.fmax(np.fmin(x / (2.0 * self.h), self.mid.size - 1), 0.0).astype(np.intp)
+        s = (x - self.mid[idx]) / self.h
+        # Clenshaw b_j = 2 s b_(j+1) - b_(j+2) + c_j, gathering row c_j per step
+        s2 = 2.0 * s
+        b1, b2, tmp = np.zeros_like(s), np.zeros_like(s), np.empty_like(s)
+        for row in self.coef[:0:-1]:
+            np.multiply(s2, b1, out=tmp)
+            np.subtract(tmp, b2, out=b2)
+            b2 += row.take(idx, out=tmp, mode="clip")
+            b1, b2 = b2, b1
+        return s * b1 - b2 + self.coef[0].take(idx)
 
 
 # Kg tables kept at most (oldest evicted first), so coupling sweeps stay bounded
@@ -361,7 +378,7 @@ def _kg_real_tables(c: Coupling):
     w1, w2, gn = p.omega1 * s, p.omega2 * s, c.g * s
     x_asym = _ASYM_FACTOR * max(w1, w2)
     u = 0.5 * gn
-    proxy = _PiecewiseCheb(lambda x: -_ln_s2_pair_smooth(u, x, w1, w2), x_asym, 0.75)
+    proxy = _PiecewiseCheb(lambda m, o: -_ln_s2_pair_smooth(u, m, o, w1, w2), x_asym, 0.75)
     slope = -math.pi * (w1 + w2 - gn) / (w1 * w2)  # d ln Kg / d|x|, exact beyond x_asym
     tables = (proxy, x_asym, slope, s, u * u, (w1 + w2 - u) ** 2)
     with _kg_lock:

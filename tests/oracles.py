@@ -92,3 +92,37 @@ def richardson_pair(f, L: float, n: int) -> tuple[complex, float]:
     v1 = trapezoid_oracle(f, L, n)
     v2 = trapezoid_oracle(f, L, 2 * n - 1)
     return v2, abs(v2 - v1)
+
+
+def ln_s2_pair_smooth_oracle(u: float, d: np.ndarray, w1: float, w2: float) -> np.ndarray:
+    """The t-integral left in ln S2(u+id) + ln S2(u-id) once S2's zero and pole
+    are taken out, formed pair by pair on a t grid twice as fine.
+
+    The same t range and integrand as kernels._ln_s2_pair_smooth, summed
+    directly as (rest cos(2dt) - c0/t) / t on every (d, t) pair, with
+    16-point Gauss-Legendre panels half as wide as the package's.  The sum
+    runs in extended precision: its two 1/t parts cancel at small t, which
+    in float64 leaves rounding errors of a few 1e-13, as large as the
+    proxy's own error.
+    """
+    ld = np.longdouble
+    d = np.asarray(d, dtype=ld)
+    u, w1, w2 = ld(u), ld(w1), ld(w2)
+    w = w1 + w2
+    b = 2 * u - w
+    c0 = b / (w1 * w2)
+    m = min(u, w - u)
+    rate = 2 * m + 2 * min(w1, w2)
+    t_max = 39.2 / rate
+    freq = 2.0 * float(d.max(initial=0.0))
+    width = 0.5 * min(8.0 / max(freq, rate, 1.0), t_max / 4.0, 1.6 * math.pi / max(w1, w2))
+    n = int(math.ceil(t_max / width))
+    x, wx = np.polynomial.legendre.leggauss(16)
+    half = t_max / (2 * n)
+    t = (half * (2 * np.arange(n, dtype=ld) + 1)[:, None] + half * x[None, :]).ravel()
+    wt = np.tile(half * wx.astype(ld), n)
+    dt = np.expm1(-2 * w1 * t) * np.expm1(-2 * w2 * t)
+    lead = -math.copysign(2.0, b) * np.exp(-2 * m * t) * np.expm1(-2 * abs(b) * t)
+    rest = lead * ((1 - dt) / dt)
+    integrand = rest * np.cos(np.outer(d, 2 * t)) - c0 / t
+    return (integrand @ (wt / t) - c0 / t_max).astype(float)

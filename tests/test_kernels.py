@@ -222,6 +222,76 @@ class TestRelativisticKernel:
         assert len(t_nodes) == 1
         assert 0 < t_nodes[0] * proxy.coef.size <= 250_000
 
+    def test_kg_build_trig_work(self, monkeypatch):
+        # the t-integral of one build takes two sines or cosines per
+        # (piece, t) and per (offset, t) pair, not one per (d, t) pair
+        import hypq.kernels as K
+
+        trig_args, t_nodes = [], []
+        panels = K._panels_on
+
+        def counted_panels(a, b, width):
+            t, wt = panels(a, b, width)
+            t_nodes.append(t.size)
+            return t, wt
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                fn = getattr(np, name)
+                if name not in ("sin", "cos"):
+                    return fn
+
+                def counted(x, *args, **kwargs):
+                    trig_args.append(np.size(x))
+                    return fn(x, *args, **kwargs)
+
+                return counted
+
+        monkeypatch.setattr(K, "_panels_on", counted_panels)
+        monkeypatch.setattr(K, "np", CountingNumpy())
+        monkeypatch.setattr(K, "_kg_cache", {})
+        proxy = K._kg_real_tables(Coupling(0.3, Periods(1.0, 1.7)))[0]
+        assert len(t_nodes) == 1
+        separable = 2 * (proxy.mid.size + proxy.coef.shape[0]) * t_nodes[0]
+        assert separable <= sum(trig_args) <= 1.2 * separable
+
+    @pytest.mark.parametrize(
+        "g, w1, w2",
+        [(0.3, 1.0, 1.7)]
+        + [(f * (a + b), a, b) for a in (0.8, 1.25) for b in (1.25, 2.0) for f in (0.25, 0.75)],
+    )
+    def test_proxy_smooth_part_against_pairwise_reference(self, g, w1, w2):
+        # the proxy's own error, not that of the double-sine route: its smooth
+        # part against the same t-integral formed pair by pair on a twice
+        # finer t grid in extended precision, at g = 0.3 and at the corners
+        # of the sweep_couplings ranges (relativistic g is 1/4 to 3/4 of
+        # omega1 + omega2)
+        import hypq.kernels as K
+        from oracles import ln_s2_pair_smooth_oracle
+
+        proxy, x_asym, _, s, _, _ = K._kg_real_tables(Coupling(g, Periods(w1, w2)))
+        x = np.concatenate([np.random.RandomState(7).uniform(0.0, x_asym, 200), [0.0, x_asym]])
+        ref = -ln_s2_pair_smooth_oracle(0.5 * g * s, x, w1 * s, w2 * s)
+        assert np.max(np.abs(proxy(x) - ref)) < 1e-12
+
+    def test_proxy_clenshaw_matches_plain_recurrence(self):
+        # arithmetic piece index and in-place Clenshaw against searchsorted
+        # and the textbook recurrence on the same coefficients, bit for bit
+        import hypq.kernels as K
+
+        proxy = K._kg_real_tables(Coupling(0.8, P12))[0]
+        xmax = 2.0 * proxy.h * proxy.mid.size
+        x = np.concatenate([np.random.RandomState(3).uniform(0.0, xmax, 5000), [0.0, xmax]])
+        edges = np.append(proxy.mid - proxy.h, xmax)
+        idx = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, proxy.mid.size - 1)
+        s = (x - proxy.mid[idx]) / proxy.h
+        c = proxy.coef.T[idx]
+        b1 = b2 = np.zeros_like(s)
+        for j in range(c.shape[1] - 1, 0, -1):
+            b1, b2 = 2.0 * s * b1 - b2 + c[:, j], b1
+        assert np.array_equal(proxy(x), s * b1 - b2 + c[:, 0])
+        assert np.isnan(proxy(np.array([np.nan]))).all()
+
     def test_gamma_ln_proxy_matches_direct(self):
         # the real-axis evaluator against the complex Gamma route; beyond
         # |x| ~ 440 the complex product underflows

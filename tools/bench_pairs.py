@@ -72,6 +72,8 @@ def main(argv=None) -> int:
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
+    if args.pairs < 2:
+        ap.error("--pairs must be at least 2: the quartiles need two runs per side")
     sides = {"base": args.base.resolve(), "change": args.change.resolve()}
     record = {
         "command": "perfbench/run.py --trace 0, seed = pair index + 1",
