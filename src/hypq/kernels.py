@@ -263,7 +263,8 @@ def _ln_s2_pair_smooth(u: float, mid: np.ndarray, off: np.ndarray, w1: float, w2
     of d, and the second is finite at t = 0.  With A = mid t and B = off t,
     sin^2(A + B) = sin^2 A cos^2 B + cos^2 A sin^2 B + sin 2A sin B cos B is
     three (mid, t) @ (t, off) products, so sines and cosines are taken per
-    mid and per off, not per (d, t) pair.
+    mid and per off, not per (d, t) pair.  At the single offset 0 (the
+    measure's d on one axis) it is sin^2 A alone, one (mid, t) @ (t,) product.
     """
     w = w1 + w2
     b = 2.0 * u - w
@@ -279,13 +280,13 @@ def _ln_s2_pair_smooth(u: float, mid: np.ndarray, off: np.ndarray, w1: float, w2
     rest = lead * ((1.0 - dt) / dt)
     wt = wt / t
     v = 2.0 * rest * wt
+    smooth = (rest - c0 / t) @ wt - c0 / t_max
     sa2 = np.sin(np.outer(mid, t)) ** 2
+    if off.size == 1 and not off[0]:
+        return (smooth - sa2 @ v)[:, None]
     sb, cb = np.sin(np.outer(off, t)), np.cos(np.outer(off, t))
-    lhs, rhs = [sa2 * v, (1.0 - sa2) * v], [cb * cb, sb * sb]
-    if off.any():  # sin 2A sin B cos B is 0 at the single zero offset of _re_ln_s2_pair
-        lhs.append(np.sin(np.outer(mid, 2.0 * t)) * v)
-        rhs.append(sb * cb)
-    return (rest - c0 / t) @ wt - c0 / t_max - np.hstack(lhs) @ np.hstack(rhs).T
+    lhs = np.hstack([sa2 * v, (1.0 - sa2) * v, np.sin(np.outer(mid, 2.0 * t)) * v])
+    return smooth - lhs @ np.hstack([cb * cb, sb * sb, sb * cb]).T
 
 
 def _re_ln_s2_pair(u: float, d: np.ndarray, w1: float, w2: float) -> np.ndarray:

@@ -274,6 +274,18 @@ class TestRelativisticKernel:
         ref = -ln_s2_pair_smooth_oracle(0.5 * g * s, x, w1 * s, w2 * s)
         assert np.max(np.abs(proxy(x) - ref)) < 1e-12
 
+    @pytest.mark.parametrize("u, w1, w2", [(0.15, 1.0, 1.7), (0.7, 1.0, 1.7), (2.5, 1.0, 2.6)])
+    def test_measure_smooth_part_against_pairwise_reference(self, u, w1, w2):
+        # the measure's form of the t-integral (d on one axis, the single
+        # offset 0, sin^2 A alone) against the same pair-by-pair reference
+        import hypq.kernels as K
+        from oracles import ln_s2_pair_smooth_oracle
+
+        d = np.linspace(0.0, K._ASYM_FACTOR * max(w1, w2), 41)
+        got = K._ln_s2_pair_smooth(u, d, np.zeros(1), w1, w2)
+        assert got.shape == (d.size, 1)
+        assert np.max(np.abs(got[:, 0] - ln_s2_pair_smooth_oracle(u, d, w1, w2))) < 1e-12
+
     def test_proxy_clenshaw_matches_plain_recurrence(self):
         # arithmetic piece index and reused-buffer Clenshaw against searchsorted
         # and the textbook recurrence on the same coefficients, bit for bit
