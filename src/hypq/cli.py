@@ -44,13 +44,6 @@ from .suite import (
 from .wavefn import PositionPoint, SpectralPoint, psi_factored, psi_hr, psi_mb
 
 _EVAL_TARGETS = ("K", "hatK", "Kg", "mu", "S2", "psi_HR", "psi_MB", "psi_factored")
-_REDUCTION_SWEEPS = {
-    "reduction_Kg_to_hatK": "Kg_to_hatK",
-    "reduction_Kgstar_to_K": "Kgstar_to_K",
-    "reduction_beta_1": "beta_reduction_1",
-    "reduction_beta_2": "beta_reduction_2",
-    "reduction_S2_to_gamma": "S2_to_gamma",
-}
 
 
 @dataclass
@@ -287,14 +280,6 @@ def cmd_eval(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _apply_tol_override(results: list[CheckResult], tol: float | None) -> None:
-    if tol is None:
-        return
-    for r in results:
-        r.tolerance = tol
-        r.passed = bool(r.abs_err <= tol or r.rel_err <= tol)
-
-
 def _print_table(results: list[CheckResult], stream=None) -> None:
     stream = stream or sys.stdout
     width = max((len(r.check_name) for r in results), default=10) + 2
@@ -308,49 +293,46 @@ def _print_table(results: list[CheckResult], stream=None) -> None:
     stream.write(f"{npass}/{len(results)} checks passed\n")
 
 
-def cmd_check(cfg: RunConfig) -> int:
-    selection = cfg.checks
-    if selection is not None:
-        unknown = [n for n in selection if n not in REGISTRY]
-        if unknown:
-            raise ConfigError(f"unknown check names: {unknown}; valid: {registry_names()}")
-    results = run_suite(selection, jobs=cfg.jobs, seed=cfg.seed)
-    _apply_tol_override(results, cfg.tol)
+def _finish(results: list[CheckResult], cfg: RunConfig) -> int:
+    """Apply the --tol override, write the records (and the table with --out)
+    and return the exit code."""
+    if cfg.tol is not None:
+        for r in results:
+            r.tolerance = cfg.tol
+            r.passed = bool(r.abs_err <= cfg.tol or r.rel_err <= cfg.tol)
     _write_records([_record_fields(r, cfg.hash(), cfg.timings) for r in results], cfg)
     if cfg.out:
         _print_table(results)
     return 0 if all(r.passed for r in results) else 1
 
 
+def cmd_check(cfg: RunConfig) -> int:
+    return _finish(run_suite(cfg.checks, jobs=cfg.jobs, seed=cfg.seed), cfg)
+
+
 def cmd_sweep(cfg: RunConfig) -> int:
+    """Run one reduction or delta-sequence row of the registry along cfg.axis."""
     axis = cfg.axis
     if not axis or "values" not in axis or not axis["values"]:
         raise ConfigError("sweep needs an axis with a non-empty values list")
     values = [float(v) for v in axis["values"]]
     name = cfg.checks[0] if cfg.checks else ""
-    if name in _REDUCTION_SWEEPS:
-        results = check_reduction(_REDUCTION_SWEEPS[name], values, q=cfg.quad())
-    elif name.startswith("delta_"):
-        power = {"delta_n1_g1": (1, 1.0), "delta_n1_general": (1, 1.5),
-                 "delta_n2_vandermonde": (2, 1.0), "delta_n2_power": (2, 0.8)}.get(name)
-        if power is None:
-            raise ConfigError(f"unknown delta sweep {name!r}")
+    fn, *fixed = REGISTRY.get(name, (None,))
+    if fn is check_reduction:
+        # the axis replaces the row's omega2 schedule
+        results = check_reduction(fixed[0], values, q=cfg.quad())
+    elif fn is check_delta_sequence:
         # pair a descending damping schedule with the ascending regulator axis
         # (cfg.eps is the final, smallest damping); a fixed damping would make
         # the deviation column grow like 1 - e^(-eps L)
         regs = tuple(sorted(values))
         eps = tuple(cfg.eps * (regs[-1] / r) ** 1.5 for r in regs)
-        sched = RegSchedule(eps, regs)
-        results = check_delta_sequence(power[0], power[1], schedule=sched)
+        results = check_delta_sequence(*fixed, schedule=RegSchedule(eps, regs))
     else:
-        raise ConfigError(
-            f"sweepable checks: {sorted(_REDUCTION_SWEEPS)} or delta_*; got {name!r}"
-        )
-    _apply_tol_override(results, cfg.tol)
-    _write_records([_record_fields(r, cfg.hash(), cfg.timings) for r in results], cfg)
-    if cfg.out:
-        _print_table(results)
-    return 0 if all(r.passed for r in results) else 1
+        sweepable = [n for n, (f, *_) in REGISTRY.items()
+                     if f in (check_reduction, check_delta_sequence)]
+        raise ConfigError(f"sweepable checks: {sweepable}; got {name!r}")
+    return _finish(results, cfg)
 
 
 def cmd_report(paths: list[str]) -> int:

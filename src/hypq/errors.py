@@ -91,6 +91,9 @@ class ContinuationError(DomainError):
 class UnknownCheckError(HypqError, KeyError):
     """Requested check name is not registered."""
 
+    def __str__(self) -> str:  # the message as given, not KeyError's repr of it
+        return str(self.args[0]) if self.args else ""
+
 
 class ConfigError(HypqError, ValueError):
     """Malformed run configuration."""

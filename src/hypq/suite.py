@@ -26,7 +26,6 @@ from .kernels import (
     kernel_decay_rate,
     kernel_hatK,
     kernel_K,
-    kernel_K_complex,
     kernel_Kg,
     kg_real_evaluator,
     measure_relativistic,
@@ -36,6 +35,7 @@ from .operators import (
     FunctionHandle,
     OperatorSpec,
     apply_Q,
+    pair_transform,
     plane_wave,
     qlambda_exchange_check,
     qq_convolution_kernel,
@@ -73,7 +73,7 @@ HYP = KernelFamily.HYPERBOLIC
 GAM = KernelFamily.GAMMA
 REL = KernelFamily.RELATIVISTIC
 
-_SQRT2 = math.sqrt(2.0)
+_PERIODS = Periods(1.0, math.sqrt(2.0))  # the periods of the relativistic checks
 
 
 # ---------------------------------------------------------------------------
@@ -241,13 +241,16 @@ def check_beta(
 # reductions between the families
 # ---------------------------------------------------------------------------
 
-_REDUCTION_KINDS = (
-    "Kg_to_hatK",
-    "Kgstar_to_K",
-    "beta_reduction_1",
-    "beta_reduction_2",
-    "S2_to_gamma",
-)
+# registry name -> (kind, default parameters, omega2 schedule toward the limit):
+# descending omega2 for the small-period reductions, ascending for S2_to_gamma
+_REDUCTIONS = {
+    "reduction_Kg_to_hatK": ("Kg_to_hatK", {"g": 1.2, "omega1": 1.0, "lam": 0.5}, (0.2, 0.1, 0.05)),
+    "reduction_Kgstar_to_K": ("Kgstar_to_K", {"g": 0.9, "omega1": 1.0, "lam": 0.7}, (0.2, 0.1, 0.05)),
+    "reduction_beta_1": ("beta_reduction_1", {"g": 0.8, "omega1": 1.0, "z": 0.35}, (0.2, 0.1, 0.05)),
+    "reduction_beta_2": ("beta_reduction_2", {"g": 0.8, "omega1": 1.0, "x": 0.6}, (0.2, 0.1, 0.05)),
+    "reduction_S2_to_gamma": ("S2_to_gamma", {"g": 1.0, "omega1": 1.0, "u": 0.6}, (10.0, 20.0, 40.0)),
+}
+_REDUCTION_KINDS = {kind: (defaults, sched) for kind, defaults, sched in _REDUCTIONS.values()}
 
 
 def _reduction_deviation(which: str, omega2: float, params: dict) -> float:
@@ -291,16 +294,14 @@ def _reduction_deviation(which: str, omega2: float, params: dict) -> float:
             / complex_gamma(x)
         )
         return abs(val / target - 1.0)
-    if which == "S2_to_gamma":
-        u = params["u"]
-        p = Periods(w1, omega2)
-        est = (
-            math.sqrt(2.0 * math.pi)
-            * (2.0 * math.pi * w1 / omega2) ** (0.5 - u / w1)
-            / double_sine(u, p)
-        )
-        return abs(est / complex_gamma(u / w1) - 1.0)
-    raise DomainError(f"unknown reduction kind {which!r}")
+    u = params["u"]  # S2_to_gamma
+    p = Periods(w1, omega2)
+    est = (
+        math.sqrt(2.0 * math.pi)
+        * (2.0 * math.pi * w1 / omega2) ** (0.5 - u / w1)
+        / double_sine(u, p)
+    )
+    return abs(est / complex_gamma(u / w1) - 1.0)
 
 
 def check_reduction(
@@ -312,24 +313,17 @@ def check_reduction(
 ) -> list[CheckResult]:
     """Deviation trend of one family reduction along its period schedule.
 
-    Schedules run toward the limit: descending omega2 for the small-period
-    reductions, ascending for S2_to_gamma.
+    Schedules run toward the limit, in the direction of the kind's schedule
+    in _REDUCTIONS.
     """
     if which not in _REDUCTION_KINDS:
         raise UnknownCheckError(which)
+    defaults, default_sched = _REDUCTION_KINDS[which]
     sched = [float(w) for w in omega2_schedule]
-    toward_zero = which != "S2_to_gamma"
-    if toward_zero and sched != sorted(sched, reverse=True):
-        raise DomainError("omega2 schedule must descend toward the limit")
-    if not toward_zero and sched != sorted(sched):
-        raise DomainError("omega2 schedule must ascend toward the limit")
-    defaults = {
-        "Kg_to_hatK": {"g": 1.2, "omega1": 1.0, "lam": 0.5},
-        "Kgstar_to_K": {"g": 0.9, "omega1": 1.0, "lam": 0.7},
-        "beta_reduction_1": {"g": 0.8, "omega1": 1.0, "z": 0.35},
-        "beta_reduction_2": {"g": 0.8, "omega1": 1.0, "x": 0.6},
-        "S2_to_gamma": {"g": 1.0, "omega1": 1.0, "u": 0.6},
-    }[which]
+    descend = default_sched[0] > default_sched[-1]
+    if sched != sorted(sched, reverse=descend):
+        direction = "descend" if descend else "ascend"
+        raise DomainError(f"omega2 schedule must {direction} toward the limit")
     params = {**defaults, **(params or {})}
     tol = derived_threshold(f"reduction_{which}") if tol is None else tol
     devs = [_reduction_deviation(which, w, params) for w in sched]
@@ -354,7 +348,7 @@ def check_qq_commutativity(
     params = dict(params or {})
     g = params.get("g", 1.0)
     if family is REL:
-        p = Periods(params.get("omega1", 1.0), params.get("omega2", _SQRT2))
+        p = Periods(params.get("omega1", 1.0), params.get("omega2", _PERIODS.omega2))
         c = Coupling(g, p)
     else:
         c = Coupling(g)
@@ -485,8 +479,6 @@ def check_g1_determinant_route(
     def f2(w1, w2):
         s1 = np.exp(np.asarray(w1, dtype=float))
         s2 = np.exp(np.asarray(w2, dtype=float))
-        d1 = (1.0 / ((a1 + s1) * (b1 + s1))) * (1.0 / ((a2 + s2) * (b2 + s2)))
-        d2 = (1.0 / ((a1 + s2) * (b1 + s2))) * (1.0 / ((a2 + s1) * (b2 + s1)))
         cross1 = 1.0 / ((a1 + s1) * (a2 + s2)) - 1.0 / ((a1 + s2) * (a2 + s1))
         cross2 = 1.0 / ((b1 + s1) * (b2 + s2)) - 1.0 / ((b1 + s2) * (b2 + s1))
         return (s1 * s2) ** (1.0 + expo) * cross1 * cross2
@@ -558,51 +550,25 @@ def check_scalar_product_chain(
         raise DomainError("t0 must stay moderate (<= 12)")
     if q is None:
         q = QuadSpec(rel_tol=1e-8, abs_tol=1e-9)
-    if family is HYP:
-        c = c or Coupling(1.0)
-        lams = lams or SpectralPoint(0.4, -0.3)
-        rhos = rhos or SpectralPoint(0.3, -0.2)
-        shift = 1j * c.g
-        halt = eigenfunction_handle(rhos, c, HYP, q)
-        spec2 = OperatorSpec(HYP, 2, False, c, lams.lambda1 - shift + 1j * eps)
-        lhs = apply_Q(spec2, halt, (t1, t0), q)
-        eig = lambda s, r: kernel_hatK(s - r, c)
-        psi = psi_hr(rhos, PositionPoint(t1, t0), c, HYP, q)
-        dual_op = False
-        tol = 1e-5 if tol is None else tol
-    elif family is GAM:
-        c = c or Coupling(1.0)
-        lams = lams or SpectralPoint(0.4, 0.1)  # the chain's two outer points
-        rhos = rhos or SpectralPoint(0.3, -0.2)  # the two position labels
-        shift = 0.5j * math.pi
-        halt = eigenfunction_handle(rhos, c, GAM, q)
-        spec2 = OperatorSpec(GAM, 2, True, c, lams.lambda1 - shift + 1j * eps)
-        lhs = apply_Q(spec2, halt, (t1, t0), q)
-        eig = lambda s, r: kernel_K_complex(s - r, c)
-        psi = psi_mb(
-            SpectralPoint(t1, t0),
-            PositionPoint(rhos.lambda1.real, rhos.lambda2.real),
-            c,
-            GAM,
-            q,
-        )
-        dual_op = True
-        tol = 1e-5 if tol is None else tol
-    else:
-        c = c or Coupling(0.9, Periods(1.0, _SQRT2))
-        lams = lams or SpectralPoint(0.3, 0.1)
-        rhos = rhos or SpectralPoint(0.25, -0.15)
-        shift = 0.5j * c.g
-        halt = eigenfunction_handle(rhos, c, REL, q, dual=False)
-        spec2 = OperatorSpec(REL, 2, False, c, lams.lambda1 - shift + 1j * eps)
-        lhs = apply_Q(spec2, halt, (t1, t0), q)
-        eig = lambda s, r: eigenvalue(REL, s, r, c)
-        psi = psi_hr(rhos, PositionPoint(t1, t0), c.dual(), REL, q)
-        dual_op = False
-        tol = 1e-4 if tol is None else tol
-
+    # coupling, the chain's two outer points, the two labels (gamma: positions), tolerance
+    c0, lams0, rhos0, tol0 = {
+        HYP: (Coupling(1.0), SpectralPoint(0.4, -0.3), SpectralPoint(0.3, -0.2), 1e-5),
+        GAM: (Coupling(1.0), SpectralPoint(0.4, 0.1), SpectralPoint(0.3, -0.2), 1e-5),
+        REL: (Coupling(0.9, _PERIODS), SpectralPoint(0.3, 0.1), SpectralPoint(0.25, -0.15), 1e-4),
+    }[family]
+    c, lams, rhos = c or c0, lams or lams0, rhos or rhos0
+    tol = tol0 if tol is None else tol
+    shift = {HYP: 1j * c.g, GAM: 0.5j * math.pi, REL: 0.5j * c.g}[family]
     shifted1 = lams.lambda1 - shift + 1j * eps
-    rhs = 2.0 * eig(shifted1, rhos.lambda1) * eig(shifted1, rhos.lambda2) * psi
+    halt = eigenfunction_handle(rhos, c, family, q)
+    lhs = apply_Q(OperatorSpec(family, 2, family is GAM, c, shifted1), halt, (t1, t0), q)
+    if family is GAM:
+        rho_pos = PositionPoint(rhos.lambda1.real, rhos.lambda2.real)
+        psi = psi_mb(SpectralPoint(t1, t0), rho_pos, c, GAM, q)
+    else:
+        psi = psi_hr(rhos, PositionPoint(t1, t0), c.dual() if family is REL else c, family, q)
+    eig1, eig2 = (eigenvalue(family, shifted1, r, c) for r in (rhos.lambda1, rhos.lambda2))
+    rhs = 2.0 * eig1 * eig2 * psi
     base_params = {
         "family": family.value,
         "g": c.g,
@@ -622,11 +588,11 @@ def check_scalar_product_chain(
     # the remaining chain integrals: one-variable actions on plane waves at
     # the second shifted spectral argument
     shifted2 = lams.lambda2 - shift + 1j * eps
-    spec1 = OperatorSpec(family, 1, dual_op, c, shifted2)
+    spec1 = OperatorSpec(family, 1, family is GAM, c, shifted2)
     for step, label in (("one_variable_first", rhos.lambda1), ("one_variable_second", rhos.lambda2)):
         pw = plane_wave(label, family, c)
         got = apply_Q(spec1, pw, t1, q)
-        want = eig(shifted2, label) * complex(pw.fn(t1))
+        want = eigenvalue(family, shifted2, label, c) * complex(pw.fn(t1))
         out.append(
             CheckResult.compare(
                 f"scalar_chain_{family.value}",
@@ -875,7 +841,7 @@ def check_orthogonality_coefficient(
         route_b = 2.0 / math.sinh(abs(d)) ** (2.0 * g)
         params = {"family": "gamma", "g": g, "x12": d}
     else:
-        c = c or Coupling(0.9, Periods(1.0, _SQRT2))
+        c = c or Coupling(0.9, _PERIODS)
         lams = lams or SpectralPoint(0.4, -0.4)
         p = c.require_periods()
         d = complex(lams.delta).real
@@ -916,7 +882,7 @@ def check_eigen_n1(
     sampled at several evaluation points (the ratio must also be constant)."""
     family = KernelFamily(family)
     if c is None:
-        c = Coupling(0.9, Periods(1.0, _SQRT2)) if family is REL else Coupling(1.1)
+        c = Coupling(0.9, _PERIODS) if family is REL else Coupling(1.1)
     rng = np.random.RandomState(seed)
     lam = 0.7
     label = 0.25
@@ -924,12 +890,7 @@ def check_eigen_n1(
     dual = family is not HYP
     spec = OperatorSpec(family, 1, dual, c, lam)
     pw = plane_wave(label, family, c)
-    if family is HYP:
-        ev = kernel_hatK(lam - label, c)
-    elif family is GAM:
-        ev = complex(kernel_K(lam - label, c))
-    else:
-        ev = eigenvalue(REL, lam, label, c.dual())
+    ev = eigenvalue(family, lam, label, c.dual() if family is REL else c)
     out = []
     for x0 in pts:
         lhs = apply_Q(spec, pw, float(x0), q)
@@ -957,50 +918,30 @@ def check_eigen_n2(
     family = KernelFamily(family)
     if q is None:
         q = QuadSpec(rel_tol=1e-9, abs_tol=1e-11)
+    c = c or (Coupling(0.9, _PERIODS) if family is REL else Coupling(1.0))
+    # eigenfunction labels (positions for gamma and relativistic), operator
+    # spectral argument, evaluation point, tolerance
+    sp, lam, at, tol0 = {
+        HYP: (SpectralPoint(0.4, -0.3), 0.55, (0.3, -0.45), 1e-5),
+        GAM: (SpectralPoint(0.25, -0.4), 0.5, (0.35, -0.2), 1e-4),
+        REL: (SpectralPoint(0.3, -0.25), 0.4, (0.2, -0.3), 1e-4),
+    }[family]
+    tol = tol0 if tol is None else tol
+    dual = family is not HYP
+    h = eigenfunction_handle(sp, c, family, q, dual=dual)
+    lhs = apply_Q(OperatorSpec(family, 2, dual, c, lam), h, at, q)
     if family is HYP:
-        c = c or Coupling(1.0)
-        sp = SpectralPoint(0.4, -0.3)
-        lam = 0.55
-        h = eigenfunction_handle(sp, c, HYP, q)
-        spec = OperatorSpec(HYP, 2, False, c, lam)
-        at = (0.3, -0.45)
-        lhs = apply_Q(spec, h, at, q)
-        psi = psi_hr(sp, PositionPoint(*at), c, HYP, q)
-        rhs = 2.0 * kernel_hatK(lam - sp.lambda1, c) * kernel_hatK(lam - sp.lambda2, c) * psi
-        tol = 1e-5 if tol is None else tol
+        phi = psi_hr(sp, PositionPoint(*at), c, HYP, q)
     elif family is GAM:
-        c = c or Coupling(1.0)
-        sp = SpectralPoint(0.25, -0.4)  # position labels of the eigenfunction
-        xq = 0.5
-        h = eigenfunction_handle(sp, c, GAM, q)
-        spec = OperatorSpec(GAM, 2, True, c, xq)
-        at = (0.35, -0.2)
-        lhs = apply_Q(spec, h, at, q)
         phi = psi_mb(SpectralPoint(*at), PositionPoint(sp.lambda1.real, sp.lambda2.real), c, GAM, q)
-        rhs = 2.0 * kernel_K(xq - sp.lambda1.real, c) * kernel_K(xq - sp.lambda2.real, c) * phi
-        tol = 1e-4 if tol is None else tol
     else:
-        c = c or Coupling(0.9, Periods(1.0, _SQRT2))
-        sp = SpectralPoint(0.3, -0.25)  # position labels of the eigenfunction
-        xq = 0.4
-        h = eigenfunction_handle(sp, c, REL, q, dual=True)
-        spec = OperatorSpec(REL, 2, True, c, xq)
-        at = (0.2, -0.3)
-        lhs = apply_Q(spec, h, at, q)
-        kap = exponent_scale(REL, c)
-        from .operators import pair_transform
-
         phi = complex(
-            np.exp(1j * kap * sp.plus * (at[0] + at[1]))
+            np.exp(1j * exponent_scale(REL, c) * sp.plus * (at[0] + at[1]))
             * pair_transform(REL, c, sp.delta, at[0] - at[1], q)
         )
-        rhs = (
-            2.0
-            * eigenvalue(REL, xq, sp.lambda1, c.dual())
-            * eigenvalue(REL, xq, sp.lambda2, c.dual())
-            * phi
-        )
-        tol = 1e-4 if tol is None else tol
+    ce = c.dual() if family is REL else c
+    eig1, eig2 = (eigenvalue(family, lam, label, ce) for label in (sp.lambda1, sp.lambda2))
+    rhs = 2.0 * eig1 * eig2 * phi
     return CheckResult.compare(
         f"eigen_n2_{family.value}",
         {"family": family.value, "g": c.g},
@@ -1010,54 +951,39 @@ def check_eigen_n2(
     )
 
 
+# relativistic flag -> (check name, psi_hr family, psi_mb family, periods,
+# spectral and position centres, couplings, spectral and position gaps, tolerance)
+_REPRESENTATION_GRIDS = {
+    False: ("representation_equivalence", HYP, GAM, None, (0.3, -0.2),
+            (0.7, 1.0, 1.6), (0.5, 1.1, 2.0), (0.4, 1.0, 2.2), 1e-7),
+    True: ("representation_equivalence_rel", REL, REL, _PERIODS, (0.1, -0.1),
+           (0.8, 1.3), (0.4, 1.0), (0.5, 1.2), 1e-5),
+}
+
+
 def check_representation_equivalence(
     relativistic: bool = False,
     q: QuadSpec = QuadSpec(),
     tol: float | None = None,
 ) -> list[CheckResult]:
     """Position-side against spectral-side wave function on a parameter grid."""
+    name, hr_family, mb_family, periods, (lam_plus, x_plus), gs, dls, dxs, tol0 = (
+        _REPRESENTATION_GRIDS[relativistic]
+    )
+    tol = tol0 if tol is None else tol
     out = []
-    if not relativistic:
-        tol = 1e-7 if tol is None else tol
-        lam_plus, x_plus = 0.3, -0.2
-        for g in (0.7, 1.0, 1.6):
-            c = Coupling(g)
-            for dl in (0.5, 1.1, 2.0):
-                for dx in (0.4, 1.0, 2.2):
-                    sp = SpectralPoint(lam_plus + dl / 2, lam_plus - dl / 2)
-                    pp = PositionPoint(x_plus + dx / 2, x_plus - dx / 2)
-                    a = psi_hr(sp, pp, c, HYP, q)
-                    b = psi_mb(sp, pp, c, GAM, q)
-                    r = CheckResult.compare(
-                        "representation_equivalence",
-                        {"g": g, "dl": dl, "dx": dx},
-                        a,
-                        b,
-                        tol,
-                    )
-                    # tolerance is relative to max(1, |psi|)
-                    r.passed = bool(r.abs_err <= tol * max(1.0, abs(a)))
-                    out.append(r)
-    else:
-        tol = 1e-5 if tol is None else tol
-        p = Periods(1.0, _SQRT2)
-        for g in (0.8, 1.3):
-            c = Coupling(g, p)
-            for dl in (0.4, 1.0):
-                for dx in (0.5, 1.2):
-                    sp = SpectralPoint(0.1 + dl / 2, 0.1 - dl / 2)
-                    pp = PositionPoint(-0.1 + dx / 2, -0.1 - dx / 2)
-                    a = psi_hr(sp, pp, c, REL, q)
-                    b = psi_mb(sp, pp, c, REL, q)
-                    r = CheckResult.compare(
-                        "representation_equivalence_rel",
-                        {"g": g, "dl": dl, "dx": dx},
-                        a,
-                        b,
-                        tol,
-                    )
-                    r.passed = bool(r.abs_err <= tol * max(1.0, abs(a)))
-                    out.append(r)
+    for g in gs:
+        c = Coupling(g, periods)
+        for dl in dls:
+            for dx in dxs:
+                sp = SpectralPoint(lam_plus + dl / 2, lam_plus - dl / 2)
+                pp = PositionPoint(x_plus + dx / 2, x_plus - dx / 2)
+                a = psi_hr(sp, pp, c, hr_family, q)
+                b = psi_mb(sp, pp, c, mb_family, q)
+                r = CheckResult.compare(name, {"g": g, "dl": dl, "dx": dx}, a, b, tol)
+                # tolerance is relative to max(1, |psi|)
+                r.passed = bool(r.abs_err <= tol * max(1.0, abs(a)))
+                out.append(r)
     return out
 
 
@@ -1079,7 +1005,7 @@ def check_qlambda(
         lhs, rhs = qlambda_exchange_check(family, lam, rho, at, c, q)
         params = {"family": "gamma", "g": c.g, "x": lam, "y_re": rho.real, "y_im": rho.imag}
     else:
-        c = Coupling(0.8, Periods(1.0, _SQRT2))
+        c = Coupling(0.8, _PERIODS)
         lam, rho, at = 0.3, 0.1 + 0.3j, 0.45
         lhs, rhs = qlambda_exchange_check(family, lam, rho, at, c, q)
         params = {"family": "relativistic", "g": c.g, "x": lam, "y_re": rho.real, "y_im": rho.imag}
@@ -1221,66 +1147,55 @@ def check_q_to_lambda_degeneration(tol: float | None = None) -> list[CheckResult
 # ---------------------------------------------------------------------------
 
 
-def _fast_quad() -> QuadSpec:
-    return QuadSpec(rel_tol=1e-9, abs_tol=1e-12)
+def _beta_grid(family: KernelFamily, gs, args, tol: float) -> list[CheckResult]:
+    """check_beta over couplings g (relativistic: periods (1, sqrt 2)) times arguments."""
+    periods = _PERIODS if family is REL else None
+    return [check_beta(family, x, Coupling(g, periods), tol=tol) for g in gs for x in args]
 
 
+# name -> (check function, *fixed parameters); the seed goes to check_eigen_n1,
+# the one check that draws random points.  Adding a check is adding a row.
 REGISTRY: dict = {
-    "beta_hyperbolic": lambda seed: [
-        check_beta(HYP, lam, Coupling(g), _fast_quad(), tol=1e-8)
-        for g in (0.5, 1.0, 1.5)
-        for lam in (0.0, 0.7, 2.1)
-    ],
-    "beta_gamma": lambda seed: [
-        check_beta(GAM, z, Coupling(g), _fast_quad(), tol=1e-8)
-        for g in (0.5, 1.0, 1.5)
-        for z in (0.0, 0.9, 1.7)
-    ],
-    "beta_relativistic": lambda seed: [
-        check_beta(REL, x, Coupling(0.8, Periods(1.0, _SQRT2)), _fast_quad(), tol=1e-7)
-        for x in (0.0, 0.4, 1.1)
-    ],
-    "reduction_Kg_to_hatK": lambda seed: check_reduction("Kg_to_hatK", (0.2, 0.1, 0.05)),
-    "reduction_Kgstar_to_K": lambda seed: check_reduction("Kgstar_to_K", (0.2, 0.1, 0.05)),
-    "reduction_beta_1": lambda seed: check_reduction("beta_reduction_1", (0.2, 0.1, 0.05)),
-    "reduction_beta_2": lambda seed: check_reduction("beta_reduction_2", (0.2, 0.1, 0.05)),
-    "reduction_S2_to_gamma": lambda seed: check_reduction("S2_to_gamma", (10.0, 20.0, 40.0)),
-    "qq_n1_hyperbolic": lambda seed: check_qq_commutativity(HYP, 1, {"g": 1.1, "lam": 0.8, "rho": -0.2}),
-    "qq_n1_gamma": lambda seed: check_qq_commutativity(GAM, 1, {"g": 0.7, "lam": 0.5, "rho": -0.1}),
-    "qq_n1_relativistic": lambda seed: check_qq_commutativity(REL, 1, {"g": 0.8, "lam": 0.5, "rho": -0.1}),
-    "qq_n2_hyperbolic_g1": lambda seed: check_qq_commutativity(HYP, 2, {"g": 1.0}),
-    "qq_n2_hyperbolic_g13": lambda seed: check_qq_commutativity(HYP, 2, {"g": 1.3}),
-    "qq_n2_gamma": lambda seed: check_qq_commutativity(GAM, 2, {"g": 0.9}),
-    "qq_n2_relativistic": lambda seed: check_qq_commutativity(REL, 2, {"g": 0.8}),
-    "det_route_g1": lambda seed: check_g1_determinant_route(),
-    "qlambda_hyperbolic": lambda seed: check_qlambda(HYP),
-    "qlambda_gamma": lambda seed: check_qlambda(GAM),
-    "qlambda_relativistic": lambda seed: check_qlambda(REL),
-    "eigen_n1_hyperbolic": lambda seed: check_eigen_n1(HYP, seed=seed),
-    "eigen_n1_gamma": lambda seed: check_eigen_n1(GAM, seed=seed),
-    "eigen_n1_relativistic": lambda seed: check_eigen_n1(REL, seed=seed),
-    "eigen_n2_hyperbolic": lambda seed: check_eigen_n2(HYP),
-    "eigen_n2_gamma": lambda seed: check_eigen_n2(GAM),
-    "eigen_n2_relativistic": lambda seed: check_eigen_n2(REL),
-    "representation_equivalence": lambda seed: check_representation_equivalence(False),
-    "representation_equivalence_rel": lambda seed: check_representation_equivalence(True),
-    "dual_construction": lambda seed: check_dual_construction(),
-    "schrodinger_residual": lambda seed: check_schrodinger(),
-    "momentum_residual": lambda seed: check_momentum(),
-    "dual_difference": lambda seed: check_dual_difference(),
-    "psi_asymptotic": lambda seed: check_psi_asymptotics(),
-    "hatK_asymptotic": lambda seed: check_hatK_asymptotic(),
-    "q_to_lambda_degeneration": lambda seed: check_q_to_lambda_degeneration(),
-    "scalar_chain_hyperbolic": lambda seed: check_scalar_product_chain(HYP),
-    "scalar_chain_gamma": lambda seed: check_scalar_product_chain(GAM),
-    "scalar_chain_relativistic": lambda seed: check_scalar_product_chain(REL),
-    "orthogonality_hyperbolic": lambda seed: check_orthogonality_coefficient(HYP),
-    "orthogonality_gamma": lambda seed: check_orthogonality_coefficient(GAM),
-    "orthogonality_relativistic": lambda seed: check_orthogonality_coefficient(REL),
-    "delta_n1_g1": lambda seed: check_delta_sequence(1, 1.0),
-    "delta_n1_general": lambda seed: check_delta_sequence(1, 1.5),
-    "delta_n2_vandermonde": lambda seed: check_delta_sequence(2, 1.0),
-    "delta_n2_power": lambda seed: check_delta_sequence(2, 0.8),
+    "beta_hyperbolic": (_beta_grid, HYP, (0.5, 1.0, 1.5), (0.0, 0.7, 2.1), 1e-8),
+    "beta_gamma": (_beta_grid, GAM, (0.5, 1.0, 1.5), (0.0, 0.9, 1.7), 1e-8),
+    "beta_relativistic": (_beta_grid, REL, (0.8,), (0.0, 0.4, 1.1), 1e-7),
+    **{name: (check_reduction, kind, sched) for name, (kind, _, sched) in _REDUCTIONS.items()},
+    "qq_n1_hyperbolic": (check_qq_commutativity, HYP, 1, {"g": 1.1, "lam": 0.8, "rho": -0.2}),
+    "qq_n1_gamma": (check_qq_commutativity, GAM, 1, {"g": 0.7, "lam": 0.5, "rho": -0.1}),
+    "qq_n1_relativistic": (check_qq_commutativity, REL, 1, {"g": 0.8, "lam": 0.5, "rho": -0.1}),
+    "qq_n2_hyperbolic_g1": (check_qq_commutativity, HYP, 2, {"g": 1.0}),
+    "qq_n2_hyperbolic_g13": (check_qq_commutativity, HYP, 2, {"g": 1.3}),
+    "qq_n2_gamma": (check_qq_commutativity, GAM, 2, {"g": 0.9}),
+    "qq_n2_relativistic": (check_qq_commutativity, REL, 2, {"g": 0.8}),
+    "det_route_g1": (check_g1_determinant_route,),
+    "qlambda_hyperbolic": (check_qlambda, HYP),
+    "qlambda_gamma": (check_qlambda, GAM),
+    "qlambda_relativistic": (check_qlambda, REL),
+    "eigen_n1_hyperbolic": (check_eigen_n1, HYP),
+    "eigen_n1_gamma": (check_eigen_n1, GAM),
+    "eigen_n1_relativistic": (check_eigen_n1, REL),
+    "eigen_n2_hyperbolic": (check_eigen_n2, HYP),
+    "eigen_n2_gamma": (check_eigen_n2, GAM),
+    "eigen_n2_relativistic": (check_eigen_n2, REL),
+    "representation_equivalence": (check_representation_equivalence, False),
+    "representation_equivalence_rel": (check_representation_equivalence, True),
+    "dual_construction": (check_dual_construction,),
+    "schrodinger_residual": (check_schrodinger,),
+    "momentum_residual": (check_momentum,),
+    "dual_difference": (check_dual_difference,),
+    "psi_asymptotic": (check_psi_asymptotics,),
+    "hatK_asymptotic": (check_hatK_asymptotic,),
+    "q_to_lambda_degeneration": (check_q_to_lambda_degeneration,),
+    "scalar_chain_hyperbolic": (check_scalar_product_chain, HYP),
+    "scalar_chain_gamma": (check_scalar_product_chain, GAM),
+    "scalar_chain_relativistic": (check_scalar_product_chain, REL),
+    "orthogonality_hyperbolic": (check_orthogonality_coefficient, HYP),
+    "orthogonality_gamma": (check_orthogonality_coefficient, GAM),
+    "orthogonality_relativistic": (check_orthogonality_coefficient, REL),
+    "delta_n1_g1": (check_delta_sequence, 1, 1.0),
+    "delta_n1_general": (check_delta_sequence, 1, 1.5),
+    "delta_n2_vandermonde": (check_delta_sequence, 2, 1.0),
+    "delta_n2_power": (check_delta_sequence, 2, 0.8),
 }
 
 
@@ -1290,10 +1205,9 @@ def registry_names() -> list[str]:
 
 def _run_named(task: tuple) -> list[CheckResult]:
     name, seed = task
-    if name not in REGISTRY:
-        raise UnknownCheckError(name)
+    fn, *args = REGISTRY[name]
     t0 = time.perf_counter()
-    res = REGISTRY[name](seed)
+    res = fn(*args, seed=seed) if fn is check_eigen_n1 else fn(*args)
     dt = (time.perf_counter() - t0) * 1e3
     results = res if isinstance(res, list) else [res]
     for r in results:
@@ -1309,9 +1223,9 @@ def run_suite(selection=None, jobs: int = 1, seed: int = 1234) -> list[CheckResu
     numeric value identical to a sequential run.
     """
     names = registry_names() if selection is None else list(selection)
-    for n in names:
-        if n not in REGISTRY:
-            raise UnknownCheckError(n)
+    unknown = [n for n in names if n not in REGISTRY]
+    if unknown:
+        raise UnknownCheckError(f"unknown check names: {unknown}; valid: {registry_names()}")
     if not names:
         return []
     tasks = [(n, seed) for n in names]

@@ -176,17 +176,12 @@ def psi_factored(
     x: float,
     c: Coupling,
     q: QuadSpec = QuadSpec(),
-    sutherland: bool = False,
 ) -> complex:
     """Separated one-dimensional profile psi_lam(x), even in both arguments.
 
-    Psi(x1,x2) = e^(i(l1+l2)(x1+x2)/2) psi_((l1-l2)/2)(x1-x2); with
-    ``sutherland`` the profile is multiplied by sinh^g|x|.
+    Psi(x1,x2) = e^(i(l1+l2)(x1+x2)/2) psi_((l1-l2)/2)(x1-x2).
     """
-    out = complex(pair_transform(KernelFamily.HYPERBOLIC, c, 2.0 * lam, x, q))
-    if sutherland:
-        out *= measure_hyperbolic(x, Coupling(0.5 * c.g))
-    return out
+    return complex(pair_transform(KernelFamily.HYPERBOLIC, c, 2.0 * lam, x, q))
 
 
 def sutherland_gauge(

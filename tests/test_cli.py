@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from hypq.cli import main
+from hypq.suite import REGISTRY
 
 RUN = lambda *argv: main(list(argv))
 
@@ -154,8 +155,10 @@ class TestCheck:
         recs = [json.loads(s) for s in out.read_text().splitlines()]
         assert any(not r["passed"] for r in recs)
 
-    def test_unknown_check(self):
+    def test_unknown_check(self, capsys):
         assert RUN("check", "--checks", "no_such_check") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: unknown check names: ['no_such_check']; valid: [")
 
     def test_list(self, capsys):
         assert RUN("check", "--list") == 0
@@ -219,6 +222,49 @@ class TestSweep:
     def test_missing_axis(self, tmp_path):
         cfg = write_cfg(tmp_path, "c.json", {"command": "sweep", "checks": ["delta_n1_g1"]})
         assert RUN("sweep", "--config", cfg) == 2
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "reduction_Kg_to_hatK",
+            "reduction_Kgstar_to_K",
+            "reduction_beta_1",
+            "reduction_beta_2",
+            "reduction_S2_to_gamma",
+        ],
+    )
+    def test_reduction_sweep_matches_check(self, tmp_path, name):
+        # a sweep over the registry row's own schedule is the registered check
+        _, _, sched = REGISTRY[name]
+        swept, checked = tmp_path / "sw.jsonl", tmp_path / "ck.jsonl"
+        sweep = {"command": "sweep", "checks": [name], "out": str(swept)}
+        sweep["axis"] = {"name": "omega2", "values": list(sched)}
+        assert RUN("sweep", "--config", write_cfg(tmp_path, "s.json", sweep)) == 0
+        assert RUN("check", "--checks", name, "--out", str(checked)) == 0
+        a, b = ([json.loads(s) for s in p.read_text().splitlines()] for p in (swept, checked))
+        for r in a + b:
+            del r["config_hash"]
+        assert len(a) == len(sched) and a == b
+
+    @pytest.mark.parametrize("name", ["beta_hyperbolic", "eigen_n2_gamma", "no_such_check"])
+    def test_unsweepable_name_lists_the_sweepable_rows(self, tmp_path, capsys, name):
+        cfg = {"command": "sweep", "checks": [name], "axis": {"name": "x", "values": [1.0]}}
+        assert RUN("sweep", "--config", write_cfg(tmp_path, "c.json", cfg)) == 2
+        err = capsys.readouterr().err
+        listed = err[err.index("[") : err.index("]")]
+        named = {n for n in REGISTRY if f"'{n}'" in listed}
+        assert named == {
+            "reduction_Kg_to_hatK",
+            "reduction_Kgstar_to_K",
+            "reduction_beta_1",
+            "reduction_beta_2",
+            "reduction_S2_to_gamma",
+            "delta_n1_g1",
+            "delta_n1_general",
+            "delta_n2_vandermonde",
+            "delta_n2_power",
+        }
+        assert listed.count("'") == 2 * len(named)
 
 
 class TestReport:

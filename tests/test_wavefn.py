@@ -203,7 +203,9 @@ class TestFactoredForm:
         assert abs(psi_factored(0.0, 0.0, C1, Q) - 2.0) < 1e-12
 
     def test_sutherland_variant_real(self):
-        v = psi_factored(0.35, 1.1, C1, Q, sutherland=True)
+        # l1 + l2 = 0 and x1 + x2 = 0 remove the plane-wave phase: the gauge
+        # is sinh|x1 - x2| times the real separation profile
+        v = sutherland_gauge(SpectralPoint(0.35, -0.35), PositionPoint(0.55, -0.55), C1, Q)
         assert abs(v.imag) < 1e-12
         plain = psi_factored(0.35, 1.1, C1, Q)
         assert abs(v - math.sinh(1.1) * plain) < 1e-12
@@ -282,5 +284,5 @@ class TestSutherlandGauge:
 
     def test_reality_after_phase_removal(self):
         # the separation profile in the gauge is real for real data at g = 1
-        v = psi_factored(0.45, 0.8, C1, Q, sutherland=True)
+        v = sutherland_gauge(SpectralPoint(0.45, -0.45), PositionPoint(0.4, -0.4), C1, Q)
         assert abs(v.imag) <= 1e-12 * abs(v)
