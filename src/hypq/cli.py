@@ -8,7 +8,8 @@ Four subcommands:
   sweep   run one trend check across a designated parameter axis
   report  merge json-lines reports and print a pass/fail table
 
-Configuration comes from a JSON file (--config) with flag overrides; records
+Configuration comes from a JSON file (--config) with flag overrides; its
+rel_tol and abs_tol apply to eval only, checks hold their own.  Records
 are written as json-lines or CSV with identical 17-significant-digit decimal
 serialization.  --tol re-evaluates every record's pass flag against the given
 tolerance (useful to tighten or force-fail a run).  Reports are byte-identical across runs and across --jobs
@@ -97,6 +98,8 @@ def _load_config(args) -> RunConfig:
         for k, v in raw.items():
             if not hasattr(cfg, k):
                 raise ConfigError(f"unknown config field {k!r}")
+            if k in ("rel_tol", "abs_tol") and args.command != "eval":
+                raise ConfigError(f"config field {k!r} applies to eval only")
             setattr(cfg, k, v)
     cfg.command = args.command
     for name in ("out", "format", "jobs", "seed", "target", "tol"):
@@ -320,7 +323,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     fn, *fixed = REGISTRY.get(name, (None,))
     if fn is check_reduction:
         # the axis replaces the row's omega2 schedule
-        results = check_reduction(fixed[0], values, q=cfg.quad())
+        results = check_reduction(fixed[0], values)
     elif fn is check_delta_sequence:
         # pair a descending damping schedule with the ascending regulator axis
         # (cfg.eps is the final, smallest damping); a fixed damping would make

@@ -23,12 +23,12 @@ kernel arguments take the complex ln Gamma core of special.py.
 
 On the real axis ln S2(u + id) + ln S2(u - id) is the closed-form log
 ln((u^2 + d^2)/((w - u)^2 + d^2)) of S2's zero at 0 and pole at
-w = omega1 + omega2, plus a t-integral that decays at least as fast as
-e^(-2 min(omega1, omega2) t) whatever u is, so its cost does not grow as u
-nears either strip edge.  The relativistic evaluator is a piecewise
-Chebyshev proxy of that smooth t-integral with the log added back, switched
-to the exact exponential asymptote at large argument (both validated in the
-tests).
+w = omega1 + omega2, plus the smooth t-integral that special.py owns
+(_ln_s2_pair_smooth, on the same t rule as its complex ln S2).  The
+relativistic measure takes the pair from there; the relativistic evaluator
+is a piecewise Chebyshev proxy of the smooth t-integral with the log added
+back, switched to the exact exponential asymptote at large argument (both
+validated in the tests).
 """
 from __future__ import annotations
 
@@ -40,13 +40,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, KernelPoleError
-from .quad import _panels_on
 from .special import (
     _ASYM_FACTOR,
     _LANCZOS_C as _LANCZOS_C_K,
     Periods,
     _ln_gamma_vec,
+    _ln_s2_pair_smooth,
     _nearest_nonpositive_int,
+    _re_ln_s2_pair,
     complex_gamma,
     double_sine,
 )
@@ -244,71 +245,6 @@ def hatK_asymptotic(gamma_minus_mu_base: float, mu: float, c: Coupling) -> compl
 # ---------------------------------------------------------------------------
 # relativistic family
 # ---------------------------------------------------------------------------
-
-def _ln_s2_pair_smooth(u: float, mid: np.ndarray, off: np.ndarray, w1: float, w2: float):
-    """ln S2(u+id) + ln S2(u-id) - ln((u^2+d^2)/((w-u)^2+d^2)) on d = mid + off >= 0.
-
-    An outer sum: entry (i, j) is at d = mid[i] + off[j].  The cosine form of
-    the integral representation has the core
-    2 (e^(-2(w-u)t) - e^(-2ut)) / D(t), D(t) = (1 - e^(-2 w1 t))(1 - e^(-2 w2 t)).
-    Its leading part 2 (e^(-2(w-u)t) - e^(-2ut)) carries the zero of S2 at 0
-    and its pole at w and integrates in closed form (Frullani) to the log
-    taken out above.  The rest, that part times (1/D - 1), decays at
-    2 min(u, w-u) + 2 min(w1, w2) whatever u is, which bounds the t range.
-    The leading part is formed on its decaying side,
-    -sign(b) 2 e^(-2mt) expm1(-2|b|t) with m = min(u, w-u), so it cannot
-    overflow however far u sits from the strip's middle.  The integrand
-    rest cos(2dt) - c0/t, c0 = b/(w1 w2), is split as (rest - c0/t) -
-    2 rest sin^2(dt): the 1/t parts cancel in the first term, which is free
-    of d, and the second is finite at t = 0.  With A = mid t and B = off t,
-    sin^2(A + B) = sin^2 A cos^2 B + cos^2 A sin^2 B + sin 2A sin B cos B is
-    three (mid, t) @ (t, off) products, so sines and cosines are taken per
-    mid and per off, not per (d, t) pair.  At the single offset 0 (the
-    measure's d on one axis) it is sin^2 A alone, one (mid, t) @ (t,) product.
-    """
-    w = w1 + w2
-    b = 2.0 * u - w
-    c0 = b / (w1 * w2)
-    m = min(u, w - u)
-    rate = 2.0 * m + 2.0 * min(w1, w2)
-    t_max = 39.2 / rate
-    freq = 2.0 * (float(mid.max(initial=0.0)) + float(off.max(initial=0.0)))
-    width = min(8.0 / max(freq, rate, 1.0), t_max / 4.0, 1.6 * math.pi / max(w1, w2))
-    t, wt = _panels_on(0.0, t_max, width)
-    dt = np.expm1(-2.0 * w1 * t) * np.expm1(-2.0 * w2 * t)  # D(t)
-    lead = -math.copysign(2.0, b) * np.exp(-2.0 * m * t) * np.expm1(-2.0 * abs(b) * t)
-    rest = lead * ((1.0 - dt) / dt)
-    wt = wt / t
-    v = 2.0 * rest * wt
-    smooth = (rest - c0 / t) @ wt - c0 / t_max
-    sa2 = np.sin(np.outer(mid, t)) ** 2
-    if off.size == 1 and not off[0]:
-        return (smooth - sa2 @ v)[:, None]
-    sb, cb = np.sin(np.outer(off, t)), np.cos(np.outer(off, t))
-    lhs = np.hstack([sa2 * v, (1.0 - sa2) * v, np.sin(np.outer(mid, 2.0 * t)) * v])
-    return smooth - lhs @ np.hstack([cb * cb, sb * sb, sb * cb]).T
-
-
-def _re_ln_s2_pair(u: float, d: np.ndarray, w1: float, w2: float) -> np.ndarray:
-    """ln S2(u+id) + ln S2(u-id) for real d (vectorized), 0 < u < w1+w2.
-
-    |d| beyond the asymptotic switch point uses the exact B22 limit
-    -pi |d| (2u-w)/(w1 w2).
-    """
-    d = np.abs(np.asarray(d, dtype=float))
-    w = w1 + w2
-    out = np.empty_like(d)
-    far = d > _ASYM_FACTOR * max(w1, w2)
-    out[far] = -math.pi * d[far] * (2.0 * u - w) / (w1 * w2)
-    near = ~far
-    if near.any():
-        dn = d[near]
-        d2 = dn * dn
-        out[near] = _ln_s2_pair_smooth(u, dn, np.zeros(1), w1, w2)[:, 0] + np.log(
-            (u * u + d2) / ((w - u) ** 2 + d2)
-        )
-    return out
-
 
 class _PiecewiseCheb:
     """Piecewise Chebyshev proxy of a smooth even function on [0, xmax].

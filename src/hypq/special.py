@@ -8,14 +8,23 @@ functional equations
 
 the inversion relation S2(z) S2(omega1 + omega2 - z) = 1, poles at
 m*omega1 + k*omega2 (m, k >= 1) and zeros at -m*omega1 - k*omega2
-(m, k >= 0).  Inside the strip 0 < Re z < omega1 + omega2 its logarithm has
-the integral representation
+(m, k >= 0).  Inside the strip 0 < Re z < w = omega1 + omega2 its logarithm
+is Ruijsenaars' integral (J. Math. Phys. 38, 1997)
 
-    ln S2(z) = int_0^inf dt/(2t) [ sinh((2z - w)t) / (sinh(omega1 t) sinh(omega2 t))
-                                   - (2z - w) / (omega1 omega2 t) ],   w = omega1 + omega2,
+    int_0^inf dt/(2t) [sinh((2z-w)t) / (sinh(omega1 t) sinh(omega2 t)) - (2z-w)/(omega1 omega2 t)].
 
-which is what this module evaluates numerically.  Everything here assumes
-real positive periods; complex periods are rejected at construction.
+The sinh ratio is lead / D, D(t) = (1 - e^(-2 omega1 t))(1 - e^(-2 omega2 t))
+and lead = 2 (e^(-2(w - z)t) - e^(-2zt)).  The lead alone carries the zero at
+0 and the pole at w, and integrates in closed form (Frullani):
+
+    ln S2(z) = ln z - ln(w - z)
+               + int_0^inf dt/(2t) [ lead (1 - D)/D - (2z - w) / (omega1 omega2 t) ].
+
+The integrand decays at 2 min(Re z, w - Re z) + 2 min(omega1, omega2)
+wherever z sits in the strip.  One t rule (_s2_t_rule) serves the complex
+point (_log_s2_strip) and the real pair ln S2(u + id) + ln S2(u - id) in its
+cosine form (_ln_s2_pair_smooth).  Everything here assumes real positive
+periods; complex periods are rejected at construction.
 """
 from __future__ import annotations
 
@@ -186,28 +195,84 @@ _ASYM_FACTOR = 5.5
 _MAX_SHIFT_STEPS = 1 << 20
 
 
-def _log_s2_strip(z: complex, w1: float, w2: float) -> complex:
-    """ln S2(z) by the t-integral; requires 0 < Re z < w1 + w2 strictly."""
-    w = w1 + w2
-    a = 2.0 * z - w
-    c = a / (w1 * w2)
-    gap = min(z.real, w - z.real)
-    rate = 2.0 * gap
+def _s2_t_rule(u: float, freq: float, w1: float, w2: float):
+    """Nodes t, weights, t_max and r = (1 - D)/D of the strip integral at
+    Re z = u, oscillating up to freq; t_max follows the integrand's decay rate."""
+    rate = 2.0 * min(u, w1 + w2 - u) + 2.0 * min(w1, w2)
     t_max = _TAIL_EXPONENT / rate
-    freq = 2.0 * abs(z.imag)
     # integrand poles at t = i pi k / omega limit the panel width
     width = min(8.0 / max(freq, rate, 1.0), t_max / 4.0, 1.6 * math.pi / max(w1, w2))
     t, wt = _panels_on(0.0, t_max, width)
-    # overflow-safe form of sinh(a t) / (sinh(w1 t) sinh(w2 t)): both surviving
-    # exponents are negative throughout the strip
-    ratio = (
-        2.0
-        * (np.exp((a - w) * t) - np.exp(-(a + w) * t))
-        / ((1.0 - np.exp(-2.0 * w1 * t)) * (1.0 - np.exp(-2.0 * w2 * t)))
-    )
-    integrand = (ratio - c / t) / (2.0 * t)
-    # analytic remainder of the subtracted-counterterm tail beyond t_max
-    return complex(np.dot(wt, integrand)) - c / (2.0 * t_max)
+    dt = np.expm1(-2.0 * w1 * t) * np.expm1(-2.0 * w2 * t)  # D(t)
+    return t, wt, t_max, (1.0 - dt) / dt
+
+
+def _log_s2_strip(z: complex, w1: float, w2: float) -> complex:
+    """ln S2(z) by the t-integral; requires 0 < Re z < w1 + w2 strictly."""
+    w = w1 + w2
+    c = (2.0 * z - w) / (w1 * w2)
+    t, wt, t_max, r = _s2_t_rule(z.real, 2.0 * abs(z.imag), w1, w2)
+    lead = 2.0 * (np.exp(-2.0 * (w - z) * t) - np.exp(-2.0 * z * t))
+    integrand = (lead * r - c / t) / (2.0 * t)
+    # the last term is the analytic remainder of the counterterm beyond t_max
+    return cmath.log(z) - cmath.log(w - z) + complex(np.dot(wt, integrand)) - c / (2.0 * t_max)
+
+
+def _ln_s2_pair_smooth(u: float, mid: np.ndarray, off: np.ndarray, w1: float, w2: float):
+    """ln S2(u+id) + ln S2(u-id) - ln((u^2+d^2)/((w-u)^2+d^2)) on d = mid + off >= 0.
+
+    An outer sum: entry (i, j) is at d = mid[i] + off[j].  Summed over +-d,
+    the strip integral's logs are the log taken out above and its lead is
+    lead(u) cos(2dt), formed on its decaying side,
+    -sign(b) 2 e^(-2mt) expm1(-2|b|t) with b = 2u - w and m = min(u, w-u),
+    so it cannot overflow however far u sits from the strip's middle.  The
+    integrand rest cos(2dt) - c0/t, rest = lead (1 - D)/D and
+    c0 = b/(w1 w2), is split as (rest - c0/t) - 2 rest sin^2(dt): the 1/t
+    parts cancel in the first term, which is free of d, and the second is
+    finite at t = 0.  With A = mid t and B = off t, sin^2(A + B) =
+    sin^2 A cos^2 B + cos^2 A sin^2 B + sin 2A sin B cos B is three
+    (mid, t) @ (t, off) products, so sines and cosines are taken per mid and
+    per off, not per (d, t) pair.  At the single offset 0 (the measure's d
+    on one axis) it is sin^2 A alone, one (mid, t) @ (t,) product.
+    """
+    w = w1 + w2
+    b = 2.0 * u - w
+    c0 = b / (w1 * w2)
+    m = min(u, w - u)
+    freq = 2.0 * (float(mid.max(initial=0.0)) + float(off.max(initial=0.0)))
+    t, wt, t_max, r = _s2_t_rule(u, freq, w1, w2)
+    lead = -math.copysign(2.0, b) * np.exp(-2.0 * m * t) * np.expm1(-2.0 * abs(b) * t)
+    rest = lead * r
+    wt = wt / t
+    v = 2.0 * rest * wt
+    smooth = (rest - c0 / t) @ wt - c0 / t_max
+    sa2 = np.sin(np.outer(mid, t)) ** 2
+    if off.size == 1 and not off[0]:
+        return (smooth - sa2 @ v)[:, None]
+    sb, cb = np.sin(np.outer(off, t)), np.cos(np.outer(off, t))
+    lhs = np.hstack([sa2 * v, (1.0 - sa2) * v, np.sin(np.outer(mid, 2.0 * t)) * v])
+    return smooth - lhs @ np.hstack([cb * cb, sb * sb, sb * cb]).T
+
+
+def _re_ln_s2_pair(u: float, d: np.ndarray, w1: float, w2: float) -> np.ndarray:
+    """ln S2(u+id) + ln S2(u-id) for real d (vectorized), 0 < u < w1+w2.
+
+    |d| beyond the asymptotic switch point uses the exact B22 limit
+    -pi |d| (2u-w)/(w1 w2).
+    """
+    d = np.abs(np.asarray(d, dtype=float))
+    w = w1 + w2
+    out = np.empty_like(d)
+    far = d > _ASYM_FACTOR * max(w1, w2)
+    out[far] = -math.pi * d[far] * (2.0 * u - w) / (w1 * w2)
+    near = ~far
+    if near.any():
+        dn = d[near]
+        d2 = dn * dn
+        out[near] = _ln_s2_pair_smooth(u, dn, np.zeros(1), w1, w2)[:, 0] + np.log(
+            (u * u + d2) / ((w - u) ** 2 + d2)
+        )
+    return out
 
 
 def log_double_sine(z: complex, p: Periods) -> complex:

@@ -308,7 +308,6 @@ def check_reduction(
     which: str,
     omega2_schedule,
     params: dict | None = None,
-    q: QuadSpec = QuadSpec(),
     tol: float | None = None,
 ) -> list[CheckResult]:
     """Deviation trend of one family reduction along its period schedule.
@@ -779,7 +778,6 @@ def check_orthogonality_coefficient(
     family: KernelFamily,
     lams: SpectralPoint | None = None,
     c: Coupling | None = None,
-    q: QuadSpec = QuadSpec(),
     tol: float = 1e-9,
 ) -> CheckResult:
     """Closed-form orthogonality coefficient by two independent assemblies.

@@ -98,7 +98,7 @@ def ln_s2_pair_smooth_oracle(u: float, d: np.ndarray, w1: float, w2: float) -> n
     """The t-integral left in ln S2(u+id) + ln S2(u-id) once S2's zero and pole
     are taken out, formed pair by pair on a t grid twice as fine.
 
-    The same t range and integrand as kernels._ln_s2_pair_smooth, summed
+    The same t range and integrand as special._ln_s2_pair_smooth, summed
     directly as (rest cos(2dt) - c0/t) / t on every (d, t) pair, with
     16-point Gauss-Legendre panels half as wide as the package's.  The sum
     runs in extended precision: its two 1/t parts cancel at small t, which

@@ -164,6 +164,14 @@ class TestCheck:
         assert RUN("check", "--list") == 0
         assert "beta_hyperbolic" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("field", ["rel_tol", "abs_tol"])
+    def test_quadrature_tolerance_refused(self, tmp_path, capsys, field):
+        # each check holds its own tolerances; a config tolerance would be
+        # hashed into the report without being used
+        cfg = {"command": "check", "checks": ["hatK_asymptotic"], field: 1e-3}
+        assert RUN("check", "--config", write_cfg(tmp_path, "c.json", cfg)) == 2
+        assert f"'{field}'" in capsys.readouterr().err
+
 
 class TestSweep:
     def test_reduction_sweep_monotone(self, tmp_path):
@@ -222,6 +230,13 @@ class TestSweep:
     def test_missing_axis(self, tmp_path):
         cfg = write_cfg(tmp_path, "c.json", {"command": "sweep", "checks": ["delta_n1_g1"]})
         assert RUN("sweep", "--config", cfg) == 2
+
+    @pytest.mark.parametrize("field", ["rel_tol", "abs_tol"])
+    def test_quadrature_tolerance_refused(self, tmp_path, capsys, field):
+        cfg = {"command": "sweep", "checks": ["reduction_S2_to_gamma"], field: 1e-3}
+        cfg["axis"] = {"name": "omega2", "values": [40.0]}
+        assert RUN("sweep", "--config", write_cfg(tmp_path, "c.json", cfg)) == 2
+        assert f"'{field}'" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "name",

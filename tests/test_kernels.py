@@ -187,11 +187,9 @@ class TestRelativisticKernel:
 
     @pytest.mark.parametrize("p", [Periods(1.0, 1.7), Periods(1.0, 2.6)])
     def test_ln_s2_pair_against_log_double_sine(self, p):
-        # the closed-form zero and pole plus the remaining t-integral against
-        # the strip integral of special.py, and against the B22 line at the
-        # asymptotic switch
-        from hypq.kernels import _re_ln_s2_pair
-        from hypq.special import _ASYM_FACTOR, log_double_sine
+        # the real pair's cosine form against the complex strip integral on
+        # the same t rule, and against the B22 line at the asymptotic switch
+        from hypq.special import _ASYM_FACTOR, _re_ln_s2_pair, log_double_sine
 
         w1, w2 = p.omega1, p.omega2
         x_asym = _ASYM_FACTOR * p.omax
@@ -207,16 +205,17 @@ class TestRelativisticKernel:
         # (d, t) pairs of one proxy build at small g: the t range no longer
         # grows like 1/g once S2's zero and pole are integrated in closed form
         import hypq.kernels as K
+        import hypq.special as S
 
         t_nodes = []
-        panels = K._panels_on
+        panels = S._panels_on
 
         def counted(a, b, width):
             t, wt = panels(a, b, width)
             t_nodes.append(t.size)
             return t, wt
 
-        monkeypatch.setattr(K, "_panels_on", counted)
+        monkeypatch.setattr(S, "_panels_on", counted)
         monkeypatch.setattr(K, "_kg_cache", {})
         proxy = K._kg_real_tables(Coupling(0.3, Periods(1.0, 1.7)))[0]
         assert len(t_nodes) == 1
@@ -226,9 +225,10 @@ class TestRelativisticKernel:
         # the t-integral of one build takes two sines or cosines per
         # (piece, t) and per (offset, t) pair, not one per (d, t) pair
         import hypq.kernels as K
+        import hypq.special as S
 
         trig_args, t_nodes = [], []
-        panels = K._panels_on
+        panels = S._panels_on
 
         def counted_panels(a, b, width):
             t, wt = panels(a, b, width)
@@ -247,8 +247,8 @@ class TestRelativisticKernel:
 
                 return counted
 
-        monkeypatch.setattr(K, "_panels_on", counted_panels)
-        monkeypatch.setattr(K, "np", CountingNumpy())
+        monkeypatch.setattr(S, "_panels_on", counted_panels)
+        monkeypatch.setattr(S, "np", CountingNumpy())
         monkeypatch.setattr(K, "_kg_cache", {})
         proxy = K._kg_real_tables(Coupling(0.3, Periods(1.0, 1.7)))[0]
         assert len(t_nodes) == 1
@@ -278,11 +278,11 @@ class TestRelativisticKernel:
     def test_measure_smooth_part_against_pairwise_reference(self, u, w1, w2):
         # the measure's form of the t-integral (d on one axis, the single
         # offset 0, sin^2 A alone) against the same pair-by-pair reference
-        import hypq.kernels as K
+        import hypq.special as S
         from oracles import ln_s2_pair_smooth_oracle
 
-        d = np.linspace(0.0, K._ASYM_FACTOR * max(w1, w2), 41)
-        got = K._ln_s2_pair_smooth(u, d, np.zeros(1), w1, w2)
+        d = np.linspace(0.0, S._ASYM_FACTOR * max(w1, w2), 41)
+        got = S._ln_s2_pair_smooth(u, d, np.zeros(1), w1, w2)
         assert got.shape == (d.size, 1)
         assert np.max(np.abs(got[:, 0] - ln_s2_pair_smooth_oracle(u, d, w1, w2))) < 1e-12
 

@@ -130,6 +130,37 @@ class TestLogDoubleSine:
             with pytest.raises(StripError):
                 log_double_sine(z, p)
 
+    @pytest.mark.parametrize("p", [Periods(1.0, 1.7), Periods(1.0, 2.6), Periods(1.0, math.sqrt(2.0))])
+    def test_against_b22_line(self, p):
+        # an independent route just below the asymptotic switch, where
+        # S2 = exp(sign(d) i pi B22 / 2) up to O(e^(-2 pi |d| / omega_max))
+        for f in (5.0, 0.99 * 5.5):
+            for sign in (1.0, -1.0):
+                for u in (0.15, 0.7, 1.3, p.total - 0.2):
+                    z = complex(u, sign * f * p.omax)
+                    ref = sign * 0.5j * math.pi * b22(z, p)
+                    assert abs(cmath.exp(log_double_sine(z, p) - ref) - 1.0) <= 3e-11
+
+    def test_work_at_strip_edge(self, monkeypatch):
+        # S2's zero and pole are taken out in closed form, so the t range
+        # does not grow like 1 / distance to the strip edge
+        import hypq.special as S
+
+        t_nodes = []
+        panels = S._panels_on
+
+        def counted(a, b, width):
+            t, wt = panels(a, b, width)
+            t_nodes.append(t.size)
+            return t, wt
+
+        monkeypatch.setattr(S, "_panels_on", counted)
+        p = Periods(1.0, 1.7)
+        a = log_double_sine(1e-3 + 0.5j, p)
+        b = log_double_sine(p.total - 1e-3 - 0.5j, p)
+        assert sum(t_nodes) <= 300
+        assert abs(a + b) < 1e-12
+
 
 class TestDoubleSine:
     def test_midpoint_unity(self):
