@@ -201,39 +201,23 @@ class TestRelativisticKernel:
             b22_line = -math.pi * d[-1] * (2.0 * u - p.total) / p.product
             assert abs(got[-1] - b22_line) < 2e-10
 
-    def test_kg_build_work_ceiling(self, monkeypatch):
+    def test_kg_build_work_ceiling(self, monkeypatch, s2_t_nodes):
         # (d, t) pairs of one proxy build at small g: the t range no longer
         # grows like 1/g once S2's zero and pole are integrated in closed form
         import hypq.kernels as K
-        import hypq.special as S
 
-        t_nodes = []
-        panels = S._panels_on
-
-        def counted(a, b, width):
-            t, wt = panels(a, b, width)
-            t_nodes.append(t.size)
-            return t, wt
-
-        monkeypatch.setattr(S, "_panels_on", counted)
         monkeypatch.setattr(K, "_kg_cache", {})
         proxy = K._kg_real_tables(Coupling(0.3, Periods(1.0, 1.7)))[0]
-        assert len(t_nodes) == 1
-        assert 0 < t_nodes[0] * proxy.coef.size <= 250_000
+        assert len(s2_t_nodes) == 1
+        assert 0 < s2_t_nodes[0] * proxy.coef.size <= 250_000
 
-    def test_kg_build_trig_work(self, monkeypatch):
+    def test_kg_build_trig_work(self, monkeypatch, s2_t_nodes):
         # the t-integral of one build takes two sines or cosines per
         # (piece, t) and per (offset, t) pair, not one per (d, t) pair
         import hypq.kernels as K
         import hypq.special as S
 
-        trig_args, t_nodes = [], []
-        panels = S._panels_on
-
-        def counted_panels(a, b, width):
-            t, wt = panels(a, b, width)
-            t_nodes.append(t.size)
-            return t, wt
+        trig_args = []
 
         class CountingNumpy:
             def __getattr__(self, name):
@@ -247,12 +231,11 @@ class TestRelativisticKernel:
 
                 return counted
 
-        monkeypatch.setattr(S, "_panels_on", counted_panels)
         monkeypatch.setattr(S, "np", CountingNumpy())
         monkeypatch.setattr(K, "_kg_cache", {})
         proxy = K._kg_real_tables(Coupling(0.3, Periods(1.0, 1.7)))[0]
-        assert len(t_nodes) == 1
-        separable = 2 * (proxy.mid.size + 25) * t_nodes[0]  # 25 Chebyshev offsets
+        assert len(s2_t_nodes) == 1
+        separable = 2 * (proxy.mid.size + 25) * s2_t_nodes[0]  # 25 Chebyshev offsets
         assert separable <= sum(trig_args) <= 1.2 * separable
 
     @pytest.mark.parametrize(
