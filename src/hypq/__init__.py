@@ -35,8 +35,6 @@ from .quad import (  # noqa: F401
     QuadSpec,
     integrate_line,
     integrate_plane,
-    oracle_trapezoid,
-    oracle_trapezoid_2d,
 )
 from .special import (  # noqa: F401
     Periods,

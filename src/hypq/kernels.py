@@ -66,6 +66,9 @@ __all__ = [
 _LN2 = math.log(2.0)
 _LN_2PI = math.log(2.0 * math.pi)
 _LANCZOS_K = np.arange(8.0)  # k - 1 for the Lanczos terms c_k / (z - 1 + k)
+# points per block of _ln_abs_gamma_sq_real: its 8 x block terms (64 KiB) stay
+# under glibc's 128 KiB mmap threshold, so they are not mapped afresh
+_CORE_BLOCK = 1024
 
 
 class KernelFamily(str, enum.Enum):
@@ -186,27 +189,53 @@ def _ln_abs_gamma_sq_real(a: float, b) -> np.ndarray:
     imaginary parts come from c_k / ((a - 1 + k)^2 + b^2), and
     ln t^(z - 1/2) e^(-t) with t = a + 6.5 + ib from ln|t|^2 and arg t.
     a < 1.5 is shifted by 2 through |Gamma(z + 2)| = |z (z + 1)| |Gamma(z)|.
+    One point is taken in Python floats; arrays take the terms _CORE_BLOCK
+    points at a time and finish in place.
     """
+    z_sq = None
+    if a < 1.5:
+        # |z (z + 1)|^2 = b^4 + (a^2 + (a + 1)^2) b^2 + (a (a + 1))^2
+        z_sq = (a * a + (a + 1.0) ** 2, (a * (a + 1.0)) ** 2)
+        a += 2.0
+    t_re = a + 6.5
+    if np.ndim(b) == 0:
+        b = float(b)
+        b2 = b * b
+        re = im = 0.0
+        for c, s in zip(_LANCZOS_C_K[1:].tolist(), (a + _LANCZOS_K).tolist()):
+            inv = c / (s * s + b2)
+            re += s * inv
+            im += inv
+        re += _LANCZOS_C_K[0]
+        mag = re * re + b2 * im * im
+        if z_sq:
+            mag /= (b2 + z_sq[0]) * b2 + z_sq[1]
+        ln_t = (a - 0.5) * math.log(t_re * t_re + b2) - 2.0 * b * math.atan2(b, t_re)
+        return math.log(mag) + ln_t + (_LN_2PI - 2.0 * t_re)
     b = np.asarray(b, dtype=float)
     b2 = b * b
-    corr = 0.0
-    if a < 1.5:
-        corr = np.log((a * a + b2) * ((a + 1.0) ** 2 + b2))
-        a += 2.0
     s = a + _LANCZOS_K  # a - 1 + k
-    inv = _LANCZOS_C_K[1:, None] / np.add.outer(s * s, b2.ravel())
-    acc_re, acc_im = np.stack([s, np.ones_like(s)]) @ inv  # the sum is acc_re - ib acc_im
-    acc_re = _LANCZOS_C_K[0] + acc_re.reshape(b.shape)
-    acc_im = acc_im.reshape(b.shape)
-    t_re = a + 6.5
-    return (
-        _LN_2PI
-        + (a - 0.5) * np.log(t_re * t_re + b2)
-        - 2.0 * b * np.arctan2(b, t_re)
-        - 2.0 * t_re
-        + np.log(acc_re * acc_re + b2 * acc_im * acc_im)
-        - corr
-    )
+    rows = np.stack([s, np.ones_like(s)])
+    flat = b2.ravel()
+    acc = np.empty((2, flat.size))  # the sum is c_0 + acc[0] - ib acc[1]
+    for i in range(0, flat.size, _CORE_BLOCK):
+        inv = np.add.outer(s * s, flat[i : i + _CORE_BLOCK])
+        np.divide(_LANCZOS_C_K[1:, None], inv, out=inv)
+        acc[:, i : i + _CORE_BLOCK] = rows @ inv
+    re, out = acc[0].reshape(b.shape), acc[1].reshape(b.shape)
+    re += _LANCZOS_C_K[0]
+    out *= out
+    out *= b2
+    out += np.multiply(re, re, out=re)
+    if z_sq:
+        np.multiply(np.add(b2, z_sq[0], out=re), b2, out=re)
+        out /= np.add(re, z_sq[1], out=re)
+    np.log(out, out=out)
+    out += np.multiply(np.log(np.add(b2, t_re * t_re, out=re), out=re), a - 0.5, out=re)
+    np.multiply(np.arctan2(b, t_re, out=re), b, out=re)
+    out -= np.multiply(re, 2.0, out=re)
+    out += _LN_2PI - 2.0 * t_re
+    return out
 
 
 def _ln_hatK_real_vec(x: np.ndarray, g: float) -> np.ndarray:

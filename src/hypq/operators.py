@@ -52,7 +52,7 @@ from .kernels import (
     ln_measure_relativistic,
     measure_growth_rate,
 )
-from .quad import _GL16_NODES, QuadSpec, _adaptive, _adaptive_many, _panels_on, _tail
+from .quad import _CALL_NODES, _GL16_NODES, _GL16_WEIGHTS, QuadSpec, _adaptive, _adaptive_many, _tail
 
 __all__ = [
     "OperatorSpec",
@@ -69,8 +69,8 @@ __all__ = [
 ]
 
 
-# about this many kernel values per block of a vectorized pair_transform
-_PAIR_BLOCK = 1 << 18
+# the two kernel factors of pair_transform sit at |v|/2 -+ y
+_MIRROR = np.array([-1.0, 1.0])[:, None, None]
 
 
 @dataclass(frozen=True)
@@ -418,6 +418,16 @@ def pair_transform_rate(kind: KernelFamily, c_kernel: Coupling, delta: complex) 
     return k - 0.5 * kap * abs(complex(delta).imag)
 
 
+def _pair_panels(ops: _Ops, kd, lo, hi, c) -> np.ndarray:
+    """Gauss-Legendre sums of c0 Kf(c - y) Kf(c + y) 2 cos(kd y) over the
+    panels y in [c - hi, c - lo], c = |v|/2 (one float or one per panel)."""
+    half = 0.5 * (hi - lo)
+    # nodes mirrored about each panel middle (the rule is symmetric)
+    y = (c - lo - half)[:, None] + half[:, None] * _GL16_NODES
+    ln = ops.ln_kernel(np.reshape(c, (-1, 1)) + _MIRROR * y)  # both factors, one call
+    return (np.exp(ln[0] + ln[1]) * np.cos(kd * y)) @ _GL16_WEIGHTS * (2.0 * ops.two_pi_inv) * half
+
+
 def pair_transform(
     kind: KernelFamily,
     c_kernel: Coupling,
@@ -432,54 +442,50 @@ def pair_transform(
     pair_transform at delta = l1 - l2, v = x1 - x2.  The gamma family carries
     its 1/(2 pi).
 
-    Evenness lets v be replaced by |v|, and s = y + |v|/2 turns the integral
-    into e^(-i kappa delta |v|/2) int ds Kf(s) e^(i kappa delta s) Kf(|v| - s)
-    over [-L-, |v| + L+], L = tail / rate.  One composite Gauss-Legendre rule
-    on [-L-, max|v| + L+] serves every v, so the weighted factor
-    w Kf(s) e^(i kappa delta s) is evaluated once.  The v are taken in blocks
-    of sorted |v| of about _PAIR_BLOCK kernel values, each on the node prefix
-    up to its largest |v| + L+, which is the interval a lone v would use.
+    The kernel product is even in y, so the integral is
+    int_0^inf dy Kf(|v|/2 - y) Kf(|v|/2 + y) 2 cos(kappa delta y).  Past the
+    kernel bump at y = |v|/2 it decays at 2 k - kappa |Im delta| and is cut
+    tail / that rate beyond the bump.  Gauss-Legendre panels are laid out in
+    t = |v|/2 - y: h0 wide over the tail and within 2 h0 of the bump; toward
+    y = 0, where the kernel product is smooth and about e^(-k |v|), each
+    panel is twice as wide as its near edge is far from the bump, and at most
+    8 / max(kappa |delta|, 1) for the cosine.  The edges do not depend on v:
+    each v takes those below |v|/2, its last panel ending at y = 0.  Nodes
+    reach the kernel in calls of at most _CALL_NODES, unless one v needs more.
     """
     kind = KernelFamily(kind)
     ops = _Ops(kind, kind is not KernelFamily.HYPERBOLIC, c_kernel)
-    kap = ops.kappa
-    delta = complex(delta)
-    k = ops.k_rate
-    rate_pos = 2.0 * k + kap * delta.imag
-    rate_neg = 2.0 * k - kap * delta.imag
-    _require_positive(rate_pos, rate_neg)
-    w = np.abs(np.asarray(v, dtype=float))
-    l_pos = _tail(q) / rate_pos
-    lo = -_tail(q) / rate_neg
-    hi = float(np.max(w)) + l_pos
-    width = min(
-        8.0 / max(kap * abs(delta.real), k, 1.0),
-        (hi - lo) / 8.0,
-        1.6 * kernel_pole_distance(kind, c_kernel),
-    )
-    s, wt = _panels_on(lo, hi, width)
-    row = ops.two_pi_inv * wt * np.exp(ops.ln_kernel(s)) * np.exp(1j * kap * delta * s)
-    back = lambda w: np.exp(-0.5j * kap * delta * w)
+    kd = ops.kappa * complex(delta)
+    rate = 2.0 * ops.k_rate - abs(kd.imag)
+    _require_positive(rate)
+    kd = kd if kd.imag else kd.real  # a real cosine for real delta
+    w = np.asarray(v, dtype=float)
+    hw = 0.5 * abs(float(w)) if w.ndim == 0 else 0.5 * np.abs(w.ravel())
+    cap = 8.0 / max(abs(kd), 1.0)
+    h0 = min(8.0 / max(abs(kd), ops.k_rate, 1.0), 1.6 * kernel_pole_distance(kind, c_kernel))
+    # t edges: by h0 from the tail to 2 h0, then x3 while the width 2t stays
+    # under cap, then by cap to past the largest |v|/2
+    geo = [2.0 * h0 * 3.0**j for j in range(max(1, math.floor(math.log(cap / h0 / 4.0, 3.0)) + 2))]
+    lin = geo[-1] + cap * np.arange(1, max(1, math.ceil((np.max(hw) - geo[-1]) / cap)) + 1)
+    edges = np.concatenate([h0 * np.arange(-math.ceil(_tail(q) / (rate * h0)), 2), geo, lin])
     if w.ndim == 0:
-        return complex(back(w) * (np.exp(ops.ln_kernel(w - s)) @ row))
-
-    order = np.argsort(w, axis=None, kind="stable")
-    ws = w.ravel()[order]
-    # nodes each v needs: the panels whose first node is below |v| + L+
-    used = _GL16_NODES.size * np.searchsorted(s[:: _GL16_NODES.size], ws + l_pos)
-    # real and imaginary columns: the real kernel blocks need no complex copy
-    row_ri = np.stack([row.real, row.imag], axis=1)
-    out = np.empty(ws.size, dtype=complex)
+        n = int(np.searchsorted(edges, hw))  # the edges below |v|/2
+        return complex(_pair_panels(ops, kd, edges[:n], np.append(edges[1:n], hw), hw).sum())
+    n = np.searchsorted(edges, hw)
+    ends = np.cumsum(n)
+    start = ends - n
+    per = _CALL_NODES // (2 * _GL16_NODES.size)  # panels per kernel call
+    out = np.empty(hw.size, dtype=complex)
     i = 0
-    while i < ws.size:
-        # the most rows whose block, on the last row's prefix, fits _PAIR_BLOCK
-        size = np.arange(1, ws.size - i + 1) * used[i:]
-        j = i + max(1, int(np.searchsorted(size, _PAIR_BLOCK, side="right")))
-        p = int(used[j - 1])
-        # one expression: a named ln block would stay alive beside the next block
-        kern = np.exp(ops.ln_kernel((ws[i:j, None] - s[None, :p]).ravel())).reshape(j - i, p)
-        re, im = (kern @ row_ri[:p]).T
-        out[order[i:j]] = back(ws[i:j]) * (re + 1j * im)
+    while i < hw.size:
+        j = max(i + 1, int(np.searchsorted(ends, start[i] + per, side="right")))
+        m = n[i:j]
+        first = start[i:j] - start[i]  # each v's first panel
+        k = np.arange(first[-1] + m[-1]) - np.repeat(first, m)
+        hi = edges[k + 1]
+        hi[first + m - 1] = hw[i:j]
+        sums = _pair_panels(ops, kd, edges[k], hi, np.repeat(hw[i:j], m))
+        out[i:j] = np.add.reduceat(sums, first)
         i = j
     return out.reshape(w.shape)
 

@@ -16,9 +16,6 @@ keeps each array of a call below the size at which the C allocator maps it
 from fresh pages and unmaps it on free.  Panel subdivision and the final
 compensated summation run in a fixed deterministic order, so identical
 inputs give bit-identical results.
-
-oracle_trapezoid / oracle_trapezoid_2d are deliberately simple fixed-grid
-rules used as the independent reference when freezing expected values.
 """
 from __future__ import annotations
 
@@ -41,8 +38,6 @@ __all__ = [
     "DecayProfile",
     "integrate_line",
     "integrate_plane",
-    "oracle_trapezoid",
-    "oracle_trapezoid_2d",
 ]
 
 # Gauss-Kronrod 7-15 nodes and weights on [-1, 1] (QUADPACK values).
@@ -391,38 +386,3 @@ def integrate_plane(
         )
 
     return integrate_line(outer, d2, s, freq_hint2)
-
-
-def oracle_trapezoid(f: Callable, L: float, n: int) -> complex:
-    """Plain composite trapezoid of f on [-L, L] with n nodes (n odd).
-
-    No adaptivity and no error control: this is the provenance oracle used to
-    freeze expected values.  Bit-reproducible given (f, L, n).
-    """
-    if n % 2 == 0 or n < 3:
-        raise DomainError("n must be odd and >= 3")
-    if not L > 0:
-        raise DomainError("L must be positive")
-    x = np.linspace(-L, L, n)
-    y = _eval_batch(f, x)
-    w = np.full(n, 2.0 * L / (n - 1))
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return complex(np.dot(w, y))
-
-
-def oracle_trapezoid_2d(f: Callable, L: float, n: int) -> complex:
-    """Tensor-product trapezoid of f(y1, y2) on [-L, L]^2 with n^2 nodes."""
-    if n % 2 == 0 or n < 3:
-        raise DomainError("n must be odd and >= 3")
-    if not L > 0:
-        raise DomainError("L must be positive")
-    x = np.linspace(-L, L, n)
-    w = np.full(n, 2.0 * L / (n - 1))
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    acc = 0.0 + 0.0j
-    for i in range(n):
-        row = np.asarray(f(np.full(n, x[i]), x), dtype=complex)
-        acc += w[i] * complex(np.dot(w, row))
-    return acc

@@ -3,7 +3,7 @@
 Everything here deliberately avoids the package's main evaluation paths:
 gamma comes from upward recursion plus the Stirling series, the double sine
 logarithm from a plain high-node trapezoid with a Richardson consistency
-check, and integrals from the fixed-grid trapezoid oracles.
+check, and integrals from the fixed-grid trapezoid oracles below.
 """
 from __future__ import annotations
 
@@ -79,12 +79,38 @@ def log_double_sine_oracle(z: complex, w1: float, w2: float) -> complex:
     return vals[1]
 
 
+def _trapezoid_grid(L: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the composite trapezoid on [-L, L] (n odd >= 3)."""
+    if n % 2 == 0 or n < 3:
+        raise ValueError("n must be odd and >= 3")
+    if not L > 0:
+        raise ValueError("L must be positive")
+    w = np.full(n, 2.0 * L / (n - 1))
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    return np.linspace(-L, L, n), w
+
+
 def trapezoid_oracle(f, L: float, n: int) -> complex:
-    """Plain trapezoid on [-L, L]; independent twin of quad.oracle_trapezoid."""
-    x = np.linspace(-L, L, n)
+    """Plain composite trapezoid of a vectorized f on [-L, L] with n nodes.
+
+    No adaptivity and no error control; bit-reproducible given (f, L, n).
+    """
+    x, _ = _trapezoid_grid(L, n)
     y = np.asarray(f(x), dtype=complex)
     h = 2.0 * L / (n - 1)
     return complex(h * (np.sum(y) - 0.5 * (y[0] + y[-1])))
+
+
+def trapezoid_oracle_2d(f, L: float, n: int) -> complex:
+    """Tensor-product trapezoid of f(y1, y2) on [-L, L]^2 with n^2 nodes,
+    summed one y1 row at a time."""
+    x, w = _trapezoid_grid(L, n)
+    acc = 0.0 + 0.0j
+    for i in range(n):
+        row = np.asarray(f(np.full(n, x[i]), x), dtype=complex)
+        acc += w[i] * complex(np.dot(w, row))
+    return acc
 
 
 def richardson_pair(f, L: float, n: int) -> tuple[complex, float]:

@@ -346,6 +346,34 @@ class TestRealAxisGammaCore:
 
         assert _ln_abs_gamma_sq_real(0.5, 0.0) == pytest.approx(math.log(math.pi), rel=1e-15)
 
+    def test_scalar_matches_array(self):
+        # one point runs in Python floats, arrays in numpy blocks: the same
+        # operations, so they agree to rounding
+        from hypq.kernels import _ln_abs_gamma_sq_real
+
+        b = np.linspace(-300.0, 300.0, 601)
+        for a in (0.35, 1.0, 1.6, 3.0):
+            singles = np.array([_ln_abs_gamma_sq_real(a, x) for x in b])
+            got = _ln_abs_gamma_sq_real(a, b)
+            assert np.all(np.abs(got - singles) <= 1e-14 * np.maximum(1.0, np.abs(singles)))
+
+    def test_peak_allocation(self):
+        # a quadrature call's 8,190 points: no 8 x N block of Lanczos terms
+        # is held at once, so the peak stays a few times the input's size
+        import tracemalloc
+
+        from hypq.kernels import _ln_abs_gamma_sq_real
+
+        b = np.linspace(-40.0, 40.0, 8190)
+        _ln_abs_gamma_sq_real(0.5, b)
+        tracemalloc.start()
+        try:
+            _ln_abs_gamma_sq_real(0.5, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * b.nbytes
+
 
 class TestMeasures:
     def test_zeros_at_coincidence(self):

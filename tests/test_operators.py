@@ -13,6 +13,7 @@ from hypq.kernels import (
     measure_hyperbolic,
 )
 from hypq.operators import (
+    _Ops,
     Envelope,
     FunctionHandle,
     OperatorSpec,
@@ -25,8 +26,10 @@ from hypq.operators import (
     qlambda_exchange_check,
     qq_convolution_kernel,
 )
-from hypq.quad import DecayProfile, QuadSpec, integrate_line, oracle_trapezoid_2d
+from hypq.quad import DecayProfile, QuadSpec, integrate_line
 from hypq.special import Periods
+
+from oracles import trapezoid_oracle_2d
 
 HYP, GAM, REL = KernelFamily.HYPERBOLIC, KernelFamily.GAMMA, KernelFamily.RELATIVISTIC
 Q = QuadSpec()
@@ -163,7 +166,7 @@ class TestTwoVariable:
                 * np.exp(-(y1**2) - y2**2)
             )
 
-        oracle = oracle_trapezoid_2d(full, 18.0, 3001)
+        oracle = trapezoid_oracle_2d(full, 18.0, 3001)
         assert abs(got - oracle) < 2e-7
 
     def test_q2_generic_scalar_only_handle(self):
@@ -269,7 +272,7 @@ class TestPairTransform:
         assert np.all(np.abs(batch - singles) <= 1e-11 * np.abs(singles))
 
     def test_gamma_kernel_work_ceiling(self, monkeypatch):
-        # each Khat factor is evaluated on the node prefix its |v| needs;
+        # one Khat pair per node of each v's graded rule (1,040,128 points);
         # two full dense len(v) x len(y) matrices would be 11.92 M points
         from hypq import kernels
 
@@ -283,7 +286,51 @@ class TestPairTransform:
         monkeypatch.setattr(kernels, "_ln_hatK_real_vec", counted)
         q = QuadSpec(rel_tol=1e-8, abs_tol=1e-9)
         pair_transform(GAM, Coupling(1.0), 0.5, np.linspace(0.01, 345.0, 1620), q)
-        assert 0 < points[0] <= 4_500_000
+        assert 0 < points[0] <= 1_250_000
+
+    @pytest.mark.parametrize("delta", [0.5, 2.0, 5.0])
+    def test_gamma_g1_closed_form(self, delta):
+        # Khat = pi / cosh(pi l / 2) at g = 1, whose profile is
+        # 2 pi sin(delta v / 2) / (sinh(pi v / 2) sinh(delta)); the error is
+        # taken relative to that envelope without the sine, so the zeros of
+        # the sine do not divide it
+        v = np.linspace(0.01, 345.0, 1620)
+        got = pair_transform(GAM, Coupling(1.0), delta, v, Q)
+        scale = 2.0 * math.pi / (np.sinh(0.5 * math.pi * v) * math.sinh(delta))
+        assert np.all(np.abs(got - scale * np.sin(0.5 * delta * v)) <= 1e-10 * scale)
+
+    @pytest.mark.parametrize(
+        "family,c",
+        [
+            (HYP, Coupling(0.7)),
+            (HYP, Coupling(1.3)),
+            (GAM, Coupling(0.3)),
+            (GAM, Coupling(0.7)),
+            (GAM, Coupling(1.3)),
+            (REL, Coupling(0.8, Periods(1.0, 1.7))),
+            (REL, Coupling(1.9, Periods(1.0, 1.7))),
+        ],
+    )
+    def test_profile_against_line_integral(self, family, c):
+        # the unfolded integral over the whole y line on fine uniform
+        # Gauss-Legendre panels, at real and complex separations, to 1e-12
+        # of the integral of the integrand's modulus (the profile's envelope)
+        ops = _Ops(family, family is not HYP, c)
+        x, w = np.polynomial.legendre.leggauss(16)
+        for delta in (0.05, 0.3, 1.0, 0.4 - 0.2j, 1.0 + 0.3j, 2.0 + 0.6j):
+            kd = ops.kappa * delta
+            cut = 0.5 + 60.0 / (2.0 * ops.k_rate - abs(kd.imag))
+            for v in (0.0, 0.7, 3.0, 9.0, 30.0):
+                n = int(math.ceil((v + 2.0 * cut) / 0.05))
+                half = 0.5 * (v + 2.0 * cut) / n
+                mid = -0.5 * v - cut + half * (2.0 * np.arange(n) + 1.0)
+                y = (mid[:, None] + half * x).ravel()
+                ln = ops.ln_kernel(0.5 * v - y) + ops.ln_kernel(0.5 * v + y)
+                terms = half * np.tile(w, n) * np.exp(ln + 1j * kd * y)
+                ref = ops.two_pi_inv * complex(math.fsum(terms.real), math.fsum(terms.imag))
+                envelope = ops.two_pi_inv * math.fsum(np.abs(terms))
+                got = pair_transform(family, c, delta, v, Q)
+                assert abs(got - ref) <= 1e-12 * envelope, (delta, v)
 
 
 class TestKernelConvolutions:
