@@ -96,10 +96,8 @@ def trapezoid_oracle(f, L: float, n: int) -> complex:
 
     No adaptivity and no error control; bit-reproducible given (f, L, n).
     """
-    x, _ = _trapezoid_grid(L, n)
-    y = np.asarray(f(x), dtype=complex)
-    h = 2.0 * L / (n - 1)
-    return complex(h * (np.sum(y) - 0.5 * (y[0] + y[-1])))
+    x, w = _trapezoid_grid(L, n)
+    return complex(np.dot(w, np.asarray(f(x), dtype=complex)))
 
 
 def trapezoid_oracle_2d(f, L: float, n: int) -> complex:
@@ -108,8 +106,7 @@ def trapezoid_oracle_2d(f, L: float, n: int) -> complex:
     x, w = _trapezoid_grid(L, n)
     acc = 0.0 + 0.0j
     for i in range(n):
-        row = np.asarray(f(np.full(n, x[i]), x), dtype=complex)
-        acc += w[i] * complex(np.dot(w, row))
+        acc += w[i] * trapezoid_oracle(lambda y2: f(np.full(n, x[i]), y2), L, n)
     return acc
 
 
