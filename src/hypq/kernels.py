@@ -189,8 +189,8 @@ def _ln_abs_gamma_sq_real(a: float, b) -> np.ndarray:
     imaginary parts come from c_k / ((a - 1 + k)^2 + b^2), and
     ln t^(z - 1/2) e^(-t) with t = a + 6.5 + ib from ln|t|^2 and arg t.
     a < 1.5 is shifted by 2 through |Gamma(z + 2)| = |z (z + 1)| |Gamma(z)|.
-    One point is taken in Python floats; arrays take the terms _CORE_BLOCK
-    points at a time and finish in place.
+    One point, 0-d or in an array, is taken in Python floats; larger arrays
+    take the terms _CORE_BLOCK points at a time and finish in place.
     """
     z_sq = None
     if a < 1.5:
@@ -198,9 +198,9 @@ def _ln_abs_gamma_sq_real(a: float, b) -> np.ndarray:
         z_sq = (a * a + (a + 1.0) ** 2, (a * (a + 1.0)) ** 2)
         a += 2.0
     t_re = a + 6.5
-    if np.ndim(b) == 0:
-        b = float(b)
-        b2 = b * b
+    if np.size(b) == 1:
+        x = float(np.ravel(b)[0])
+        b2 = x * x
         re = im = 0.0
         for c, s in zip(_LANCZOS_C_K[1:].tolist(), (a + _LANCZOS_K).tolist()):
             inv = c / (s * s + b2)
@@ -210,8 +210,9 @@ def _ln_abs_gamma_sq_real(a: float, b) -> np.ndarray:
         mag = re * re + b2 * im * im
         if z_sq:
             mag /= (b2 + z_sq[0]) * b2 + z_sq[1]
-        ln_t = (a - 0.5) * math.log(t_re * t_re + b2) - 2.0 * b * math.atan2(b, t_re)
-        return math.log(mag) + ln_t + (_LN_2PI - 2.0 * t_re)
+        ln_t = (a - 0.5) * math.log(t_re * t_re + b2) - 2.0 * x * math.atan2(x, t_re)
+        out = math.log(mag) + ln_t + (_LN_2PI - 2.0 * t_re)
+        return out if np.ndim(b) == 0 else np.full(np.shape(b), out)
     b = np.asarray(b, dtype=float)
     b2 = b * b
     s = a + _LANCZOS_K  # a - 1 + k

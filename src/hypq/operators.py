@@ -464,10 +464,10 @@ def pair_transform(
     cap = 8.0 / max(abs(kd), 1.0)
     h0 = min(8.0 / max(abs(kd), ops.k_rate, 1.0), 1.6 * kernel_pole_distance(kind, c_kernel))
     # t edges: by h0 from the tail to 2 h0, then x3 while the width 2t stays
-    # under cap, then by cap to past the largest |v|/2
+    # under cap, by cap to about the largest |v|/2, and one at infinity as the end
     geo = [2.0 * h0 * 3.0**j for j in range(max(1, math.floor(math.log(cap / h0 / 4.0, 3.0)) + 2))]
     lin = geo[-1] + cap * np.arange(1, max(1, math.ceil((np.max(hw) - geo[-1]) / cap)) + 1)
-    edges = np.concatenate([h0 * np.arange(-math.ceil(_tail(q) / (rate * h0)), 2), geo, lin])
+    edges = np.concatenate([h0 * np.arange(-math.ceil(_tail(q) / (rate * h0)), 2), geo, lin, [np.inf]])
     if w.ndim == 0:
         n = int(np.searchsorted(edges, hw))  # the edges below |v|/2
         return complex(_pair_panels(ops, kd, edges[:n], np.append(edges[1:n], hw), hw).sum())

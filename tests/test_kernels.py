@@ -356,6 +356,9 @@ class TestRealAxisGammaCore:
             singles = np.array([_ln_abs_gamma_sq_real(a, x) for x in b])
             got = _ln_abs_gamma_sq_real(a, b)
             assert np.all(np.abs(got - singles) <= 1e-14 * np.maximum(1.0, np.abs(singles)))
+            for shape in ((1,), (1, 1)):  # a one-point array keeps its shape
+                one = _ln_abs_gamma_sq_real(a, np.full(shape, b[7]))
+                assert one.shape == shape and one.item() == singles[7]
 
     def test_peak_allocation(self):
         # a quadrature call's 8,190 points: no 8 x N block of Lanczos terms

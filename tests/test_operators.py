@@ -271,6 +271,24 @@ class TestPairTransform:
         singles = np.array([pair_transform(GAM, c, 0.5, float(v), Q) for v in vs])
         assert np.all(np.abs(batch - singles) <= 1e-11 * np.abs(singles))
 
+    @pytest.mark.parametrize(
+        "family,g,delta,v",
+        [
+            (GAM, 1.0, 3.0, 22.400000000000002),
+            (GAM, 0.7, 5.0, 62.080000000000005),
+            (HYP, 1.3, 1.7, 122.99427296207558),
+        ],
+    )
+    def test_half_separation_one_ulp_past_last_edge(self, family, g, delta, v):
+        # at these separations the panel width 8 / (kappa |delta|) is not a
+        # power of two, and |v|/2 is one ulp above the float value of the
+        # last edge computed to reach it: the array path must still end each
+        # v's last panel at y = 0, as the scalar path does
+        c = Coupling(g)
+        batch = pair_transform(family, c, delta, np.array([1.0, v]), Q)
+        singles = np.array([pair_transform(family, c, delta, x, Q) for x in (1.0, v)])
+        assert np.all(np.abs(batch - singles) <= 1e-12 * np.abs(singles))
+
     def test_gamma_kernel_work_ceiling(self, monkeypatch):
         # one Khat pair per node of each v's graded rule (1,040,128 points);
         # two full dense len(v) x len(y) matrices would be 11.92 M points
