@@ -56,5 +56,4 @@ from .wavefn import (  # noqa: F401
     psi_hr,
     psi_mb,
     schrodinger_residual,
-    sutherland_gauge,
 )

@@ -20,12 +20,11 @@ against decaying kernels before anything is exponentiated.  Every one-fold
 integral (the one-variable operator, the raising operator, the one-variable
 QQ kernel and the direct wave-function routes of wavefn) is one
 kernel-product line integral, _kernel_line, which does that envelope work
-once.  Plane waves and factored two-variable eigenfunctions are
-special-cased: symmetric factored inputs route the two-variable integrals
-through center-of-mass/separation coordinates, where the measure and the
-factored profile depend on the separation only.  The inner integrals of an
-iterated two-variable integral are advanced together, one batch per array of
-outer abscissae.
+once.  Every two-fold integral (the two-variable operator on a factored or a
+generic input and the two-variable QQ kernel) is its twin, _kernel_plane,
+taken in center-of-mass/separation coordinates u = y1 + y2, v = y1 - y2,
+where the measure and a factored profile depend on v only; the inner u
+integrals of each array of v are advanced together.
 """
 from __future__ import annotations
 
@@ -77,7 +76,9 @@ _MIRROR = np.array([-1.0, 1.0])[:, None, None]
 class Envelope:
     """Signed exponential envelope of a handle: |f(t)| <~ e^(-rate_pos t) as
     t -> +inf and <~ e^(+rate_neg t) as t -> -inf.  Negative rates declare
-    growth; operators check the combined rates before integrating."""
+    growth; operators check the combined rates before integrating.  A generic
+    two-variable handle's rates are read per axis (t = y1, t = y2) and halved
+    over the plane: |f| <~ e^(-rate max(|u|, |v|)/2), u = y1 + y2, v = y1 - y2."""
 
     rate_pos: float = 0.0
     rate_neg: float = 0.0
@@ -276,126 +277,96 @@ def _kernel_line(ops, xs, zs, labels, q: QuadSpec, f: FunctionHandle | None = No
     return _adaptive(integrand, lo, hi, q, freq, cap)
 
 
-def _rotated_inner(ops, xs, zs, labels, v, window, spec, freq, cap) -> np.ndarray:
-    """Inner integrals of a two-variable operator in rotated coordinates.
+def _kernel_plane(ops, xs, zs, labels, q: QuadSpec, f: FunctionHandle | None = None) -> complex:
+    """The two-fold kernel-product integral of the operator layer,
 
-    With u = y1 + y2 and, for each outer abscissa, v = y1 - y2 fixed, this is
+        c0^2 int dy1 dy2 mu(y1 - y2) e^(i kappa (a (sum xs - u) + b (u - sum zs)))
+                         prod K(x - y_j) prod K(y_j - z) f(y1, y2)
 
-        int du exp(mu v + i kappa (a (sum xs - u) + b (u - sum zs))
-                   + sum ln K(x - y_j) + sum ln K(y_j - z))
-
-    for (a, b) = labels, x in xs, z in zs and mu the measure growth rate,
-    which the caller takes out again: compensating it here keeps the outer
-    integrand finite on slowly decaying (regularized) tails.  window =
-    (l_neg, l_pos, s_mid, tail) cuts u to [-v + 2 min - l_neg, v + 2 max +
-    l_pos] over the kernel centers; a signed plane-factor rate s_mid between
-    the bumps at u ~ -v and u ~ +v suppresses one of them, whose window is
-    then dropped for large v.  The integrals of all v run as one batch.
+    for u = y1 + y2, (a, b) = labels, x in xs, z in zs and f an optional
+    handle: inner integrals over u, batched per array of v = y1 - y2, and an
+    outer one over v >= 0.  All but a generic f is even in v; a generic f
+    enters as (f(y1, y2) + f(y2, y1)) / 2 and adds half its per-axis rates,
+    a factored one adds its label_plus to b and its profile on the v axis.
+    With n = len(xs) + len(zs) and s = kappa Im(b - a) the u rates are
+    n k_rate +- s and the v rate n k_rate - mu_rate - |s|: between the kernel
+    bumps at u ~ -+v the plane factor decays at the signed rate s, which
+    (generic f aside) drops one bump's window for large v.  The inner
+    integrals carry e^(mu_rate v), taken out again on the v axis, so the
+    outer integrand stays finite on slowly decaying tails.
     """
     a, b = labels
-    xsum, zsum = sum(xs), sum(zs)
-    lo_c, hi_c = 2.0 * min(xs + zs), 2.0 * max(xs + zs)
-    l_neg, l_pos, s_mid, tail = window
-
-    def g(u, k):
-        vk = v[k]
-        ys = (0.5 * (u + vk), 0.5 * (u - vk))
-        diffs = [x - y for x in xs for y in ys] + [y - z for y in ys for z in zs]
-        ln_kern = sum(ops.ln_kernel(d) for d in diffs)
-        plane = 1j * ops.kappa * (a * (xsum - u) + b * (u - zsum))
-        return np.exp(ops.mu_rate * vk + plane + ln_kern)
-
-    lo = -v + lo_c - l_neg
-    hi = v + hi_c + l_pos
-    if s_mid > 1e-12:
-        hi = np.minimum(hi, -v + hi_c + tail / s_mid)
-    elif s_mid < -1e-12:
-        lo = np.maximum(lo, v + lo_c - tail / (-s_mid))
-    return _adaptive_many(g, lo, hi, spec, freq, v.size, 2.0 * cap)
-
-
-def _apply_q2_factored(
-    spec: OperatorSpec, f: FunctionHandle, at: tuple[float, float], q: QuadSpec
-) -> complex:
-    """Two-variable operator on a symmetric factored input, in rotated
-    coordinates u = y1 + y2, v = y1 - y2 (outer integral over v >= 0)."""
-    ops = _Ops(spec.family, spec.dual, spec.coupling)
-    lam = spec.spectral
     kap = ops.kappa
-    meta = f.meta
-    rho_plus = meta["label_plus"]
-    profile = meta["profile"]
-    phi_rate = meta["profile_rate"]
-
-    # inner (u) direction: four kernels at slope k/2 each, plane factors
-    u_rate_pos = 2.0 * ops.k_rate + kap * (rho_plus.imag - lam.imag)
-    u_rate_neg = 2.0 * ops.k_rate - kap * (rho_plus.imag - lam.imag)
-    # outer (v) direction: binding along the diagonal bumps u ~ +-v
-    v_rate = 2.0 * ops.k_rate - ops.mu_rate + phi_rate - kap * abs(lam.imag)
+    centers = [*xs, *zs]
+    generic = f is not None and f.kind != "factored_pair"
+    h_pos = h_neg = h_v = h_freq = 0.0
+    profile = lambda v: 1.0
+    if generic:
+        env = f.envelope
+        centers.append(env.center)
+        h_pos, h_neg = 0.5 * env.rate_pos, 0.5 * env.rate_neg
+        h_v, h_freq = min(h_pos, h_neg), env.freq
+    elif f is not None:
+        meta = f.meta
+        b = b + meta["label_plus"]
+        profile, h_v, h_freq = meta["profile"], meta["profile_rate"], meta["profile_freq"]
+    n = len(xs) + len(zs)
+    s = kap * (b - a).imag
+    u_rate_pos = n * ops.k_rate + s + h_pos
+    u_rate_neg = n * ops.k_rate - s + h_neg
+    v_rate = n * ops.k_rate - ops.mu_rate - abs(s) + h_v
     _require_positive(u_rate_pos, u_rate_neg, v_rate)
-
-    u_freq = kap * abs((lam - rho_plus).real) + meta.get("profile_freq", 0.0)
-    v_freq = kap * (abs(lam.real) + abs(rho_plus.real)) + meta.get("profile_freq", 0.0)
-    v_max = _tail(q) / v_rate
-    cap = 1.6 * kernel_pole_distance(spec.family, ops.kernel_coupling)
-    # between the kernel bumps at u ~ -v and u ~ +v the plane factors decay at
-    # this signed rate; one of the bumps is then exponentially suppressed and
-    # its window can be dropped for large v
-    s_mid = kap * (rho_plus.imag - lam.imag)
-    window = (_tail(q) / u_rate_neg, _tail(q) / u_rate_pos, s_mid, _tail(q))
+    tail = _tail(q)
+    u_freq = kap * abs((b - a).real) + h_freq
+    v_freq = kap * (abs(a.real) + abs(b.real)) + h_freq
+    # along u and v each kernel varies at half its rate, so its poles are twice as far
+    cap = 2.0 * 1.6 * kernel_pole_distance(ops.family, ops.kernel_coupling)
+    drop = 0.0 if generic else s
+    xsum, zsum = sum(xs), sum(zs)
+    lo_c, hi_c = 2.0 * min(centers), 2.0 * max(centers)
 
     def outer(v):
-        vals = _rotated_inner(ops, at, (), (lam, rho_plus), v, window, q.split(), u_freq, cap)
+        v = np.asarray(v, dtype=float).ravel()  # as in quad.integrate_plane
+
+        def g(u, k):
+            vk = v[k]
+            ys = (0.5 * (u + vk), 0.5 * (u - vk))
+            diffs = [x - y for x in xs for y in ys] + [y - z for y in ys for z in zs]
+            ln_kern = sum(ops.ln_kernel(d) for d in diffs)
+            plane = 1j * kap * (a * (xsum - u) + b * (u - zsum))
+            out = np.exp(ops.mu_rate * vk + plane + ln_kern)
+            return out * (0.5 * (f.fn(*ys) + f.fn(*ys[::-1]))) if generic else out
+
+        lo = -v + lo_c - tail / u_rate_neg
+        hi = v + hi_c + tail / u_rate_pos
+        if drop > 1e-12:
+            hi = np.minimum(hi, -v + hi_c + tail / drop)
+        elif drop < -1e-12:
+            lo = np.maximum(lo, v + lo_c - tail / (-drop))
+        vals = _adaptive_many(g, lo, hi, q.split(), u_freq, v.size, cap)
         comp = np.exp(ops.ln_measure(v) - ops.mu_rate * v)
         return ops.two_pi_inv**2 * comp * (profile(v) * vals)
 
-    return _adaptive(outer, 0.0, v_max, q, v_freq, 2.0 * cap)
+    return _adaptive(outer, 0.0, tail / v_rate, q, v_freq, cap)
 
 
-def _apply_q2_generic(
-    spec: OperatorSpec, f: FunctionHandle, at: tuple[float, float], q: QuadSpec
-) -> complex:
-    ops = _Ops(spec.family, spec.dual, spec.coupling)
-    lam = spec.spectral
-    kap = ops.kappa
-    x1, x2 = at
-    env = f.envelope
-    # worst-case per-axis envelope: measure growth charged fully to each axis
-    rate_pos = 2.0 * ops.k_rate - ops.mu_rate + env.rate_pos - kap * lam.imag
-    rate_neg = 2.0 * ops.k_rate - ops.mu_rate + env.rate_neg + kap * lam.imag
-    _require_positive(rate_pos, rate_neg)
-    lo = min(x1, x2, env.center) - _tail(q) / rate_neg
-    hi = max(x1, x2, env.center) + _tail(q) / rate_pos
-    freq = kap * abs(lam.real) + env.freq
-    inner_spec = q.split()
-    cap = 1.6 * kernel_pole_distance(spec.family, ops.kernel_coupling)
-    phase = 1j * kap * lam
-    xsum = x1 + x2
-
-    def outer(y2):
-        y2 = np.asarray(y2, dtype=float).ravel()  # as in quad.integrate_plane
-
-        def inner(y1, k):
-            y2k = y2[k]
-            diffs = (x1 - y1, x1 - y2k, x2 - y1, x2 - y2k)
-            ln_kern = sum(ops.ln_kernel(d) for d in diffs)
-            ln = ops.ln_measure(y1 - y2k) + phase * (xsum - y1 - y2k) + ln_kern
-            return np.exp(ln) * f.fn(y1, y2k)
-
-        return _adaptive_many(inner, lo, hi, inner_spec, freq, y2.size, cap)
-
-    return ops.two_pi_inv**2 * _adaptive(outer, lo, hi, q, freq, cap)
+def _point(at, shape: tuple):
+    """``at`` as floats (lists for pairs); DomainError unless finite and of this shape."""
+    try:
+        p = np.asarray(at, dtype=float)
+    except (TypeError, ValueError):
+        p = None
+    if p is None or p.shape != shape or not np.isfinite(p).all():
+        raise DomainError(f"evaluation point {at!r} is not a finite point of shape {shape}")
+    return p.tolist()
 
 
 def apply_Q(spec: OperatorSpec, f: FunctionHandle, at, q: QuadSpec = QuadSpec()) -> complex:
     """[Q f] at one point (arity 1: at is a float; arity 2: a pair)."""
+    ops = _Ops(spec.family, spec.dual, spec.coupling)
     if spec.arity == 1:
-        ops = _Ops(spec.family, spec.dual, spec.coupling)
-        return _kernel_line(ops, (float(at),), (), (spec.spectral, 0.0), q, f)
-    x1, x2 = at
-    if f.kind == "factored_pair":
-        return _apply_q2_factored(spec, f, (float(x1), float(x2)), q)
-    return _apply_q2_generic(spec, f, (float(x1), float(x2)), q)
+        return _kernel_line(ops, (_point(at, ()),), (), (spec.spectral, 0.0), q, f)
+    return _kernel_plane(ops, tuple(_point(at, (2,))), (), (spec.spectral, 0.0), q, f)
 
 
 def apply_Lambda(
@@ -403,7 +374,7 @@ def apply_Lambda(
 ) -> complex:
     """Raising operator at a pair of points: one integral, no measure factor."""
     ops = _Ops(spec.family, spec.dual, spec.coupling)
-    return _kernel_line(ops, (float(at[0]), float(at[1])), (), (spec.spectral, 0.0), q, f)
+    return _kernel_line(ops, tuple(_point(at, (2,))), (), (spec.spectral, 0.0), q, f)
 
 
 # ---------------------------------------------------------------------------
@@ -452,14 +423,19 @@ def pair_transform(
     8 / max(kappa |delta|, 1) for the cosine.  The edges do not depend on v:
     each v takes those below |v|/2, its last panel ending at y = 0.  Nodes
     reach the kernel in calls of at most _CALL_NODES, unless one v needs more.
+    An empty v gives an empty array; a non-finite v or delta raises DomainError.
     """
+    w = np.asarray(v, dtype=float)
+    if not (np.isfinite(w).all() and np.isfinite(complex(delta))):
+        raise DomainError("pair_transform needs a finite delta and finite v")
+    if w.size == 0:
+        return np.empty(w.shape, dtype=complex)
     kind = KernelFamily(kind)
     ops = _Ops(kind, kind is not KernelFamily.HYPERBOLIC, c_kernel)
     kd = ops.kappa * complex(delta)
     rate = 2.0 * ops.k_rate - abs(kd.imag)
     _require_positive(rate)
     kd = kd if kd.imag else kd.real  # a real cosine for real delta
-    w = np.asarray(v, dtype=float)
     hw = 0.5 * abs(float(w)) if w.ndim == 0 else 0.5 * np.abs(w.ravel())
     cap = 8.0 / max(abs(kd), 1.0)
     h0 = min(8.0 / max(abs(kd), ops.k_rate, 1.0), 1.6 * kernel_pole_distance(kind, c_kernel))
@@ -509,37 +485,12 @@ def qq_convolution_kernel(
     outside it DivergenceError is raised.
     """
     ops = _Ops(spec.family, spec.dual, spec.coupling)
-    first = complex(first)
-    second = complex(second)
+    labels = (complex(first), complex(second))
     if spec.arity == 1:
-        x, z = float(endpoints[0]), float(endpoints[1])
-        return _kernel_line(ops, (x,), (z,), (first, second), q)
-
-    kap = ops.kappa
-    dimag = kap * (second - first).imag
-    (x1, x2), (z1, z2) = endpoints
-    # u = y1 + y2, v = y1 - y2; integrand symmetric in v
-    u_rate_pos = 4.0 * ops.k_rate + dimag
-    u_rate_neg = 4.0 * ops.k_rate - dimag
-    v_rate = 4.0 * ops.k_rate - ops.mu_rate - abs(dimag)
-    _require_positive(u_rate_pos, u_rate_neg, v_rate)
-    v_max = _tail(q) / v_rate
-    freq = kap * (abs(first.real) + abs(second.real))
-    cap = 1.6 * kernel_pole_distance(spec.family, ops.kernel_coupling)
-    outer_measure = np.exp(ops.ln_measure(z1 - z2))
-    window = (_tail(q) / u_rate_neg, _tail(q) / u_rate_pos, 0.0, _tail(q))
-
-    def outer(v):
-        vals = _rotated_inner(
-            ops, (x1, x2), (z1, z2), (first, second), v, window, q.split(), freq, cap
-        )
-        return np.exp(ops.ln_measure(v) - ops.mu_rate * v) * vals
-
-    return (
-        ops.two_pi_inv**2
-        * outer_measure
-        * _adaptive(outer, 0.0, v_max, q, freq, 2.0 * cap)
-    )
+        x, z = _point(endpoints, (2,))
+        return _kernel_line(ops, (x,), (z,), labels, q)
+    (x1, x2), (z1, z2) = _point(endpoints, (2, 2))
+    return np.exp(ops.ln_measure(z1 - z2)) * _kernel_plane(ops, (x1, x2), (z1, z2), labels, q)
 
 
 _EXCHANGE_SHIFT = {
@@ -587,7 +538,7 @@ def qlambda_exchange_check(
     rho_shifted = rho + _EXCHANGE_SHIFT[family](c)
 
     if family is KernelFamily.HYPERBOLIC:
-        x1, x2 = float(at[0]), float(at[1])
+        x1, x2 = _point(at, (2,))
         lam1 = complex(test_label)
         delta = lam1 - rho_shifted
         prof_rate = pair_transform_rate(family, c, delta)
@@ -608,12 +559,9 @@ def qlambda_exchange_check(
         return lhs, rhs
 
     # one-variable relation: [Q1 e^(i kappa rho' .)](at) = q(., rho') e^(i kappa rho' at)
-    lam0 = float(at)
-    dual = True
-    spec1 = OperatorSpec(family, 1, dual, c, lam)
+    lam0 = _point(at, ())
     pw = plane_wave(rho_shifted, family, c)
-    lhs = apply_Q(spec1, pw, lam0, q)
-    ops = _Ops(family, dual, c)
-    kap = ops.kappa
-    rhs = ops.eigen(lam, rho_shifted) * complex(np.exp(1j * kap * rho_shifted * lam0))
+    lhs = apply_Q(OperatorSpec(family, 1, True, c, lam), pw, lam0, q)
+    ops = _Ops(family, True, c)
+    rhs = ops.eigen(lam, rho_shifted) * complex(np.exp(1j * ops.kappa * rho_shifted * lam0))
     return lhs, rhs

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ContinuationError, DomainError, KernelPoleError
-from .kernels import Coupling, KernelFamily, exponent_scale, measure_hyperbolic
+from .kernels import Coupling, KernelFamily, exponent_scale
 from .operators import (
     FunctionHandle,
     _kernel_line,
@@ -44,7 +44,6 @@ __all__ = [
     "momentum_residual",
     "dual_difference_residual",
     "DualResiduals",
-    "sutherland_gauge",
     "eigenfunction_handle",
 ]
 
@@ -182,16 +181,6 @@ def psi_factored(
     Psi(x1,x2) = e^(i(l1+l2)(x1+x2)/2) psi_((l1-l2)/2)(x1-x2).
     """
     return complex(pair_transform(KernelFamily.HYPERBOLIC, c, 2.0 * lam, x, q))
-
-
-def sutherland_gauge(
-    sp: SpectralPoint,
-    pp: PositionPoint,
-    c: Coupling,
-    q: QuadSpec = QuadSpec(),
-) -> complex:
-    """sinh^g|x1-x2| times the position-side wave function."""
-    return complex(measure_hyperbolic(pp.delta, Coupling(c.g / 2.0)) * psi_hr(sp, pp, c, q=q))
 
 
 # ---------------------------------------------------------------------------

@@ -21,3 +21,20 @@ def s2_t_nodes(monkeypatch):
 
     monkeypatch.setattr(S, "_panels_on", counted)
     return sizes
+
+
+@pytest.fixture
+def gk_nodes(monkeypatch):
+    """Integrand nodes of the Gauss-Kronrod batches evaluated while the test
+    runs, one count per batch."""
+    from hypq import quad
+
+    sizes = []
+    batch = quad._gk_batch
+
+    def counted(f, lo, hi, own):
+        sizes.append(lo.size * quad._K_NODES.size)
+        return batch(f, lo, hi, own)
+
+    monkeypatch.setattr(quad, "_gk_batch", counted)
+    return sizes

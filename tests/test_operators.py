@@ -34,6 +34,8 @@ from oracles import trapezoid_oracle_2d
 HYP, GAM, REL = KernelFamily.HYPERBOLIC, KernelFamily.GAMMA, KernelFamily.RELATIVISTIC
 Q = QuadSpec()
 P12 = Periods(1.0, math.sqrt(2.0))
+_GAUSS2 = FunctionHandle(lambda y1, y2: np.exp(-y1 * y1 - y2 * y2), Envelope(1.5, 1.5))
+_PW = plane_wave(0.1, HYP, Coupling(1.0))
 
 
 class TestOperatorSpec:
@@ -169,6 +171,32 @@ class TestTwoVariable:
         oracle = trapezoid_oracle_2d(full, 18.0, 3001)
         assert abs(got - oracle) < 2e-7
 
+    def test_q2_generic_work_ceiling(self, gk_nodes):
+        # the generic input is folded onto v = y1 - y2 >= 0 like the factored
+        # ones: 90,885 nodes here, where per-axis (y1, y2) panels took 227,460
+        spec = OperatorSpec(HYP, 2, False, Coupling(1.0), 0.0)
+        h = FunctionHandle(lambda y1, y2: np.exp(-y1 * y1 - y2 * y2), Envelope(1.5, 1.5))
+        assert abs(apply_Q(spec, h, (0.0, 0.0), Q) - 1.7195589569512637) <= 1e-12
+        assert 0 < sum(gk_nodes) <= 110_000
+
+    def test_q2_generic_asymmetric_vs_oracle(self):
+        # a handle that is not symmetric in (y1, y2), off center, at a complex
+        # spectral value: the fold onto v = y1 - y2 >= 0 takes its symmetric part
+        c = Coupling(1.0)
+        lam = 0.3 - 0.1j
+        at = (0.2, -0.4)
+        f = lambda y1, y2: np.exp(-((y1 - 1.0) ** 2) - 2.0 * (y2 - 0.4) ** 2 + 0.3j * y1)
+        h = FunctionHandle(f, Envelope(1.0, 1.0, center=0.7, freq=0.3))
+        got = apply_Q(OperatorSpec(HYP, 2, False, c, lam), h, at, Q)
+
+        def full(y1, y2):
+            kern = kernel_K(at[0] - y1, c) * kernel_K(at[0] - y2, c)
+            kern = kern * kernel_K(at[1] - y1, c) * kernel_K(at[1] - y2, c)
+            phase = np.exp(1j * lam * (at[0] + at[1] - y1 - y2))
+            return measure_hyperbolic(y1 - y2, c) * kern * phase * f(y1, y2)
+
+        assert abs(got - trapezoid_oracle_2d(full, 14.0, 601)) <= 1e-9 * abs(got)
+
     def test_q2_generic_scalar_only_handle(self):
         # a handle that takes no arrays is mapped node by node and gives the
         # value of the array handle
@@ -247,7 +275,54 @@ class TestTwoVariable:
         assert abs(got - direct) <= 1e-10 * abs(direct)
 
 
+class TestPointShapes:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: apply_Q(OperatorSpec(HYP, 2, False, Coupling(1.0), 0.2), _GAUSS2, 0.3, Q),
+            lambda: apply_Q(OperatorSpec(HYP, 2, False, Coupling(1.0), 0.2), _GAUSS2, (0.3, 0.1, 0.2), Q),
+            lambda: apply_Q(OperatorSpec(HYP, 1, False, Coupling(1.0), 0.2), _PW, (0.3, 0.1), Q),
+            lambda: apply_Q(OperatorSpec(HYP, 1, False, Coupling(1.0), 0.2), _PW, 0.3 + 0.1j, Q),
+            lambda: apply_Q(OperatorSpec(HYP, 1, False, Coupling(1.0), 0.2), _PW, math.nan, Q),
+            lambda: apply_Lambda(OperatorSpec(HYP, 2, False, Coupling(1.0), 0.2), _PW, 0.3, Q),
+            lambda: apply_Lambda(OperatorSpec(HYP, 2, False, Coupling(1.0), 0.2), _PW, "ab", Q),
+            lambda: qq_convolution_kernel(
+                OperatorSpec(HYP, 2, False, Coupling(1.0), 0.0), 0.4, -0.3, (0.3, -0.5), Q
+            ),
+            lambda: qq_convolution_kernel(
+                OperatorSpec(HYP, 1, False, Coupling(1.0), 0.0), 0.4, -0.3, ((0.3, 0.1), 0.2), Q
+            ),
+            lambda: qlambda_exchange_check(HYP, 0.5, 0.2 + 0.5j, 0.3, Coupling(1.0), Q),
+            lambda: qlambda_exchange_check(GAM, 0.3, 0.1 + 0.4j, (0.7, 0.1), Coupling(1.0), Q),
+        ],
+        ids=[
+            "Q2-float", "Q2-triple", "Q1-pair", "Q1-complex", "Q1-nan", "Lambda-float",
+            "Lambda-string", "QQ2-flat", "QQ1-ragged", "qlambda2-float", "qlambda1-pair",
+        ],
+    )
+    def test_mismatched_point_is_domain_error(self, call):
+        with pytest.raises(DomainError):
+            call()
+
+
 class TestPairTransform:
+    @pytest.mark.parametrize(
+        "v", [[], math.nan, [1.0, math.nan], math.inf], ids=["empty", "nan", "one-nan", "inf"]
+    )
+    def test_degenerate_separations(self, v):
+        # an empty v has an empty profile; a non-finite one has none
+        c = Coupling(1.0)
+        if np.size(v) == 0:
+            assert pair_transform(HYP, c, 0.5, np.array(v), Q).shape == (0,)
+            return
+        with pytest.raises(DomainError):
+            pair_transform(HYP, c, 0.5, v, Q)
+
+    @pytest.mark.parametrize("delta", [math.nan, complex(0.5, math.inf)])
+    def test_non_finite_delta(self, delta):
+        with pytest.raises(DomainError):
+            pair_transform(GAM, Coupling(1.0), delta, 0.3, Q)
+
     def test_elementary_value(self):
         assert abs(pair_transform(HYP, Coupling(1.0), 0.0, 0.0, Q) - 2.0) < 1e-12
 

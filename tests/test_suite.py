@@ -16,6 +16,7 @@ from hypq.suite import (
     check_delta_sequence,
     check_g1_determinant_route,
     check_orthogonality_coefficient,
+    check_qlambda,
     check_qq_commutativity,
     check_reduction,
     q2_kernel_det_route,
@@ -247,23 +248,32 @@ class TestDeltaSequences:
 
     @pytest.mark.parametrize(
         "name,ceiling",
-        [("delta_n2_vandermonde", 6_300_000), ("delta_n2_power", 6_700_000)],
+        [
+            ("delta_n2_vandermonde", 6_300_000),
+            ("delta_n2_power", 6_700_000),
+            ("qq_n2_gamma", 120_000),
+            ("eigen_n2_relativistic", 115_000),
+            ("scalar_chain_gamma", 760_000),
+            ("qlambda_hyperbolic", 193_000),
+        ],
     )
-    def test_n2_work_ceiling(self, monkeypatch, name, ceiling):
-        # integrand nodes of the whole three-step check; the unfolded (u, v)
-        # plane took 10.67 M (Vandermonde) and 11.34 M (power)
-        from hypq import quad
-
-        nodes = [0]
-        gk_batch = quad._gk_batch
-
-        def counted(f, lo, hi, own):
-            nodes[0] += lo.size * quad._K_NODES.size
-            return gk_batch(f, lo, hi, own)
-
-        monkeypatch.setattr(quad, "_gk_batch", counted)
+    def test_n2_work_ceiling(self, gk_nodes, name, ceiling):
+        # integrand nodes of the whole check, about 1.2 times the count of the
+        # folded two-fold integrals: 100,560 (qq_n2_gamma), 95,820
+        # (eigen_n2_relativistic), 633,345 (scalar_chain_gamma) and 160,710
+        # (qlambda_hyperbolic); the unfolded (u, v) plane of the delta checks
+        # took 10.67 M (Vandermonde) and 11.34 M (power)
         assert all(r.passed for r in run_suite([name]))
-        assert 0 < nodes[0] <= ceiling
+        assert 0 < sum(gk_nodes) <= ceiling
+
+
+class TestQLambda:
+    def test_hyperbolic_value_independent_of_truncation(self):
+        # the v axis must be cut at a rate that counts the plane factor of the
+        # complex label_plus; a cut that ignored Im(label_plus) left the value
+        # 9.55e-12 off the one at doubled tails
+        wide = check_qlambda(HYP, QuadSpec(truncation_safety=3.0))
+        assert abs(check_qlambda(HYP).lhs - wide.lhs) <= 1e-12
 
 
 class TestQQCommutativity:

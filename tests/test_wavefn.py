@@ -17,7 +17,6 @@ from hypq.wavefn import (
     psi_hr,
     psi_mb,
     schrodinger_residual,
-    sutherland_gauge,
 )
 
 from _frozen import PSI_HR_G1_SAMPLE
@@ -203,12 +202,11 @@ class TestFactoredForm:
         assert abs(psi_factored(0.0, 0.0, C1, Q) - 2.0) < 1e-12
 
     def test_sutherland_variant_real(self):
-        # l1 + l2 = 0 and x1 + x2 = 0 remove the plane-wave phase: the gauge
-        # is sinh|x1 - x2| times the real separation profile
-        v = sutherland_gauge(SpectralPoint(0.35, -0.35), PositionPoint(0.55, -0.55), C1, Q)
+        # l1 + l2 = 0 and x1 + x2 = 0 remove the plane-wave phase: the wave
+        # function is the real separation profile
+        v = psi_hr(SpectralPoint(0.35, -0.35), PositionPoint(0.55, -0.55), C1, HYP, Q)
         assert abs(v.imag) < 1e-12
-        plain = psi_factored(0.35, 1.1, C1, Q)
-        assert abs(v - math.sinh(1.1) * plain) < 1e-12
+        assert abs(v - psi_factored(0.35, 1.1, C1, Q)) < 1e-12
 
 
 class TestAsymptotics:
@@ -272,17 +270,17 @@ class TestEquationResiduals:
         assert c1s == c2 and c1 != c2
 
 
-class TestSutherlandGauge:
-    def test_vanishes_at_coincidence(self):
-        assert sutherland_gauge(SP, PositionPoint(0.4, 0.4), C1, Q) == 0.0
-
-    def test_ratio(self):
-        pp = PositionPoint(0.5, -0.5)
-        a = sutherland_gauge(SP, pp, C1, Q)
-        b = psi_hr(SP, pp, C1, HYP, Q)
-        assert abs(a / b - math.sinh(1.0)) < 1e-12
-
-    def test_reality_after_phase_removal(self):
-        # the separation profile in the gauge is real for real data at g = 1
-        v = sutherland_gauge(SpectralPoint(0.45, -0.45), PositionPoint(0.4, -0.4), C1, Q)
-        assert abs(v.imag) <= 1e-12 * abs(v)
+class TestNonFinitePositions:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: psi_hr(SP, PositionPoint(math.nan, 0.2), C1, HYP, Q),
+            lambda: psi_factored(0.35, math.nan, C1, Q),
+            lambda: psi_mb(SP, PositionPoint(0.1, math.nan), C1, GAM, Q),
+            lambda: psi_hr(SpectralPoint(0.4 + 0.1j, -0.3), PositionPoint(math.nan, 0.2), C1, HYP, Q),
+        ],
+        ids=["psi_hr", "psi_factored", "psi_mb", "psi_hr-complex"],
+    )
+    def test_nan_position_is_domain_error(self, call):
+        with pytest.raises(DomainError):
+            call()
