@@ -36,6 +36,7 @@ Q = QuadSpec()
 P12 = Periods(1.0, math.sqrt(2.0))
 _GAUSS2 = FunctionHandle(lambda y1, y2: np.exp(-y1 * y1 - y2 * y2), Envelope(1.5, 1.5))
 _PW = plane_wave(0.1, HYP, Coupling(1.0))
+_Q1, _Q2 = (OperatorSpec(HYP, n, False, Coupling(1.0), 0.2) for n in (1, 2))
 
 
 class TestOperatorSpec:
@@ -279,19 +280,15 @@ class TestPointShapes:
     @pytest.mark.parametrize(
         "call",
         [
-            lambda: apply_Q(OperatorSpec(HYP, 2, False, Coupling(1.0), 0.2), _GAUSS2, 0.3, Q),
-            lambda: apply_Q(OperatorSpec(HYP, 2, False, Coupling(1.0), 0.2), _GAUSS2, (0.3, 0.1, 0.2), Q),
-            lambda: apply_Q(OperatorSpec(HYP, 1, False, Coupling(1.0), 0.2), _PW, (0.3, 0.1), Q),
-            lambda: apply_Q(OperatorSpec(HYP, 1, False, Coupling(1.0), 0.2), _PW, 0.3 + 0.1j, Q),
-            lambda: apply_Q(OperatorSpec(HYP, 1, False, Coupling(1.0), 0.2), _PW, math.nan, Q),
-            lambda: apply_Lambda(OperatorSpec(HYP, 2, False, Coupling(1.0), 0.2), _PW, 0.3, Q),
-            lambda: apply_Lambda(OperatorSpec(HYP, 2, False, Coupling(1.0), 0.2), _PW, "ab", Q),
-            lambda: qq_convolution_kernel(
-                OperatorSpec(HYP, 2, False, Coupling(1.0), 0.0), 0.4, -0.3, (0.3, -0.5), Q
-            ),
-            lambda: qq_convolution_kernel(
-                OperatorSpec(HYP, 1, False, Coupling(1.0), 0.0), 0.4, -0.3, ((0.3, 0.1), 0.2), Q
-            ),
+            lambda: apply_Q(_Q2, _GAUSS2, 0.3, Q),
+            lambda: apply_Q(_Q2, _GAUSS2, (0.3, 0.1, 0.2), Q),
+            lambda: apply_Q(_Q1, _PW, (0.3, 0.1), Q),
+            lambda: apply_Q(_Q1, _PW, 0.3 + 0.1j, Q),
+            lambda: apply_Q(_Q1, _PW, math.nan, Q),
+            lambda: apply_Lambda(_Q2, _PW, 0.3, Q),
+            lambda: apply_Lambda(_Q2, _PW, "ab", Q),
+            lambda: qq_convolution_kernel(_Q2, 0.4, -0.3, (0.3, -0.5), Q),
+            lambda: qq_convolution_kernel(_Q1, 0.4, -0.3, ((0.3, 0.1), 0.2), Q),
             lambda: qlambda_exchange_check(HYP, 0.5, 0.2 + 0.5j, 0.3, Coupling(1.0), Q),
             lambda: qlambda_exchange_check(GAM, 0.3, 0.1 + 0.4j, (0.7, 0.1), Coupling(1.0), Q),
         ],
