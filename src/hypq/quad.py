@@ -160,7 +160,9 @@ def _eval_batch(f: Callable, x: np.ndarray, each: Callable | None = None) -> np.
 
     If f fails on the array, node i is evaluated alone, as each(i) when given
     (for an integrand that needs more than the abscissa), else as f(x[i]).
-    A HypqError from f is its verdict on these abscissae and propagates.
+    A HypqError from f is its verdict on these abscissae and propagates; a
+    TypeError or ValueError on a lone node, as from a function handle called
+    with the wrong number of arguments, raises DomainError.
     """
     try:
         y = np.asarray(f(x), dtype=complex)
@@ -171,7 +173,14 @@ def _eval_batch(f: Callable, x: np.ndarray, each: Callable | None = None) -> np.
     except (TypeError, ValueError):
         if each is None:
             each = lambda i: f(float(x[i]))
-        y = np.array([complex(each(i)) for i in range(x.size)])
+        try:
+            y = np.array([complex(each(i)) for i in range(x.size)])
+        except HypqError:
+            raise
+        except (TypeError, ValueError) as e:
+            raise DomainError(
+                f"integrand fails on a single abscissa, as a function of the wrong arity does: {e}"
+            ) from e
     if not np.isfinite(y).all():
         bad = np.flatnonzero(~np.isfinite(y))[0]
         raise NonFiniteSampleError(float(x[bad]))

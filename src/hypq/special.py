@@ -338,10 +338,10 @@ def double_sine(z: complex, p: Periods) -> complex:
 
     Exact 0 is returned at lattice zeros; LatticePoleError is raised at
     lattice poles.  Arguments outside the analytic strip are reduced with
-    the functional equations, shifting by the larger period; more than 64
-    shift steps triggers an ill-conditioning warning, and a non-finite z, or
-    |Re z| beyond 2^20 steps below the asymptotic region, is refused with
-    DomainError.
+    the functional equations, shifting by the larger period; a finite value
+    reached in more than 64 shift steps comes with an ill-conditioning
+    warning.  A non-finite z, or |Re z| beyond 2^20 steps below the
+    asymptotic region, is refused with DomainError.
     """
     z = complex(z)
     if not cmath.isfinite(z):
@@ -378,13 +378,6 @@ def double_sine(z: complex, p: Periods) -> complex:
         zn -= wmax
         log_factor -= np.log(2.0 * np.sin(np.pi * zn))
         steps += 1
-    if steps > 64:
-        warnings.warn(
-            f"double_sine used {steps} functional-equation steps; "
-            "result may be ill-conditioned",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     try:
         out = cmath.exp(log_factor + _log_s2_strip(zn, p.omega1 * s, p.omega2 * s))
         finite = math.isfinite(out.real) and math.isfinite(out.imag)
@@ -392,4 +385,11 @@ def double_sine(z: complex, p: Periods) -> complex:
         finite = False
     if not finite:
         raise GammaOverflowError(f"double_sine overflowed at z = {z!r}")
+    if steps > 64:
+        warnings.warn(
+            f"double_sine used {steps} functional-equation steps; "
+            "result may be ill-conditioned",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     return out

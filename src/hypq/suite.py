@@ -652,11 +652,17 @@ def check_delta_sequence(
     Deviations must decrease along the schedule, final below the pinned
     threshold.
 
-    For n = 2 the plane is integrated in u = x1 + x2, v = x1 - x2.  The
-    kernel is even in v (swapping x1 and x2 permutes its four factors), so
-    it sees only the symmetric part of f: the v axis runs over [0, L] with
-    the folded weight [f(x1, x2) + f(x2, x1)], which equals the full-line
-    integral for any test_fn at half the nodes.
+    For n = 2 the plane is integrated in u = x1 + x2, v = x1 - x2 over the
+    quadrant u >= y1 + y2, v >= 0, by two exact folds of the kernel K that
+    hold for any test_fn, each at half the nodes.  K is even in v (swapping
+    x1 and x2 permutes its four factors), so it sees only the symmetric part
+    F of f: v runs over [0, L] with the weight F = [f(x1, x2) + f(x2, x1)]/2.
+    The mirror u -> 2 (y1 + y2) - u sends (x1, x2) to (y1 + y2 - x2,
+    y1 + y2 - x1), each factor d - i eps to -conj(d - i eps) and the plane
+    phase to its conjugate, so K there is e^(4 pi i g) conj(K) (1 at g = 1,
+    e^(i pi g) per principal power otherwise): u runs over [y1 + y2, L'] with
+    K F + e^(4 pi i g) conj(K) F at the mirror point.  K is evaluated once
+    per node, F at both points.
     """
     if q is None:
         q = QuadSpec(rel_tol=1e-8, abs_tol=1e-10)
@@ -726,6 +732,9 @@ def check_delta_sequence(
         name = "delta_n2_power"
     tol = derived_threshold(name) if tol is None else tol
     ysum = y1 + y2
+    # the kernel at the mirror point u -> 2 ysum - u is this factor times the
+    # conjugate of the kernel at u
+    mirror = 1.0 if g == 1.0 else complex(np.exp(4j * math.pi * g))
     devs, plist = [], []
     for eps, reg in schedule.steps():
         # rotated coordinates: the oscillation e^(i reg (x1+x2)) lives on the
@@ -736,27 +745,36 @@ def check_delta_sequence(
             x1 = 0.5 * (u + v)
             x2 = 0.5 * (u - v)
             diffs = (x1 - y1, x1 - y2, x2 - y1, x2 - y2)
-            # the Jacobian 1/2 times the weight folded from v < 0 onto v > 0
-            folded = 0.5 * (f(x1, x2) + f(x2, x1))
             if g == 1.0:
-                weight = (x1 - x2) ** 2 / math.prod(d - 1j * eps for d in diffs)
-                return folded * np.exp(1j * reg * (u - ysum)) * weight
-            # per-factor principal powers (not a power of the product):
-            # prod_k (d_k - i eps)^(-g) = e^(-g sum_k (ln|f_k| + i arg f_k)),
-            # with real moduli and arguments of the factors f_k = d_k - i eps;
-            # the regulator power, this and the plane phase form one exp
-            ln_mod = 0.5 * np.log(math.prod(d * d + eps * eps for d in diffs))
-            arg = sum(np.arctan2(-eps, d) for d in diffs)
-            return folded * np.exp(
-                (2.0 * (1.0 - g) * math.log(reg) - g * ln_mod)
-                + 1j * (reg * (u - ysum) - g * arg)
-            )
+                kern = (
+                    np.exp(1j * reg * (u - ysum))
+                    * (x1 - x2) ** 2
+                    / math.prod(d - 1j * eps for d in diffs)
+                )
+            else:
+                # per-factor principal powers (not a power of the product):
+                # prod_k (d_k - i eps)^(-g) = e^(-g sum_k (ln|f_k| + i arg f_k)),
+                # with real moduli and arguments of the factors f_k = d_k - i eps;
+                # the regulator power, this and the plane phase form one exp
+                ln_mod = 0.5 * np.log(math.prod(d * d + eps * eps for d in diffs))
+                arg = sum(np.arctan2(-eps, d) for d in diffs)
+                kern = np.exp(
+                    (2.0 * (1.0 - g) * math.log(reg) - g * ln_mod)
+                    + 1j * (reg * (u - ysum) - g * arg)
+                )
+            # the Jacobian 1/2 times the weight folded from v < 0 onto v > 0,
+            # at (x1, x2) and at its mirror (ysum - x2, ysum - x1)
+            m1, m2 = ysum - x2, ysum - x1
+            near = 0.5 * (f(x1, x2) + f(x2, x1))
+            far = 0.5 * (f(m1, m2) + f(m2, m1))
+            return kern * near + mirror * np.conj(kern) * far
 
-        # the kernel is even in v: v < 0 is folded onto the half-line [0, L]
+        # the kernel is even in v and mirrors about u = ysum: the plane is
+        # folded onto the quadrant u >= ysum, v >= 0
         val = integrate_plane(
             fu,
-            DecayProfile(4.0, 4.0),  # u axis (Gaussian-dominated)
-            DecayProfile(4.0, math.inf),  # v axis, v >= 0
+            DecayProfile(4.0, math.inf, center=ysum),  # u axis (Gaussian-dominated)
+            DecayProfile(4.0, math.inf),  # v axis
             q,
             freq_hint1=reg,
             freq_hint2=0.5,

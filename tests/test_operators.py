@@ -302,6 +302,27 @@ class TestPointShapes:
             call()
 
 
+class TestHandleArity:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: apply_Q(_Q1, FunctionHandle(lambda a, b: np.exp(-a * a - b * b)), 0.3, Q),
+            lambda: apply_Lambda(
+                _Q2, FunctionHandle(lambda a, b: np.exp(-a * a - b * b)), (0.3, -0.1), Q
+            ),
+            lambda: apply_Q(
+                _Q2, FunctionHandle(lambda y: np.exp(-y * y), Envelope(1.0, 1.0)), (0.3, -0.1), Q
+            ),
+        ],
+        ids=["Q1-two-variable", "Lambda-two-variable", "Q2-one-variable"],
+    )
+    def test_wrong_arity_is_domain_error(self, call):
+        # the handle fails on arrays and again node by node; the error names
+        # the arguments the handle takes or misses
+        with pytest.raises(DomainError, match="positional argument"):
+            call()
+
+
 class TestPairTransform:
     @pytest.mark.parametrize(
         "v", [[], math.nan, [1.0, math.nan], math.inf], ids=["empty", "nan", "one-nan", "inf"]

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -238,11 +239,17 @@ class TestStripExtension:
         with pytest.warns(RuntimeWarning, match="functional-equation steps"):
             double_sine(-70.3 + 0.4j, p)
 
-    @pytest.mark.filterwarnings("ignore:double_sine used")
     def test_overflow_far_left_is_structured(self):
         # the shift loop's log factor overflows cmath.exp itself
         with pytest.raises(GammaOverflowError, match="double_sine overflowed"):
             double_sine(-1e4 + 0.3j, Periods(1.0, math.sqrt(2.0)))
+
+    def test_overflow_raises_without_warning(self):
+        # the ill-conditioning warning belongs to a returned value only
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GammaOverflowError):
+                double_sine(-1e4 + 0.3j, Periods(1.0, math.sqrt(2.0)))
 
     @staticmethod
     def _loop(z, p):

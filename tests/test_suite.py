@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypq.errors import DomainError, UnknownCheckError
 from hypq.kernels import Coupling, KernelFamily
 from hypq.quad import DecayProfile, QuadSpec, integrate_plane
-from hypq.special import Periods
+from hypq.special import Periods, complex_gamma
 from hypq.suite import (
     CheckResult,
     RegSchedule,
@@ -221,6 +221,27 @@ class TestDeltaSequences:
         with pytest.raises(DomainError):
             check_delta_sequence(3, 1.0)
 
+    @staticmethod
+    def _unfolded_deviation(f, g, eps, reg, y1, y2):
+        # the n = 2 deviation from the whole (u, v) plane, with no fold
+        def full(u, v):
+            x1, x2 = 0.5 * (u + v), 0.5 * (u - v)
+            kern = reg ** (2.0 * (1.0 - g)) * np.exp(1j * reg * (u - y1 - y2))
+            for d in (x1 - y1, x1 - y2, x2 - y1, x2 - y2):
+                kern = kern * (d - 1j * eps) ** (-g)
+            if g == 1.0:
+                kern = kern * (x1 - x2) ** 2
+            return 0.5 * f(x1, x2) * kern
+
+        d = DecayProfile(4.0, 4.0)
+        val = integrate_plane(
+            full, d, d, QuadSpec(rel_tol=1e-10, abs_tol=1e-12), freq_hint1=reg, freq_hint2=0.5
+        )
+        target = 4.0 * math.pi**2 * (f(y1, y2) + f(y2, y1))
+        if g != 1.0:
+            target *= np.exp(2j * math.pi * g) / complex_gamma(g) ** 2 / abs(y1 - y2) ** (2.0 * g)
+        return abs(val - target) / abs(target)
+
     def test_n2_fold_sees_asymmetric_test_function(self):
         # the v >= 0 fold equals the full (u, v) plane for an f that is not
         # symmetric under x1 <-> x2 (with f(x1, x2) in place of f(x2, x1) the
@@ -232,25 +253,29 @@ class TestDeltaSequences:
         rs = check_delta_sequence(
             2, 1.0, test_fn=f, schedule=RegSchedule((eps,), (reg,))
         )
+        ref = self._unfolded_deviation(f, 1.0, eps, reg, y1, y2)
+        assert abs(rs[0].abs_err - ref) <= 1e-8 * rs[0].abs_err
 
-        def full(u, v):
-            x1, x2 = 0.5 * (u + v), 0.5 * (u - v)
-            poles = (x1 - y1 - 1j * eps) * (x1 - y2 - 1j * eps)
-            poles = poles * (x2 - y1 - 1j * eps) * (x2 - y2 - 1j * eps)
-            return 0.5 * f(x1, x2) * np.exp(1j * reg * (u - y1 - y2)) * (x1 - x2) ** 2 / poles
+    @pytest.mark.parametrize("g", [1.0, 0.8])
+    def test_n2_mirror_at_general_point(self, g):
+        # the u axis is folded about u = y1 + y2 with the factor e^(4 pi i g)
+        # on the conjugate kernel; at y1 + y2 != 0 and with a complex f that
+        # has no symmetry of its own, this equals the unfolded (u, v) plane
+        def f(x1, x2):
+            return np.exp(-x1 * x1 - x2 * x2) * (1.0 + 0.3 * x1 + 0.2j * x2)
 
-        d = DecayProfile(4.0, 4.0)
-        val = integrate_plane(
-            full, d, d, QuadSpec(rel_tol=1e-10, abs_tol=1e-12), freq_hint1=reg, freq_hint2=0.5
+        eps, reg, y1, y2 = 4e-3, 10.0, 0.5, -0.2
+        rs = check_delta_sequence(
+            2, g, test_fn=f, schedule=RegSchedule((eps,), (reg,)), y=(y1, y2)
         )
-        target = 4.0 * math.pi**2 * (f(y1, y2) + f(y2, y1))
-        assert abs(rs[0].abs_err - abs(val - target) / abs(target)) <= 1e-8 * rs[0].abs_err
+        ref = self._unfolded_deviation(f, g, eps, reg, y1, y2)
+        assert abs(rs[0].abs_err - ref) <= 1e-8 * rs[0].abs_err
 
     @pytest.mark.parametrize(
         "name,ceiling",
         [
-            ("delta_n2_vandermonde", 6_300_000),
-            ("delta_n2_power", 6_700_000),
+            ("delta_n2_vandermonde", 3_050_000),
+            ("delta_n2_power", 3_250_000),
             ("qq_n2_gamma", 120_000),
             ("eigen_n2_relativistic", 115_000),
             ("scalar_chain_gamma", 760_000),
@@ -259,10 +284,11 @@ class TestDeltaSequences:
     )
     def test_n2_work_ceiling(self, gk_nodes, name, ceiling):
         # integrand nodes of the whole check, about 1.2 times the count of the
-        # folded two-fold integrals: 100,560 (qq_n2_gamma), 95,820
+        # folded two-fold integrals: 2,526,630 (delta_n2_vandermonde),
+        # 2,693,190 (delta_n2_power), 100,560 (qq_n2_gamma), 95,820
         # (eigen_n2_relativistic), 633,345 (scalar_chain_gamma) and 160,710
-        # (qlambda_hyperbolic); the unfolded (u, v) plane of the delta checks
-        # took 10.67 M (Vandermonde) and 11.34 M (power)
+        # (qlambda_hyperbolic); the delta checks took 10.67 M and 11.34 M on
+        # the unfolded (u, v) plane, then 5.22 M and 5.56 M folded in v only
         assert all(r.passed for r in run_suite([name]))
         assert 0 < sum(gk_nodes) <= ceiling
 
