@@ -76,6 +76,10 @@ class KernelFamily(str, enum.Enum):
     GAMMA = "gamma"
     RELATIVISTIC = "relativistic"
 
+    @classmethod
+    def _missing_(cls, value):
+        raise DomainError(f"unknown kernel family {value!r}; valid: {[f.value for f in cls]}")
+
 
 @dataclass(frozen=True)
 class Coupling:
@@ -441,6 +445,8 @@ def ln_measure_gamma(v, c: Coupling) -> np.ndarray:
 def measure(kind: KernelFamily, a: float, b: float, c: Coupling):
     """Two-variable operator measure of the given family at separation a - b."""
     kind = KernelFamily(kind)
+    if not np.isfinite(np.subtract(a, b)).all():
+        raise DomainError("measure needs finite arguments")
     if kind is KernelFamily.HYPERBOLIC:
         return measure_hyperbolic(a - b, c)
     if kind is KernelFamily.GAMMA:
@@ -466,36 +472,6 @@ def eigenvalue(kind: KernelFamily, spectral: complex, label: complex, c: Couplin
     return (
         math.sqrt(p.product) * double_sine(c.g, p) * kernel_Kg(z, c)
     )
-
-
-def kernel_decay_rate(kind: KernelFamily, c: Coupling) -> float:
-    """Envelope exponent of the family's kernel as the argument grows."""
-    kind = KernelFamily(kind)
-    if kind is KernelFamily.HYPERBOLIC:
-        return c.g
-    if kind is KernelFamily.GAMMA:
-        return 0.5 * math.pi
-    p = c.require_periods()
-    return math.pi * c.gstar() / p.product
-
-
-def measure_growth_rate(kind: KernelFamily, c: Coupling) -> float:
-    """Envelope exponent of the family's measure as the separation grows."""
-    return 2.0 * kernel_decay_rate(kind, c)
-
-
-def kernel_pole_distance(kind: KernelFamily, c: Coupling) -> float:
-    """Distance from the real axis to the nearest kernel singularity.
-
-    Quadrature panels spanning a kernel factor must stay below ~1.6x this
-    scale for the Gauss rules to converge at full order.
-    """
-    kind = KernelFamily(kind)
-    if kind is KernelFamily.HYPERBOLIC:
-        return 0.5 * math.pi
-    if kind is KernelFamily.GAMMA:
-        return c.g
-    return 0.5 * c.g
 
 
 def exponent_scale(kind: KernelFamily, c: Coupling) -> float:

@@ -8,23 +8,26 @@ with Kf the family kernel, kappa the plane-wave scale (1, 1, 2 pi/(omega1
 omega2)) and c0 = 1/(2 pi) for the gamma family.  The two-variable operators
 add the family measure on the integration variables and a second kernel
 factor per evaluation point; raising operators map one-variable functions to
-two-variable ones through a single integral.
+two-variable ones through a single integral.  Every fact that depends on the
+family (the coupling the kernel carries, ln-kernel and ln-measure, kappa, c0,
+decay rates, pole distance, spectral strip, eigenvalue) is set in one place,
+the per-family record _Ops.
 
 Operators evaluate pointwise against caller-supplied function handles; no
 discretized operator matrices are built.  The envelope of the composed
-integrand is computed mechanically from kernel decay, measure growth and the
-handle's declared envelope, and integration is refused (DivergenceError) when
-the combined rate is nonpositive.  Every integrand is formed as one
+integrand is computed mechanically from the record's rates and the handle's
+declared envelope, and integration is refused (DivergenceError) when the
+combined rate is nonpositive.  Every integrand is formed as one
 exp(sum ln K + sum ln mu + i kappa phase), so growing plane factors cancel
 against decaying kernels before anything is exponentiated.  Every one-fold
 integral (the one-variable operator, the raising operator, the one-variable
 QQ kernel and the direct wave-function routes of wavefn) is one
-kernel-product line integral, _kernel_line, which does that envelope work
-once.  Every two-fold integral (the two-variable operator on a factored or a
-generic input and the two-variable QQ kernel) is its twin, _kernel_plane,
-taken in center-of-mass/separation coordinates u = y1 + y2, v = y1 - y2,
-where the measure and a factored profile depend on v only; the inner u
-integrals of each array of v are advanced together.
+kernel-product line integral, _kernel_line.  Every two-fold integral (the
+two-variable operator on a factored or a generic input and the two-variable
+QQ kernel) is its twin, _kernel_plane, taken in center-of-mass/separation
+coordinates u = y1 + y2, v = y1 - y2, where the measure and a factored
+profile depend on v only; the inner u integrals of each array of v are
+advanced together.
 """
 from __future__ import annotations
 
@@ -40,16 +43,13 @@ from .kernels import (
     KernelFamily,
     eigenvalue,
     exponent_scale,
-    kernel_decay_rate,
     hatK_ln_evaluator,
     kernel_hatK,
-    kernel_pole_distance,
     kg_ln_evaluator,
     ln_cosh,
     ln_measure_gamma,
     ln_measure_hyperbolic,
     ln_measure_relativistic,
-    measure_growth_rate,
 )
 from .quad import _CALL_NODES, _GL16_NODES, _GL16_WEIGHTS, QuadSpec, _adaptive, _adaptive_many, _tail
 
@@ -64,7 +64,6 @@ __all__ = [
     "qq_convolution_kernel",
     "qlambda_exchange_check",
     "pair_transform",
-    "pair_transform_rate",
 ]
 
 
@@ -131,31 +130,46 @@ class OperatorSpec:
 
 
 class _Ops:
-    """Vectorized ln-kernel/ln-measure closures for one operator family instance;
-    integrands sum them with the plane-wave exponent and take one exp."""
+    """The per-family record of one operator, the one place that decides
+    what depends on the family (one constructor branch each):
+
+    kernel_coupling   relativistic non-dual operators carry the dual coupling
+    ln_kernel, ln_measure  vectorized logs, summed in integrands before one exp
+    kappa, two_pi_inv  plane-wave scale and the factor per integration variable
+    k_rate, mu_rate   kernel decay and measure growth rates (mu = 2 k)
+    pole              distance from the real axis to the nearest kernel pole
+                      (Gauss panels spanning a kernel stay below 1.6 pole)
+    strip             k_rate / kappa, the half-strip of plane-wave labels
+    eigen             the one-variable operator's plane-wave eigenvalue
+    """
 
     def __init__(self, family: KernelFamily, dual: bool, c: Coupling):
         family = KernelFamily(family)
         self.family = family
         self.kappa = exponent_scale(family, c)
+        self.two_pi_inv = 1.0
         if family is KernelFamily.HYPERBOLIC:
             kc = c
             self.ln_kernel = lambda x: -kc.g * ln_cosh(x)
             self.ln_measure = lambda v: ln_measure_hyperbolic(v, kc)
-            self.two_pi_inv = 1.0
+            self.k_rate = self.strip = kc.g
+            self.pole = 0.5 * math.pi
         elif family is KernelFamily.GAMMA:
             kc = c
             self.ln_kernel = hatK_ln_evaluator(kc.g)
             self.ln_measure = lambda v: ln_measure_gamma(v, kc)
             self.two_pi_inv = 1.0 / (2.0 * math.pi)
+            self.k_rate = self.strip = 0.5 * math.pi
+            self.pole = kc.g
         else:
             kc = c if dual else c.dual()
             self.ln_kernel = kg_ln_evaluator(kc)
             self.ln_measure = lambda v: ln_measure_relativistic(v, kc)
-            self.two_pi_inv = 1.0
+            self.k_rate = math.pi * kc.gstar() / kc.periods.product
+            self.strip = 0.5 * kc.gstar()
+            self.pole = 0.5 * kc.g
         self.kernel_coupling = kc
-        self.k_rate = kernel_decay_rate(family, kc)
-        self.mu_rate = measure_growth_rate(family, kc)
+        self.mu_rate = 2.0 * self.k_rate
 
     def eigen(self, spectral: complex, label: complex) -> complex:
         if self.family is KernelFamily.RELATIVISTIC:
@@ -184,25 +198,30 @@ def plane_wave(label: complex, family: KernelFamily, c: Coupling) -> FunctionHan
 
 def factored_pair_handle(
     family: KernelFamily,
-    c: Coupling,
+    c_kernel: Coupling,
     label_plus: complex,
-    profile: Callable,
-    profile_rate: float,
-    profile_freq: float = 0.0,
+    delta: complex,
+    q: QuadSpec = QuadSpec(),
 ) -> FunctionHandle:
-    """Symmetric two-variable handle e^(i kappa label_plus (y1+y2)) * profile(y1-y2).
+    """Two-variable eigenfunction e^(i kappa label_plus (y1+y2)) * phi(y1-y2),
 
-    ``profile`` must be vectorized and even; ``profile_rate`` its envelope
-    exponent in |y1 - y2|.
+    with the separation profile phi = pair_transform(family, c_kernel, delta,
+    .) of the kernel with coupling c_kernel; the profile decays at
+    k_rate - kappa |Im delta| / 2 and oscillates at kappa |Re delta| / 2.
     """
-    kappa = exponent_scale(family, c)
-    label_plus = complex(label_plus)
+    ops = _Ops(family, True, c_kernel)  # dual: c_kernel is the kernel's own coupling
+    kappa = ops.kappa
+    label_plus, delta = complex(label_plus), complex(delta)
+
+    def profile(v):
+        return pair_transform(family, c_kernel, delta, v, q)
 
     def fn(y1, y2):
         y1 = np.asarray(y1, dtype=float)
         y2 = np.asarray(y2, dtype=float)
         return np.exp(1j * kappa * label_plus * (y1 + y2)) * profile(y1 - y2)
 
+    profile_freq = 0.5 * kappa * abs(delta.real)
     env = Envelope(
         rate_pos=kappa * label_plus.imag,
         rate_neg=-kappa * label_plus.imag,
@@ -216,8 +235,8 @@ def factored_pair_handle(
         meta={
             "label_plus": label_plus,
             "profile": profile,
-            "profile_rate": float(profile_rate),
-            "profile_freq": float(profile_freq),
+            "profile_rate": ops.k_rate - 0.5 * kappa * abs(delta.imag),
+            "profile_freq": profile_freq,
         },
     )
 
@@ -273,8 +292,7 @@ def _kernel_line(ops, xs, zs, labels, q: QuadSpec, f: FunctionHandle | None = No
         out = ops.two_pi_inv * np.exp(plane + ln_kern)
         return out if f is None else out * f.fn(y)
 
-    cap = 1.6 * kernel_pole_distance(ops.family, ops.kernel_coupling)
-    return _adaptive(integrand, lo, hi, q, freq, cap)
+    return _adaptive(integrand, lo, hi, q, freq, 1.6 * ops.pole)
 
 
 def _kernel_plane(ops, xs, zs, labels, q: QuadSpec, f: FunctionHandle | None = None) -> complex:
@@ -320,7 +338,7 @@ def _kernel_plane(ops, xs, zs, labels, q: QuadSpec, f: FunctionHandle | None = N
     u_freq = kap * abs((b - a).real) + h_freq
     v_freq = kap * (abs(a.real) + abs(b.real)) + h_freq
     # along u and v each kernel varies at half its rate, so its poles are twice as far
-    cap = 2.0 * 1.6 * kernel_pole_distance(ops.family, ops.kernel_coupling)
+    cap = 2.0 * 1.6 * ops.pole
     drop = 0.0 if generic else s
     xsum, zsum = sum(xs), sum(zs)
     lo_c, hi_c = 2.0 * min(centers), 2.0 * max(centers)
@@ -382,13 +400,6 @@ def apply_Lambda(
 # ---------------------------------------------------------------------------
 
 
-def pair_transform_rate(kind: KernelFamily, c_kernel: Coupling, delta: complex) -> float:
-    """Envelope exponent in |v| of pair_transform for the given separation."""
-    k = kernel_decay_rate(kind, c_kernel)
-    kap = exponent_scale(kind, c_kernel)
-    return k - 0.5 * kap * abs(complex(delta).imag)
-
-
 def _pair_panels(ops: _Ops, kd, lo, hi, c) -> np.ndarray:
     """Gauss-Legendre sums of c0 Kf(c - y) Kf(c + y) 2 cos(kd y) over the
     panels y in [c - hi, c - lo], c = |v|/2 (one float or one per panel)."""
@@ -430,15 +441,14 @@ def pair_transform(
         raise DomainError("pair_transform needs a finite delta and finite v")
     if w.size == 0:
         return np.empty(w.shape, dtype=complex)
-    kind = KernelFamily(kind)
-    ops = _Ops(kind, kind is not KernelFamily.HYPERBOLIC, c_kernel)
+    ops = _Ops(kind, True, c_kernel)
     kd = ops.kappa * complex(delta)
     rate = 2.0 * ops.k_rate - abs(kd.imag)
     _require_positive(rate)
     kd = kd if kd.imag else kd.real  # a real cosine for real delta
     hw = 0.5 * abs(float(w)) if w.ndim == 0 else 0.5 * np.abs(w.ravel())
     cap = 8.0 / max(abs(kd), 1.0)
-    h0 = min(8.0 / max(abs(kd), ops.k_rate, 1.0), 1.6 * kernel_pole_distance(kind, c_kernel))
+    h0 = min(8.0 / max(abs(kd), ops.k_rate, 1.0), 1.6 * ops.pole)
     # t edges: by h0 from the tail to 2 h0, then x3 while the width 2t stays
     # under cap, by cap to about the largest |v|/2, and one at infinity as the end
     geo = [2.0 * h0 * 3.0**j for j in range(max(1, math.floor(math.log(cap / h0 / 4.0, 3.0)) + 2))]
@@ -493,19 +503,6 @@ def qq_convolution_kernel(
     return np.exp(ops.ln_measure(z1 - z2)) * _kernel_plane(ops, (x1, x2), (z1, z2), labels, q)
 
 
-_EXCHANGE_SHIFT = {
-    KernelFamily.HYPERBOLIC: lambda c: -1j * c.g,
-    KernelFamily.GAMMA: lambda c: -0.5j * math.pi,
-    KernelFamily.RELATIVISTIC: lambda c: -0.5j * c.gstar(),
-}
-
-_EXCHANGE_STRIP = {
-    KernelFamily.HYPERBOLIC: lambda c: 2.0 * c.g,
-    KernelFamily.GAMMA: lambda c: math.pi,
-    KernelFamily.RELATIVISTIC: lambda c: c.gstar(),
-}
-
-
 def qlambda_exchange_check(
     family: KernelFamily,
     lam: complex,
@@ -517,36 +514,31 @@ def qlambda_exchange_check(
 ) -> tuple[complex, complex]:
     """Both sides of the Q/raising-operator exchange relation at one point.
 
-    The raising operator's argument is rho + shift with the family shift
-    (-ig, -i pi/2, -i g*/2).  The hyperbolic family exercises the two-variable
+    The raising operator's argument is rho - i strip with the family's
+    half-strip (g, pi/2, g*/2).  The hyperbolic family exercises the two-variable
     relation Q2(lam) L2(rho') = 2 q(lam, rho') L2(rho') Q1(lam) on the plane
     wave e^(i test_label t), evaluated at ``at`` = (x1, x2); the gamma and
     relativistic families exercise the one-variable relation (the raising
     operator there is multiplication by a shifted plane wave), with ``at``
-    the spectral point.  Im(lam - rho) must lie strictly inside the family
-    half-strip (-strip, 0) for absolute convergence.
+    the spectral point.  Im(lam - rho) must lie strictly inside (-2 strip, 0)
+    for absolute convergence.
     """
-    family = KernelFamily(family)
     lam = complex(lam)
     rho = complex(rho)
     d = (lam - rho).imag
-    strip = _EXCHANGE_STRIP[family](c)
+    ops = _Ops(family, True, c)
+    family = ops.family
+    strip = 2.0 * ops.strip
     if not (-strip < d < 0.0):
         raise DivergenceError(
             f"Im(lam - rho) = {d:.3g} outside the convergence half-strip (-{strip:.3g}, 0)"
         )
-    rho_shifted = rho + _EXCHANGE_SHIFT[family](c)
+    rho_shifted = rho - 1j * ops.strip
 
     if family is KernelFamily.HYPERBOLIC:
         x1, x2 = _point(at, (2,))
         lam1 = complex(test_label)
-        delta = lam1 - rho_shifted
-        prof_rate = pair_transform_rate(family, c, delta)
-        prof = lambda v: pair_transform(family, c, delta, v, q)
-        handle = factored_pair_handle(
-            family, c, 0.5 * (lam1 + rho_shifted), prof, prof_rate,
-            profile_freq=abs(delta.real),
-        )
+        handle = factored_pair_handle(family, c, 0.5 * (lam1 + rho_shifted), lam1 - rho_shifted, q)
         q2 = OperatorSpec(family, 2, False, c, lam)
         lhs = apply_Q(q2, handle, (x1, x2), q)
         # right side: Q1 on the plane wave (checked pointwise), then the
@@ -562,6 +554,5 @@ def qlambda_exchange_check(
     lam0 = _point(at, ())
     pw = plane_wave(rho_shifted, family, c)
     lhs = apply_Q(OperatorSpec(family, 1, True, c, lam), pw, lam0, q)
-    ops = _Ops(family, True, c)
     rhs = ops.eigen(lam, rho_shifted) * complex(np.exp(1j * ops.kappa * rho_shifted * lam0))
     return lhs, rhs

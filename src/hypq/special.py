@@ -106,6 +106,8 @@ def _ln_gamma_vec(z) -> np.ndarray:
 
 
 def _nearest_nonpositive_int(z: complex) -> int | None:
+    if not cmath.isfinite(z):
+        raise DomainError(f"argument {z!r} is not finite")
     n = round(z.real)
     if n <= 0 and abs(z - n) <= _POLE_TOL:
         return n

@@ -21,21 +21,18 @@ from .errors import DomainError, UnknownCheckError
 from .kernels import (
     Coupling,
     KernelFamily,
-    eigenvalue,
-    exponent_scale,
-    kernel_decay_rate,
     kernel_hatK,
     kernel_K,
     kernel_Kg,
-    kg_real_evaluator,
     measure_relativistic,
 )
 from .operators import (
     Envelope,
     FunctionHandle,
     OperatorSpec,
+    _Ops,
     apply_Q,
-    pair_transform,
+    factored_pair_handle,
     plane_wave,
     qlambda_exchange_check,
     qq_convolution_kernel,
@@ -46,7 +43,6 @@ from .wavefn import (
     PositionPoint,
     SpectralPoint,
     dual_difference_residual,
-    eigenfunction_handle,
     momentum_residual,
     psi_asymptotic,
     psi_hr,
@@ -188,51 +184,22 @@ def check_beta(
     q: QuadSpec = QuadSpec(),
     tol: float = 1e-7,
 ) -> CheckResult:
-    """Fourier transform of the family kernel against its closed form."""
-    family = KernelFamily(family)
-    g = c.g
-    if family is HYP:
-        lam = float(x_or_lam)
-        lhs = integrate_line(
-            lambda z: np.exp(1j * lam * z) * kernel_K(z, c),
-            DecayProfile(g, g),
-            q,
-            freq_hint=abs(lam),
-        )
-        rhs = kernel_hatK(lam, c)
-    elif family is GAM:
-        z0 = float(x_or_lam)
-        from .kernels import _hatK_real_vec
-
-        lhs = integrate_line(
-            lambda lam: _hatK_real_vec(lam, g) * np.exp(-1j * lam * z0) / (2.0 * math.pi),
-            DecayProfile(0.5 * math.pi, 0.5 * math.pi),
-            q,
-            freq_hint=abs(z0),
-        )
-        rhs = complex(kernel_K(z0, c))
-    else:
-        p = c.require_periods()
-        x0 = float(x_or_lam)
-        kap = exponent_scale(REL, c)
-        rate = kernel_decay_rate(REL, c)
-        ev = kg_real_evaluator(c)
-        lhs = integrate_line(
-            lambda z: np.exp(1j * kap * x0 * z) * ev(z),
-            DecayProfile(rate, rate),
-            q,
-            freq_hint=kap * abs(x0),
-        )
-        rhs = (
-            math.sqrt(p.product)
-            * double_sine(c.gstar(), p)
-            * kernel_Kg(x0, c.dual())
-        )
+    """Fourier transform of the family kernel against its closed form: the
+    plane-wave eigenvalue of the one-variable operator at label 0."""
+    ops = _Ops(family, True, c)  # dual: c is the kernel's own coupling
+    arg = float(x_or_lam)
+    kap = ops.kappa
+    lhs = integrate_line(
+        lambda z: np.exp(1j * kap * arg * z) * np.exp(ops.ln_kernel(z)) * ops.two_pi_inv,
+        DecayProfile(ops.k_rate, ops.k_rate),
+        q,
+        freq_hint=kap * abs(arg),
+    )
     return CheckResult.compare(
-        f"beta_{family.value}",
-        {"family": family.value, "arg": x_or_lam, "g": g},
+        f"beta_{ops.family.value}",
+        {"family": ops.family.value, "arg": x_or_lam, "g": c.g},
         lhs,
-        rhs,
+        ops.eigen(arg, 0.0),
         tol,
     )
 
@@ -557,16 +524,18 @@ def check_scalar_product_chain(
     }[family]
     c, lams, rhos = c or c0, lams or lams0, rhos or rhos0
     tol = tol0 if tol is None else tol
-    shift = {HYP: 1j * c.g, GAM: 0.5j * math.pi, REL: 0.5j * c.g}[family]
+    dual = family is GAM
+    ops = _Ops(family, dual, c)
+    shift = 1j * ops.strip
     shifted1 = lams.lambda1 - shift + 1j * eps
-    halt = eigenfunction_handle(rhos, c, family, q)
-    lhs = apply_Q(OperatorSpec(family, 2, family is GAM, c, shifted1), halt, (t1, t0), q)
+    halt = factored_pair_handle(family, ops.kernel_coupling, rhos.plus, rhos.delta, q)
+    lhs = apply_Q(OperatorSpec(family, 2, dual, c, shifted1), halt, (t1, t0), q)
     if family is GAM:
         rho_pos = PositionPoint(rhos.lambda1.real, rhos.lambda2.real)
         psi = psi_mb(SpectralPoint(t1, t0), rho_pos, c, GAM, q)
     else:
-        psi = psi_hr(rhos, PositionPoint(t1, t0), c.dual() if family is REL else c, family, q)
-    eig1, eig2 = (eigenvalue(family, shifted1, r, c) for r in (rhos.lambda1, rhos.lambda2))
+        psi = psi_hr(rhos, PositionPoint(t1, t0), ops.kernel_coupling, family, q)
+    eig1, eig2 = (ops.eigen(shifted1, r) for r in (rhos.lambda1, rhos.lambda2))
     rhs = 2.0 * eig1 * eig2 * psi
     base_params = {
         "family": family.value,
@@ -587,11 +556,11 @@ def check_scalar_product_chain(
     # the remaining chain integrals: one-variable actions on plane waves at
     # the second shifted spectral argument
     shifted2 = lams.lambda2 - shift + 1j * eps
-    spec1 = OperatorSpec(family, 1, family is GAM, c, shifted2)
+    spec1 = OperatorSpec(family, 1, dual, c, shifted2)
     for step, label in (("one_variable_first", rhos.lambda1), ("one_variable_second", rhos.lambda2)):
         pw = plane_wave(label, family, c)
         got = apply_Q(spec1, pw, t1, q)
-        want = eigenvalue(family, shifted2, label, c) * complex(pw.fn(t1))
+        want = ops.eigen(shifted2, label) * complex(pw.fn(t1))
         out.append(
             CheckResult.compare(
                 f"scalar_chain_{family.value}",
@@ -906,7 +875,7 @@ def check_eigen_n1(
     dual = family is not HYP
     spec = OperatorSpec(family, 1, dual, c, lam)
     pw = plane_wave(label, family, c)
-    ev = eigenvalue(family, lam, label, c.dual() if family is REL else c)
+    ev = _Ops(family, dual, c).eigen(lam, label)
     out = []
     for x0 in pts:
         lhs = apply_Q(spec, pw, float(x0), q)
@@ -944,19 +913,14 @@ def check_eigen_n2(
     }[family]
     tol = tol0 if tol is None else tol
     dual = family is not HYP
-    h = eigenfunction_handle(sp, c, family, q, dual=dual)
+    ops = _Ops(family, dual, c)
+    h = factored_pair_handle(family, ops.kernel_coupling, sp.plus, sp.delta, q)
     lhs = apply_Q(OperatorSpec(family, 2, dual, c, lam), h, at, q)
-    if family is HYP:
-        phi = psi_hr(sp, PositionPoint(*at), c, HYP, q)
-    elif family is GAM:
+    if family is GAM:
         phi = psi_mb(SpectralPoint(*at), PositionPoint(sp.lambda1.real, sp.lambda2.real), c, GAM, q)
     else:
-        phi = complex(
-            np.exp(1j * exponent_scale(REL, c) * sp.plus * (at[0] + at[1]))
-            * pair_transform(REL, c, sp.delta, at[0] - at[1], q)
-        )
-    ce = c.dual() if family is REL else c
-    eig1, eig2 = (eigenvalue(family, lam, label, ce) for label in (sp.lambda1, sp.lambda2))
+        phi = psi_hr(sp, PositionPoint(*at), ops.kernel_coupling, family, q)
+    eig1, eig2 = (ops.eigen(lam, label) for label in (sp.lambda1, sp.lambda2))
     rhs = 2.0 * eig1 * eig2 * phi
     return CheckResult.compare(
         f"eigen_n2_{family.value}",
@@ -1003,6 +967,15 @@ def check_representation_equivalence(
     return out
 
 
+# family -> (coupling, lam, rho, evaluation point, names of the lam and rho params):
+# the gamma and relativistic relations are one-variable, in position labels
+_QLAMBDA_POINTS = {
+    HYP: (Coupling(1.0), 0.5, 0.2 + 0.5j, (0.3, -0.4), ("lam", "rho")),
+    GAM: (Coupling(1.0), 0.3, 0.1 + 0.4j, 0.7, ("x", "y")),
+    REL: (Coupling(0.8, _PERIODS), 0.3, 0.1 + 0.3j, 0.45, ("x", "y")),
+}
+
+
 def check_qlambda(
     family: KernelFamily,
     q: QuadSpec = QuadSpec(),
@@ -1010,21 +983,10 @@ def check_qlambda(
 ) -> CheckResult:
     """Exchange relation with the family spectral shift at one admissible point."""
     family = KernelFamily(family)
-    if family is HYP:
-        c = Coupling(1.0)
-        lam, rho, at = 0.5, 0.2 + 0.5j, (0.3, -0.4)
-        lhs, rhs = qlambda_exchange_check(family, lam, rho, at, c, q, test_label=0.1)
-        params = {"family": "hyperbolic", "g": c.g, "lam": lam, "rho_re": rho.real, "rho_im": rho.imag}
-    elif family is GAM:
-        c = Coupling(1.0)
-        lam, rho, at = 0.3, 0.1 + 0.4j, 0.7
-        lhs, rhs = qlambda_exchange_check(family, lam, rho, at, c, q)
-        params = {"family": "gamma", "g": c.g, "x": lam, "y_re": rho.real, "y_im": rho.imag}
-    else:
-        c = Coupling(0.8, _PERIODS)
-        lam, rho, at = 0.3, 0.1 + 0.3j, 0.45
-        lhs, rhs = qlambda_exchange_check(family, lam, rho, at, c, q)
-        params = {"family": "relativistic", "g": c.g, "x": lam, "y_re": rho.real, "y_im": rho.imag}
+    c, lam, rho, at, (lam_name, rho_name) = _QLAMBDA_POINTS[family]
+    lhs, rhs = qlambda_exchange_check(family, lam, rho, at, c, q)
+    params = {"family": family.value, "g": c.g, lam_name: lam,
+              f"{rho_name}_re": rho.real, f"{rho_name}_im": rho.imag}
     return CheckResult.compare(f"qlambda_{family.value}", params, lhs, rhs, tol)
 
 

@@ -22,14 +22,7 @@ import numpy as np
 
 from .errors import ContinuationError, DomainError, KernelPoleError
 from .kernels import Coupling, KernelFamily, exponent_scale
-from .operators import (
-    FunctionHandle,
-    _kernel_line,
-    _Ops,
-    factored_pair_handle,
-    pair_transform,
-    pair_transform_rate,
-)
+from .operators import _kernel_line, _Ops, pair_transform
 from .quad import QuadSpec
 from .special import _nearest_nonpositive_int, complex_gamma, double_sine
 
@@ -44,7 +37,6 @@ __all__ = [
     "momentum_residual",
     "dual_difference_residual",
     "DualResiduals",
-    "eigenfunction_handle",
 ]
 
 
@@ -119,7 +111,7 @@ def psi_hr(
     if sp.is_real:
         prof = pair_transform(family, c, sp.delta, pp.delta, q)
         return complex(np.exp(1j * kap * sp.plus * pp.xsum) * prof)
-    ops = _Ops(family, family is KernelFamily.RELATIVISTIC, c)
+    ops = _Ops(family, True, c)
     return _kernel_line(ops, (pp.x1, pp.x2), (), (sp.lambda2, sp.lambda1), q)
 
 
@@ -313,45 +305,3 @@ def dual_difference_residual(
     h_val = c1 * phi(l1 + shift, l2) + c2 * phi(l1, l2 + shift)
     h_res = abs(h_val - (math.exp(2.0 * pp.x1) + math.exp(2.0 * pp.x2)) * base)
     return DualResiduals(momentum=float(p_res), hamiltonian=float(h_res))
-
-
-# ---------------------------------------------------------------------------
-# eigenfunction handles for the operator layer
-# ---------------------------------------------------------------------------
-
-
-def eigenfunction_handle(
-    sp: SpectralPoint,
-    c: Coupling,
-    family: KernelFamily = KernelFamily.HYPERBOLIC,
-    q: QuadSpec = QuadSpec(),
-    dual: bool = False,
-) -> FunctionHandle:
-    """Factored-pair handle for the two-variable eigenfunction of the family.
-
-    ``dual`` selects which relativistic operator the function diagonalizes:
-    False gives the eigenfunction of the position-side operator (dual-coupling
-    kernels), True the spectral-side one (plain-coupling kernels).  For the
-    gamma family the handle variables are spectral and ``sp`` holds the two
-    position labels.
-    """
-    family = KernelFamily(family)
-    if family is KernelFamily.RELATIVISTIC:
-        kernel_c = c.dual() if not dual else c
-    else:
-        kernel_c = c
-    delta = sp.delta
-    rate = pair_transform_rate(family, kernel_c, delta)
-    kap = exponent_scale(family, kernel_c)
-
-    def profile(v):
-        return pair_transform(family, kernel_c, delta, v, q)
-
-    return factored_pair_handle(
-        family,
-        kernel_c,
-        sp.plus,
-        profile,
-        rate,
-        profile_freq=0.5 * kap * abs(delta.real),
-    )

@@ -23,7 +23,7 @@ from hypq.kernels import (
     measure_relativistic,
 )
 from hypq.quad import DecayProfile, QuadSpec, integrate_line
-from hypq.special import Periods, _ln_gamma_vec, double_sine
+from hypq.special import Periods, _ln_gamma_vec, complex_gamma, double_sine, log_complex_gamma
 
 
 HYP, GAM, REL = KernelFamily.HYPERBOLIC, KernelFamily.GAMMA, KernelFamily.RELATIVISTIC
@@ -520,3 +520,19 @@ class TestEigenvalues:
         a = eigenvalue(REL, 0.3, -0.4, c)
         b = eigenvalue(REL, -0.4, 0.3, c)
         assert abs(a - b) < 1e-12 * abs(a)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: complex_gamma(math.nan),
+        lambda: kernel_hatK(math.nan, Coupling(1.0)),
+        lambda: log_complex_gamma(math.inf),
+        lambda: measure(KernelFamily.RELATIVISTIC, math.nan, 0.0, Coupling(0.8, Periods(1.0, 1.5))),
+        lambda: measure(KernelFamily.GAMMA, math.nan, 0.0, Coupling(1.0)),
+    ],
+    ids=["complex_gamma-nan", "hatK-nan", "log_gamma-inf", "measure-rel-nan", "measure-gamma-nan"],
+)
+def test_non_finite_argument_is_domain_error(call):
+    with pytest.raises(DomainError, match="finite"):
+        call()

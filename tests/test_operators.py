@@ -3,13 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from hypq.errors import DivergenceError, DomainError
+from hypq.errors import DivergenceError, DomainError, KernelPoleError
 from hypq.kernels import (
     Coupling,
     KernelFamily,
     eigenvalue,
     kernel_hatK,
     kernel_K,
+    kernel_K_complex,
+    kernel_Kg,
+    measure,
     measure_hyperbolic,
 )
 from hypq.operators import (
@@ -21,13 +24,13 @@ from hypq.operators import (
     apply_Q,
     factored_pair_handle,
     pair_transform,
-    pair_transform_rate,
     plane_wave,
     qlambda_exchange_check,
     qq_convolution_kernel,
 )
 from hypq.quad import DecayProfile, QuadSpec, integrate_line
 from hypq.special import Periods
+from hypq.wavefn import PositionPoint, SpectralPoint, psi_hr
 
 from oracles import trapezoid_oracle_2d
 
@@ -134,10 +137,7 @@ class TestTwoVariable:
         l1, l2, lam = 0.4, -0.3, 0.55
         delta = l1 - l2
         prof = lambda v: pair_transform(HYP, c, delta, v, Q)
-        h = factored_pair_handle(
-            HYP, c, 0.5 * (l1 + l2), prof, pair_transform_rate(HYP, c, delta),
-            profile_freq=abs(delta) / 2,
-        )
+        h = factored_pair_handle(HYP, c, 0.5 * (l1 + l2), delta, Q)
         spec = OperatorSpec(HYP, 2, False, c, lam)
         at = (0.3, -0.45)
         got = apply_Q(spec, h, at, Q)
@@ -540,3 +540,63 @@ class TestExchangeRelations:
         got = apply_Q(spec, pw, 0.4, Q)
         want = kernel_hatK(0.5 - shifted, c) * complex(pw.fn(0.4))
         assert abs(got - want) <= 1e-9 * abs(want)
+
+
+class TestFamilyRecord:
+    # the family's kernel as a function of (argument, coupling)
+    _KERNEL = {HYP: kernel_K_complex, GAM: kernel_hatK, REL: kernel_Kg}
+
+    @pytest.mark.parametrize(
+        "family, dual, c, kc",
+        [
+            (HYP, False, Coupling(0.7), Coupling(0.7)),
+            (GAM, True, Coupling(1.3), Coupling(1.3)),
+            (REL, True, Coupling(0.8, P12), Coupling(0.8, P12)),
+            # the non-dual relativistic operator carries the dual coupling
+            (REL, False, Coupling(0.8, P12), Coupling(1.0 + math.sqrt(2.0) - 0.8, P12)),
+        ],
+        ids=["hyperbolic", "gamma", "relativistic-dual", "relativistic"],
+    )
+    def test_record_facts_match_the_kernels(self, family, dual, c, kc):
+        ops = _Ops(family, dual, c)
+        kernel = self._KERNEL[family]
+        assert ops.kernel_coupling.g == pytest.approx(kc.g, rel=1e-15)
+        for x in (0.0, 0.7, 2.5):
+            want = kernel(x, kc)
+            assert abs(np.exp(ops.ln_kernel(np.array([x])))[0] - want) <= 1e-9 * abs(want)
+        assert abs(ops.strip * ops.kappa - ops.k_rate) <= 1e-15 * ops.k_rate
+        assert ops.mu_rate == 2.0 * ops.k_rate
+        # the ln-kernel decays at k_rate; by Stirling ln Khat also carries
+        # (g - 1) ln|x| and an O(1/x^2) term (1.3e-6 on this slope at g = 1.3)
+        ln30, ln60 = ops.ln_kernel(np.array([30.0, 60.0]))
+        slope = (ln60 - ln30) / 30.0
+        bound = abs(c.g - 1.0) * math.log(2.0) / 30.0 + 1e-5 if family is GAM else 1e-12
+        assert abs(slope + ops.k_rate) <= bound
+        # the nearest kernel singularity sits at i pole
+        if family is HYP:
+            assert abs(kernel(1j * ops.pole * (1.0 - 1e-9), kc)) > 1e5
+        else:
+            with pytest.raises(KernelPoleError):
+                kernel(1j * ops.pole, kc)
+
+
+_C1 = Coupling(1.0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: measure("bogus", 0.3, 0.0, _C1),
+        lambda: eigenvalue("bogus", 0.3, 0.0, _C1),
+        lambda: OperatorSpec("bogus", 1, False, _C1, 0.0),
+        lambda: pair_transform("bogus", _C1, 0.5, 0.3),
+        lambda: plane_wave(0.1, "bogus", _C1),
+        lambda: psi_hr(SpectralPoint(0.4, -0.3), PositionPoint(0.2, -0.6), _C1, "bogus"),
+        lambda: qlambda_exchange_check("bogus", 0.5, 0.2 + 0.5j, (0.3, -0.4), _C1),
+    ],
+    ids=["measure", "eigenvalue", "OperatorSpec", "pair_transform", "plane_wave",
+         "psi_hr", "qlambda_exchange_check"],
+)
+def test_unknown_family_is_domain_error(call):
+    with pytest.raises(DomainError, match="valid: .*hyperbolic.*gamma.*relativistic"):
+        call()
