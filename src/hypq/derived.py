@@ -73,7 +73,7 @@ DERIVED_THRESHOLDS: dict[str, dict] = {
     "delta_n2_vandermonde": {
         "threshold": 9.0e-2,
         "observed": 3.92e-2,
-        "oracle": "iterated quadrature at (L, eps) = (40, 5e-4)",
+        "oracle": "products of one-particle quadratures at (L, eps) = (40, 5e-4)",
         "ceiling": 1.0e-1,
     },
     # conjecture-level power form, tested against a test function vanishing
@@ -81,7 +81,7 @@ DERIVED_THRESHOLDS: dict[str, dict] = {
     "delta_n2_power": {
         "threshold": 9.0e-2,
         "observed": 3.83e-2,
-        "oracle": "iterated quadrature at (G, eps) = (40, 5e-4), g = 0.8",
+        "oracle": "products of one-particle quadratures at (G, eps) = (40, 5e-4), g = 0.8",
         "ceiling": 1.0e-1,
     },
     # two-variable kernel degenerating to the raising kernel at y2 = 14, g = 1

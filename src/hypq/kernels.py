@@ -32,6 +32,7 @@ validated in the tests).
 """
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 import threading
@@ -145,7 +146,9 @@ def ln_sinh_abs(x: np.ndarray) -> np.ndarray:
 
 
 def kernel_K(x, c: Coupling):
-    """cosh(x)^(-g) for real x (scalar or array)."""
+    """cosh(x)^(-g) for real x (scalar or array); a NaN scalar is refused."""
+    if np.isscalar(x) and math.isnan(x):
+        raise DomainError("kernel_K needs a real argument, finite or infinite; got nan")
     out = np.exp(-c.g * ln_cosh(x))
     return float(out) if np.isscalar(x) else out
 
@@ -465,6 +468,8 @@ def eigenvalue(kind: KernelFamily, spectral: complex, label: complex, c: Couplin
     if kind is KernelFamily.HYPERBOLIC:
         return kernel_hatK(z, c)
     if kind is KernelFamily.GAMMA:
+        if not cmath.isfinite(z):
+            raise DomainError(f"gamma eigenvalue needs a finite argument, got {z!r}")
         if abs(z.imag) < 1e-14:
             return complex(kernel_K(z.real, c))
         return kernel_K_complex(z, c)

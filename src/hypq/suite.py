@@ -578,27 +578,42 @@ def check_scalar_product_chain(
 # ---------------------------------------------------------------------------
 
 
-def _gauss(y0: float = 0.0):
-    def f(x):
-        return np.exp(-((np.asarray(x, dtype=float) - y0) ** 2))
-
-    return f
+def _gauss(x):
+    return np.exp(-(np.asarray(x, dtype=float) ** 2))
 
 
-def _gauss2():
-    def f(x1, x2):
-        return np.exp(-np.asarray(x1, dtype=float) ** 2 - np.asarray(x2, dtype=float) ** 2)
+def _times_vandermonde(terms):
+    """The product of (x1 - x2)^2 = x1^2 - 2 x1 x2 + x2^2 with a sum of
+    separable terms (coef, f1, f2), as such a sum."""
 
-    return f
+    def xk(f, k):
+        return lambda x: np.asarray(x, dtype=float) ** k * f(x)
+
+    return [
+        t
+        for c, f1, f2 in terms
+        for t in ((c, xk(f1, 2), f2), (-2.0 * c, xk(f1, 1), xk(f2, 1)), (c, f1, xk(f2, 2)))
+    ]
 
 
-def _gauss2_vanishing():
-    def f(x1, x2):
-        x1 = np.asarray(x1, dtype=float)
-        x2 = np.asarray(x2, dtype=float)
-        return (x1 - x2) ** 2 * np.exp(-(x1**2) - x2**2)
+def _regulated_line(h, ys, g, eps, reg, q):
+    """The one-particle integral of every regulated delta sequence,
 
-    return f
+    int h(x) reg^(1-g) e^(i reg (x - c)) prod_{y in ys} (x - y - i eps)^(-g) dx,
+
+    c = mean(ys), with per-factor principal powers (a plain reciprocal at g = 1).
+    """
+    c = sum(ys) / len(ys)
+
+    def integrand(x):
+        x = np.asarray(x, dtype=float)
+        val = h(x) * reg ** (1.0 - g) * np.exp(1j * reg * (x - c))
+        for y in ys:
+            fac = x - y - 1j * eps
+            val = val / fac if g == 1.0 else val * fac ** (-g)
+        return val
+
+    return integrate_line(integrand, DecayProfile(4.0, 4.0, center=c), q, freq_hint=reg)
 
 
 def check_delta_sequence(
@@ -621,138 +636,71 @@ def check_delta_sequence(
     Deviations must decrease along the schedule, final below the pinned
     threshold.
 
-    For n = 2 the plane is integrated in u = x1 + x2, v = x1 - x2 over the
-    quadrant u >= y1 + y2, v >= 0, by two exact folds of the kernel K that
-    hold for any test_fn, each at half the nodes.  K is even in v (swapping
-    x1 and x2 permutes its four factors), so it sees only the symmetric part
-    F of f: v runs over [0, L] with the weight F = [f(x1, x2) + f(x2, x1)]/2.
-    The mirror u -> 2 (y1 + y2) - u sends (x1, x2) to (y1 + y2 - x2,
-    y1 + y2 - x1), each factor d - i eps to -conj(d - i eps) and the plane
-    phase to its conjugate, so K there is e^(4 pi i g) conj(K) (1 at g = 1,
-    e^(i pi g) per principal power otherwise): u runs over [y1 + y2, L'] with
-    K F + e^(4 pi i g) conj(K) F at the mirror point.  K is evaluated once
-    per node, F at both points.
+    For n = 1 test_fn is f(x).  For n = 2 it is a list of separable terms
+    (coef, f1, f2), f(x1, x2) = sum coef f1(x1) f2(x2).  The n = 2 kernel
+    G^(2(1-g)) e^(iG(x1 + x2 - y1 - y2)) prod_{i,j} (x_i - y_j - ie)^(-g) is a
+    product over the particles, and at g = 1 its Vandermonde factor
+    (x1 - x2)^2 turns each term into three separable ones.  So every step,
+    at either n, is sum coef prod_i J[f_i], with J the one regulated line
+    integral _regulated_line.
     """
     if q is None:
         q = QuadSpec(rel_tol=1e-8, abs_tol=1e-10)
     g = float(power_g)
-    if isinstance(test_fn, FunctionHandle):
-        test_fn = test_fn.fn
     if n == 1:
-        y0 = 0.0 if y is None else float(y)
-        f = test_fn or _gauss()
+        ys = (0.0 if y is None else float(y),)
+        fixed = {"n": 1, "g": g, "y": ys[0]}
+        f = test_fn or _gauss
+        terms = [(1.0, f)]
         schedule = schedule or RegSchedule((8e-3, 3e-3, 1e-3), (10.0, 20.0, 40.0))
-        if g == 1.0:
-            target = 2j * math.pi * complex(f(np.asarray(y0)))
-            name = "delta_n1_g1"
-        else:
-            target = (
-                2.0 * math.pi / complex_gamma(g) * np.exp(0.5j * math.pi * g)
-            ) * complex(f(np.asarray(y0)))
-            name = "delta_n1_general"
-        tol = derived_threshold(name) if tol is None else tol
-        devs, plist = [], []
-        for eps, reg in schedule.steps():
-            if g == 1.0:
-                def integrand(x):
-                    x = np.asarray(x, dtype=float)
-                    return f(x) * np.exp(1j * reg * (x - y0)) / (x - y0 - 1j * eps)
-            else:
-                def integrand(x):
-                    x = np.asarray(x, dtype=float)
-                    return (
-                        f(x)
-                        * reg ** (1.0 - g)
-                        * np.exp(1j * reg * (x - y0))
-                        * (x - y0 - 1j * eps) ** (-g)
-                    )
-
-            val = integrate_line(
-                integrand, DecayProfile(4.0, 4.0, center=y0), q, freq_hint=reg
-            )
-            devs.append(abs(val - target) / abs(target))
-            plist.append({"n": 1, "g": g, "regulator": reg, "eps": eps, "y": y0})
-        return _trend_results(name, plist, devs, tol)
-
-    if n != 2:
-        raise DomainError("n must be 1 or 2")
-    y1, y2 = (0.3, -0.3) if y is None else (float(y[0]), float(y[1]))
-    if test_fn is not None:
-        f = test_fn
-    elif g == 1.0:
-        f = _gauss2()
-    else:
-        # the power form is conjecture-level and is used only against weights
-        # that vanish at coincident arguments (as in the scalar-product
-        # assembly); a plain Gaussian picks up non-decaying oscillatory
-        # contributions from the coincident-point pinches
-        f = _gauss2_vanishing()
-    schedule = schedule or RegSchedule((4e-3, 1.5e-3, 5e-4), (10.0, 20.0, 40.0))
-    if g == 1.0:
-        target = 4.0 * math.pi**2 * (complex(f(y1, y2)) + complex(f(y2, y1)))
-        name = "delta_n2_vandermonde"
-    else:
-        target = (
-            (2.0 * math.pi / complex_gamma(g)) ** 2
-            * np.exp(2j * math.pi * g)
-            * (complex(f(y1, y2)) + complex(f(y2, y1)))
-            / abs(y1 - y2) ** (2.0 * g)
+        name = "delta_n1_g1" if g == 1.0 else "delta_n1_general"
+        weight = (
+            2j * math.pi
+            if g == 1.0
+            else 2.0 * math.pi / complex_gamma(g) * np.exp(0.5j * math.pi * g)
         )
-        name = "delta_n2_power"
+        target = weight * complex(f(np.asarray(ys[0])))
+    elif n == 2:
+        ys = (0.3, -0.3) if y is None else (float(y[0]), float(y[1]))
+        fixed = {"n": 2, "g": g, "y": ys}
+        if callable(test_fn):
+            raise DomainError("for n = 2, test_fn is a list of separable terms (coef, f1, f2)")
+        if test_fn is not None:
+            terms = list(test_fn)
+        elif g == 1.0:
+            terms = [(1.0, _gauss, _gauss)]
+        else:
+            # the power form is conjecture-level and is used only against weights
+            # that vanish at coincident arguments (as in the scalar-product
+            # assembly); a plain Gaussian picks up non-decaying oscillatory
+            # contributions from the coincident-point pinches
+            terms = _times_vandermonde([(1.0, _gauss, _gauss)])
+        schedule = schedule or RegSchedule((4e-3, 1.5e-3, 5e-4), (10.0, 20.0, 40.0))
+        y1, y2 = ys
+        sym = complex(sum(c * (f1(y1) * f2(y2) + f1(y2) * f2(y1)) for c, f1, f2 in terms))
+        if g == 1.0:
+            name = "delta_n2_vandermonde"
+            target = 4.0 * math.pi**2 * sym
+            terms = _times_vandermonde(terms)  # the kernel carries (x1 - x2)^2
+        else:
+            name = "delta_n2_power"
+            fixed["conjecture"] = True
+            target = (
+                (2.0 * math.pi / complex_gamma(g)) ** 2
+                * np.exp(2j * math.pi * g)
+                * sym
+                / abs(y1 - y2) ** (2.0 * g)
+            )
+    else:
+        raise DomainError("n must be 1 or 2")
     tol = derived_threshold(name) if tol is None else tol
-    ysum = y1 + y2
-    # the kernel at the mirror point u -> 2 ysum - u is this factor times the
-    # conjugate of the kernel at u
-    mirror = 1.0 if g == 1.0 else complex(np.exp(4j * math.pi * g))
     devs, plist = [], []
     for eps, reg in schedule.steps():
-        # rotated coordinates: the oscillation e^(i reg (x1+x2)) lives on the
-        # u axis only
-        def fu(u, v):
-            u = np.asarray(u, dtype=float)
-            v = np.asarray(v, dtype=float)
-            x1 = 0.5 * (u + v)
-            x2 = 0.5 * (u - v)
-            diffs = (x1 - y1, x1 - y2, x2 - y1, x2 - y2)
-            if g == 1.0:
-                kern = (
-                    np.exp(1j * reg * (u - ysum))
-                    * (x1 - x2) ** 2
-                    / math.prod(d - 1j * eps for d in diffs)
-                )
-            else:
-                # per-factor principal powers (not a power of the product):
-                # prod_k (d_k - i eps)^(-g) = e^(-g sum_k (ln|f_k| + i arg f_k)),
-                # with real moduli and arguments of the factors f_k = d_k - i eps;
-                # the regulator power, this and the plane phase form one exp
-                ln_mod = 0.5 * np.log(math.prod(d * d + eps * eps for d in diffs))
-                arg = sum(np.arctan2(-eps, d) for d in diffs)
-                kern = np.exp(
-                    (2.0 * (1.0 - g) * math.log(reg) - g * ln_mod)
-                    + 1j * (reg * (u - ysum) - g * arg)
-                )
-            # the Jacobian 1/2 times the weight folded from v < 0 onto v > 0,
-            # at (x1, x2) and at its mirror (ysum - x2, ysum - x1)
-            m1, m2 = ysum - x2, ysum - x1
-            near = 0.5 * (f(x1, x2) + f(x2, x1))
-            far = 0.5 * (f(m1, m2) + f(m2, m1))
-            return kern * near + mirror * np.conj(kern) * far
-
-        # the kernel is even in v and mirrors about u = ysum: the plane is
-        # folded onto the quadrant u >= ysum, v >= 0
-        val = integrate_plane(
-            fu,
-            DecayProfile(4.0, math.inf, center=ysum),  # u axis (Gaussian-dominated)
-            DecayProfile(4.0, math.inf),  # v axis
-            q,
-            freq_hint1=reg,
-            freq_hint2=0.5,
+        val = sum(
+            c * math.prod(_regulated_line(f, ys, g, eps, reg, q) for f in fs) for c, *fs in terms
         )
         devs.append(abs(val - target) / abs(target))
-        entry = {"n": 2, "g": g, "regulator": reg, "eps": eps, "y": (y1, y2)}
-        if g != 1.0:
-            entry["conjecture"] = True
-        plist.append(entry)
+        plist.append({**fixed, "regulator": reg, "eps": eps})
     return _trend_results(name, plist, devs, tol)
 
 

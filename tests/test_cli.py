@@ -196,14 +196,15 @@ class TestSweep:
         devs = [r["abs_err"] for r in recs]
         assert devs == sorted(devs, reverse=True)
 
-    def test_delta_sweep_decreasing(self, tmp_path):
+    @staticmethod
+    def _delta_sweep_decreases(tmp_path, check):
         out = tmp_path / "sw.jsonl"
         cfg = write_cfg(
             tmp_path,
             "c.json",
             {
                 "command": "sweep",
-                "checks": ["delta_n1_g1"],
+                "checks": [check],
                 "axis": {"name": "lambda", "values": [5.0, 10.0, 20.0, 40.0]},
                 "eps": 1e-3,
                 "out": str(out),
@@ -215,6 +216,13 @@ class TestSweep:
         devs = [r["abs_err"] for r in recs]
         assert devs == sorted(devs, reverse=True)
         assert rc == 0
+
+    def test_delta_sweep_decreasing(self, tmp_path):
+        self._delta_sweep_decreases(tmp_path, "delta_n1_g1")
+
+    def test_delta_sweep_decreasing_n2(self, tmp_path):
+        # the n = 2 row reads about 0.203, 0.148, 0.107 and 0.077
+        self._delta_sweep_decreases(tmp_path, "delta_n2_vandermonde")
 
     def test_single_point_axis(self, tmp_path):
         out = tmp_path / "sw.jsonl"

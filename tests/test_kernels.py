@@ -530,9 +530,28 @@ class TestEigenvalues:
         lambda: log_complex_gamma(math.inf),
         lambda: measure(KernelFamily.RELATIVISTIC, math.nan, 0.0, Coupling(0.8, Periods(1.0, 1.5))),
         lambda: measure(KernelFamily.GAMMA, math.nan, 0.0, Coupling(1.0)),
+        lambda: kernel_K(math.nan, Coupling(1.0)),
+        lambda: eigenvalue(GAM, math.nan, 0.0, Coupling(1.0)),
+        lambda: eigenvalue(GAM, 0.3, complex(0.0, math.nan), Coupling(1.0)),
+        lambda: eigenvalue(GAM, math.inf, 0.0, Coupling(1.0)),
     ],
-    ids=["complex_gamma-nan", "hatK-nan", "log_gamma-inf", "measure-rel-nan", "measure-gamma-nan"],
+    ids=[
+        "complex_gamma-nan",
+        "hatK-nan",
+        "log_gamma-inf",
+        "measure-rel-nan",
+        "measure-gamma-nan",
+        "K-nan",
+        "eigen-gamma-nan",
+        "eigen-gamma-label-imag-nan",
+        "eigen-gamma-inf",
+    ],
 )
 def test_non_finite_argument_is_domain_error(call):
     with pytest.raises(DomainError, match="finite"):
         call()
+
+
+def test_kernel_K_infinite_limit():
+    # the NaN refusal leaves the limit cosh(x)^(-g) -> 0 at x = +-inf
+    assert kernel_K(math.inf, Coupling(0.7)) == kernel_K(-math.inf, Coupling(0.7)) == 0.0

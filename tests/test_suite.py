@@ -221,9 +221,27 @@ class TestDeltaSequences:
         with pytest.raises(DomainError):
             check_delta_sequence(3, 1.0)
 
+    def test_n2_callable_test_fn_is_domain_error(self):
+        # n = 2 takes separable terms (coef, f1, f2), not f(x1, x2)
+        with pytest.raises(DomainError, match="separable"):
+            check_delta_sequence(2, 1.0, test_fn=lambda x1, x2: np.exp(-x1 * x1 - x2 * x2))
+
+    def test_n1_g1_exact_finite_regulator(self):
+        # at y = 0 and f = e^(-x^2) the step's integral has the closed form
+        # i pi e^(eps^2 - eps L) erfc(eps - L/2); the quadrature matches its
+        # deviation to about 3e-15 at each default step
+        for r in check_delta_sequence(1, 1.0):
+            eps, reg = r.params["eps"], r.params["regulator"]
+            exact = 1j * math.pi * math.exp(eps * eps - eps * reg) * math.erfc(eps - 0.5 * reg)
+            assert abs(r.abs_err - abs(exact - 2j * math.pi) / (2.0 * math.pi)) <= 1e-13
+
     @staticmethod
-    def _unfolded_deviation(f, g, eps, reg, y1, y2):
-        # the n = 2 deviation from the whole (u, v) plane, with no fold
+    def _plane_deviation(terms, g, eps, reg, y1, y2):
+        # the n = 2 deviation from the whole (u, v) plane, an independent
+        # route to the product of one-particle integrals
+        def f(x1, x2):
+            return sum(c * f1(x1) * f2(x2) for c, f1, f2 in terms)
+
         def full(u, v):
             x1, x2 = 0.5 * (u + v), 0.5 * (u - v)
             kern = reg ** (2.0 * (1.0 - g)) * np.exp(1j * reg * (u - y1 - y2))
@@ -242,40 +260,30 @@ class TestDeltaSequences:
             target *= np.exp(2j * math.pi * g) / complex_gamma(g) ** 2 / abs(y1 - y2) ** (2.0 * g)
         return abs(val - target) / abs(target)
 
-    def test_n2_fold_sees_asymmetric_test_function(self):
-        # the v >= 0 fold equals the full (u, v) plane for an f that is not
-        # symmetric under x1 <-> x2 (with f(x1, x2) in place of f(x2, x1) the
-        # first step's deviation reads 0.0066 instead of 0.077)
-        def f(x1, x2):
-            return np.exp(-x1 * x1 - x2 * x2) * (1.0 + 0.3 * x1)
-
-        eps, reg, y1, y2 = 4e-3, 10.0, 0.3, -0.3
-        rs = check_delta_sequence(
-            2, 1.0, test_fn=f, schedule=RegSchedule((eps,), (reg,))
-        )
-        ref = self._unfolded_deviation(f, 1.0, eps, reg, y1, y2)
-        assert abs(rs[0].abs_err - ref) <= 1e-8 * rs[0].abs_err
-
     @pytest.mark.parametrize("g", [1.0, 0.8])
-    def test_n2_mirror_at_general_point(self, g):
-        # the u axis is folded about u = y1 + y2 with the factor e^(4 pi i g)
-        # on the conjugate kernel; at y1 + y2 != 0 and with a complex f that
-        # has no symmetry of its own, this equals the unfolded (u, v) plane
-        def f(x1, x2):
-            return np.exp(-x1 * x1 - x2 * x2) * (1.0 + 0.3 * x1 + 0.2j * x2)
+    def test_n2_separable_matches_plane(self, g):
+        # a complex f = e^(-x1^2 - x2^2) (1 + 0.3 x1 + 0.2i x2) with no
+        # symmetry of its own, at y1 + y2 != 0: the sum of products of
+        # one-particle integrals equals the (u, v) plane integral
+        def gauss(x):
+            return np.exp(-x * x)
 
+        def x_gauss(x):
+            return x * np.exp(-x * x)
+
+        terms = [(1.0, gauss, gauss), (0.3, x_gauss, gauss), (0.2j, gauss, x_gauss)]
         eps, reg, y1, y2 = 4e-3, 10.0, 0.5, -0.2
         rs = check_delta_sequence(
-            2, g, test_fn=f, schedule=RegSchedule((eps,), (reg,)), y=(y1, y2)
+            2, g, test_fn=terms, schedule=RegSchedule((eps,), (reg,)), y=(y1, y2)
         )
-        ref = self._unfolded_deviation(f, g, eps, reg, y1, y2)
+        ref = self._plane_deviation(terms, g, eps, reg, y1, y2)
         assert abs(rs[0].abs_err - ref) <= 1e-8 * rs[0].abs_err
 
     @pytest.mark.parametrize(
         "name,ceiling",
         [
-            ("delta_n2_vandermonde", 3_050_000),
-            ("delta_n2_power", 3_250_000),
+            ("delta_n2_vandermonde", 54_000),
+            ("delta_n2_power", 56_000),
             ("qq_n2_gamma", 120_000),
             ("eigen_n2_relativistic", 115_000),
             ("scalar_chain_gamma", 760_000),
@@ -284,11 +292,12 @@ class TestDeltaSequences:
     )
     def test_n2_work_ceiling(self, gk_nodes, name, ceiling):
         # integrand nodes of the whole check, about 1.2 times the count of the
-        # folded two-fold integrals: 2,526,630 (delta_n2_vandermonde),
-        # 2,693,190 (delta_n2_power), 100,560 (qq_n2_gamma), 95,820
-        # (eigen_n2_relativistic), 633,345 (scalar_chain_gamma) and 160,710
-        # (qlambda_hyperbolic); the delta checks took 10.67 M and 11.34 M on
-        # the unfolded (u, v) plane, then 5.22 M and 5.56 M folded in v only
+        # two-variable work: 45,150 (delta_n2_vandermonde) and 46,350
+        # (delta_n2_power) as sums of products of one-particle integrals,
+        # 100,560 (qq_n2_gamma), 95,820 (eigen_n2_relativistic), 633,345
+        # (scalar_chain_gamma) and 160,710 (qlambda_hyperbolic); the delta
+        # checks took 10.67 M and 11.34 M on the unfolded (u, v) plane, then
+        # 2.53 M and 2.69 M on its folded quadrant
         assert all(r.passed for r in run_suite([name]))
         assert 0 < sum(gk_nodes) <= ceiling
 
