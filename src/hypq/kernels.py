@@ -40,12 +40,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, KernelPoleError
+from .errors import DomainError, GammaOverflowError, KernelPoleError
 from .special import (
     _ASYM_FACTOR,
     _LANCZOS_C as _LANCZOS_C_K,
     Periods,
     _ln_gamma_vec,
+    _ln_s2_asymptotic,
     _ln_s2_pair_smooth,
     _nearest_nonpositive_int,
     _re_ln_s2_pair,
@@ -272,11 +273,13 @@ def hatK_asymptotic(gamma_minus_mu_base: float, mu: float, c: Coupling) -> compl
     if mu <= 0:
         raise DomainError("mu must be large positive")
     g = c.g
-    return (
-        (2.0 * math.pi / complex_gamma(g))
-        * mu ** (g - 1.0)
-        * math.exp(0.5 * math.pi * (gamma_minus_mu_base - mu))
-    )
+    try:
+        growth = math.exp(0.5 * math.pi * (gamma_minus_mu_base - mu))
+    except OverflowError:
+        raise GammaOverflowError(
+            f"hatK_asymptotic overflowed at gamma - mu = {gamma_minus_mu_base - mu!r}"
+        ) from None
+    return (2.0 * math.pi / complex_gamma(g)) * mu ** (g - 1.0) * growth
 
 
 # ---------------------------------------------------------------------------
@@ -392,14 +395,31 @@ def kg_real_evaluator(c: Coupling):
 
 
 def kernel_Kg(lam: complex, c: Coupling) -> complex:
-    """Kg(lam) = 1/(S2(g/2 + i lam) S2(g/2 - i lam)), any complex lam off poles."""
+    """Kg(lam) = 1/(S2(g/2 + i lam) S2(g/2 - i lam)), any complex lam off poles.
+
+    Where both factors are in double_sine's asymptotic region and their
+    product leaves the double range, their logs are summed before one exp:
+    the value then underflows to 0, or raises GammaOverflowError if it is
+    itself too large.
+    """
     p = c.require_periods()
     lam = complex(lam)
     half_g = 0.5 * c.g
-    den = double_sine(half_g + 1j * lam, p) * double_sine(half_g - 1j * lam, p)
+    zs = (half_g + 1j * lam, half_g - 1j * lam)
+    try:
+        den = double_sine(zs[0], p) * double_sine(zs[1], p)
+    except GammaOverflowError:
+        if abs(lam.real) <= _ASYM_FACTOR * p.omax:
+            raise
+        den = math.inf
     if den == 0:
         raise KernelPoleError(f"Kg pole at lam = {lam!r} (double sine zero)")
-    return 1.0 / den
+    if cmath.isfinite(den):
+        return 1.0 / den
+    try:
+        return cmath.exp(-(_ln_s2_asymptotic(zs[0], p) + _ln_s2_asymptotic(zs[1], p)))
+    except OverflowError:
+        raise GammaOverflowError(f"Kg overflowed at lam = {lam!r}") from None
 
 
 def ln_measure_relativistic(v, c: Coupling) -> np.ndarray:

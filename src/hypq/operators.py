@@ -263,9 +263,10 @@ def _kernel_line(ops, xs, zs, labels, q: QuadSpec, f: FunctionHandle | None = No
     optional handle.  The n = len(xs) + len(zs) kernels decay at n k_rate, the
     plane factor adds -+ kappa Im(b - a) and the handle its own rates; the
     tails are cut beyond the outermost of the centers Re xs, Re zs and the
-    handle's center.  The kernel logs join the plane exponent under one exp;
-    complex xs or zs (continued spectral values) reach the kernel as complex
-    arguments.
+    handle's center, and the span of those centers is the core that the
+    first quadrature panels cover uniformly.  The kernel logs join the plane
+    exponent under one exp; complex xs or zs (continued spectral values)
+    reach the kernel as complex arguments.
     """
     a, b = labels
     kap = ops.kappa
@@ -292,7 +293,7 @@ def _kernel_line(ops, xs, zs, labels, q: QuadSpec, f: FunctionHandle | None = No
         out = ops.two_pi_inv * np.exp(plane + ln_kern)
         return out if f is None else out * f.fn(y)
 
-    return _adaptive(integrand, lo, hi, q, freq, 1.6 * ops.pole)
+    return _adaptive(integrand, lo, hi, min(centers), max(centers), q, freq, 1.6 * ops.pole)
 
 
 def _kernel_plane(ops, xs, zs, labels, q: QuadSpec, f: FunctionHandle | None = None) -> complex:
@@ -312,6 +313,12 @@ def _kernel_plane(ops, xs, zs, labels, q: QuadSpec, f: FunctionHandle | None = N
     (generic f aside) drops one bump's window for large v.  The inner
     integrals carry e^(mu_rate v), taken out again on the v axis, so the
     outer integrand stays finite on slowly decaying tails.
+
+    The first quadrature panels are uniform only over each axis's core and
+    double through the tails: the u core is the kernel-bump window
+    [-v + 2 min c, v + 2 max c] over the centers c, the v core [0, 2 (max c
+    - min c)], since the measure's growth against the kernels' decay puts
+    the bulk of the v integrand past the centers' spread.
     """
     a, b = labels
     kap = ops.kappa
@@ -361,11 +368,11 @@ def _kernel_plane(ops, xs, zs, labels, q: QuadSpec, f: FunctionHandle | None = N
             hi = np.minimum(hi, -v + hi_c + tail / drop)
         elif drop < -1e-12:
             lo = np.maximum(lo, v + lo_c - tail / (-drop))
-        vals = _adaptive_many(g, lo, hi, q.split(), u_freq, v.size, cap)
+        vals = _adaptive_many(g, lo, hi, -v + lo_c, v + hi_c, q.split(), u_freq, v.size, cap)
         comp = np.exp(ops.ln_measure(v) - ops.mu_rate * v)
         return ops.two_pi_inv**2 * comp * (profile(v) * vals)
 
-    return _adaptive(outer, 0.0, tail / v_rate, q, v_freq, cap)
+    return _adaptive(outer, 0.0, tail / v_rate, 0.0, hi_c - lo_c, q, v_freq, cap)
 
 
 def _point(at, shape: tuple):

@@ -2,20 +2,22 @@
 
 The adaptive driver uses the embedded Gauss(7)/Kronrod(15) pair on panels of a
 truncated interval; truncation lengths come from the caller-declared
-DecayProfile, never from introspecting the integrand.  The first panels are
-at most one period 2*pi/freq_hint wide; each round then halves every panel
-whose error estimate exceeds its share of the tolerance.  Panel state lives
-in numpy arrays, and one routine can advance many integrals together, each
-over its own interval and with its own tolerance test, splits and node
-budget, starting from the panels a lone call would take, so each value is
-bit-identical to a lone call's: integrate_plane and the two-variable
-operators run the inner integrals of a whole array of outer abscissae that
-way, in groups whose first round is at most _CHUNK_NODES nodes.  The
-integrand is never called on more than _CALL_NODES nodes at once, which
-keeps each array of a call below the size at which the C allocator maps it
-from fresh pages and unmaps it on free.  Panel subdivision and the final
-compensated summation run in a fixed deterministic order, so identical
-inputs give bit-identical results.
+DecayProfile, never from introspecting the integrand.  Each integral names
+its core, the part that is not tail: the first panels are equal over the
+core, at most one period 2*pi/freq_hint wide, and double in width through
+each tail out to the cut, so the padding of a cut costs O(log) panels.  Each
+round then halves every panel whose error estimate exceeds its share of the
+tolerance, tail panels included.  Panel state lives in numpy arrays, and one
+routine can advance many integrals together, each over its own interval and
+with its own tolerance test, splits and node budget, starting from the
+panels a lone call would take, so each value is bit-identical to a lone
+call's: integrate_plane and the two-variable operators run the inner
+integrals of a whole array of outer abscissae that way, in groups whose
+first round is at most _CHUNK_NODES nodes.  The integrand is never called on
+more than _CALL_NODES nodes at once, which keeps each array of a call below
+the size at which the C allocator maps it from fresh pages and unmaps it on
+free.  Panel subdivision and the final compensated summation run in a fixed
+deterministic order, so identical inputs give bit-identical results.
 """
 from __future__ import annotations
 
@@ -223,10 +225,64 @@ def _fsum_by_integral(out: np.ndarray, own: np.ndarray, val: np.ndarray) -> None
         out[own[i]] = complex(math.fsum(re[i:j]), math.fsum(im[i:j]))
 
 
+def _tail_panels(length, w0):
+    """First-round panels of widths w0, 2 w0, 4 w0, ... over a tail: as many
+    as fit its length, at least one (none for a length of 0).  The count
+    floor(log2(1 + length/w0)) is read exactly off the binary exponent."""
+    return np.maximum(np.frexp(1.0 + length / w0)[1] - 1, length > 0.0)
+
+
+def _edges(t, c0, c1, w0, step, n_c):
+    """First-round edge t, counted from the core's left end c0: t step into
+    the core [c0, c1] of n_c panels, w0 (2^|t| - 1) before it and
+    w0 (2^(t - n_c) - 1) past it.  Scalars or arrays, one entry per edge."""
+    right = t >= n_c
+    grow = np.ldexp(w0, np.where(right, t - n_c, -t)) - w0
+    return np.where(right, c1 + grow, np.where(t <= 0, c0 - grow, c0 + t * step))
+
+
+def _first_panels(a, b, c0, c1, w0):
+    """First-round panels of integrals over [a[k], b[k]] with cores [c0[k], c1[k]].
+
+    Each core is cut into equal panels at most w0[k] wide; beyond it the
+    panels are w0[k], 2 w0[k], 4 w0[k], ... wide (_tail_panels), the last
+    one reaching a[k] or b[k].  Returns the panel edges lo, hi in integral
+    order and the integral of each panel.
+    """
+    span = c1 - c0
+    n_c = np.ceil(span / w0)
+    step = span / np.maximum(n_c, 1.0)
+    n_c = n_c.astype(np.int64)
+    n_l = _tail_panels(c0 - a, w0)
+    ne = n_l + n_c + _tail_panels(b - c1, w0) + 1  # edges per integral
+    first = np.cumsum(ne) - ne
+    last = first + ne - 1
+    own = np.repeat(np.arange(a.size), ne)
+    x = _edges(
+        np.arange(own.size) - (first + n_l)[own], c0[own], c1[own], w0[own], step[own], n_c[own]
+    )
+    x[first] = a
+    x[last] = b
+    keep = np.ones(own.size, dtype=bool)
+    keep[last] = False  # no panel starts at an integral's last edge
+    lo, own = x[keep], own[keep]
+    keep[last] = True
+    keep[first] = False
+    return lo, x[keep], own
+
+
+def _first_width(width, freq_hint: float, max_panel: float):
+    """The widest first-round panel: min(width/8, max_panel, one period 2 pi/freq_hint)."""
+    w0 = np.minimum(width / 8.0, max_panel)
+    return np.minimum(w0, 2.0 * math.pi / freq_hint) if freq_hint > 0.0 else w0
+
+
 def _adaptive_many(
     f,
     a,
     b,
+    core_lo,
+    core_hi,
     spec: QuadSpec,
     freq_hint: float,
     m: int,
@@ -234,51 +290,48 @@ def _adaptive_many(
 ) -> np.ndarray:
     """Integrals over [a[k], b[k]] of x -> f(x, k) for k = 0, ..., m-1, advanced together.
 
-    ``a`` and ``b`` are scalars or length-m arrays.  Every integral starts on
-    the panels that a lone adaptive integral over its interval takes and then
-    runs the rounds that it would: its own tolerance test, splits, round cap
-    and node budget, so its value does not depend on the others.  Integrals
-    are taken in consecutive groups whose first round is at most _CHUNK_NODES
+    ``a``, ``b``, ``core_lo`` and ``core_hi`` are scalars or length-m arrays;
+    [core_lo[k], core_hi[k]] (clipped to the interval, possibly a point) is
+    the part of integral k that is not tail.  The first round lays equal
+    panels over the core, at most _first_width wide, and panels of doubling
+    width through the tails out to the cut, so padding the cut costs O(log)
+    panels.  Every integral then runs the rounds that a lone adaptive
+    integral (_adaptive) would: its own tolerance test, splits, round cap and
+    node budget, so its value does not depend on the others.  Integrals are
+    taken in consecutive groups whose first round is at most _CHUNK_NODES
     nodes (or one integral).
     """
     a = np.full(m, a, dtype=float)
     b = np.full(m, b, dtype=float)
     if not (b > a).all():
         raise DomainError("empty integration interval")
-    width = b - a
-    w0 = np.minimum(width / 8.0, max_panel)
-    if freq_hint > 0.0:
-        # one oscillation period per first panel
-        w0 = np.minimum(w0, 2.0 * math.pi / freq_hint)
-    n0 = np.maximum(8, np.ceil(width / w0).astype(np.int64))
-    ends = np.cumsum(n0)  # first-round panels up to each integral
+    c0 = np.minimum(np.maximum(core_lo, a), b)
+    c1 = np.minimum(np.maximum(core_hi, c0), b)
+    lo, hi, own = _first_panels(a, b, c0, c1, _first_width(b - a, freq_hint, max_panel))
+    ends = np.cumsum(np.bincount(own, minlength=m))  # first-round panels up to each integral
     out = np.empty(m, dtype=complex)
     first = 0
     while first < m:
-        room = (ends[first - 1] if first else 0) + _CHUNK_NODES // _K_NODES.size
+        start = int(ends[first - 1]) if first else 0
+        room = start + _CHUNK_NODES // _K_NODES.size
         last = max(first + 1, int(np.searchsorted(ends, room, side="right")))
-        part = slice(first, last)
-        _advance(f, a[part], b[part], n0[part], first, spec, out[part])
+        stop = int(ends[last - 1])
+        part = slice(start, stop)
+        _advance(f, lo[part], hi[part], own[part] - first, first, spec, out[first:last])
         first = last
     return out
 
 
-def _advance(f, a, b, n0, first: int, spec: QuadSpec, out) -> None:
+def _advance(f, lo, hi, own, first: int, spec: QuadSpec, out) -> None:
     """Run integrals first, ..., first+len(out)-1 of _adaptive_many to the end,
-    from n0[k] equal first panels on [a[k], b[k]].
+    from the first-round panels [lo, hi] of integral own (counted from first).
 
     An integral still above its tolerance after _MAX_ROUNDS splitting rounds
     raises NonConvergenceError rather than returning its partial sum.
     """
     size = out.size
-    own = np.repeat(np.arange(size), n0)  # integral of each panel
-    # panel edges as np.linspace(a, b, n0 + 1) computes them
-    i = np.arange(own.size) - np.repeat(np.cumsum(n0) - n0, n0)
-    step = ((b - a) / n0)[own]
-    lo = i * step + a[own]
-    hi = np.where(i + 1 == n0[own], b[own], (i + 1) * step + a[own])
     val, err = _gk_batch(f, lo, hi, own + first)
-    used = _K_NODES.size * n0
+    used = _K_NODES.size * np.bincount(own, minlength=size)
 
     for rounds in range(_MAX_ROUNDS + 1):
         # sequential per-integral sums, in panel order
@@ -320,12 +373,33 @@ def _advance(f, a, b, n0, first: int, spec: QuadSpec, out) -> None:
 
 
 def _adaptive(
-    f, a: float, b: float, spec: QuadSpec, freq_hint: float, max_panel: float = math.inf
+    f,
+    a: float,
+    b: float,
+    core_lo: float,
+    core_hi: float,
+    spec: QuadSpec,
+    freq_hint: float,
+    max_panel: float = math.inf,
 ) -> complex:
-    """One adaptive Gauss-Kronrod integral of f over [a, b]."""
-    return complex(
-        _adaptive_many(lambda x, k: f(x), a, b, spec, freq_hint, 1, max_panel)[0]
-    )
+    """One adaptive Gauss-Kronrod integral of f over [a, b], with core [core_lo, core_hi].
+
+    It lays out the first round of _adaptive_many for one integral from
+    scalars, without that routine's per-integral gathers, so the value is
+    the one _adaptive_many gives.
+    """
+    if not b > a:
+        raise DomainError("empty integration interval")
+    c0 = min(max(core_lo, a), b)
+    c1 = min(max(core_hi, c0), b)
+    w0 = float(_first_width(b - a, freq_hint, max_panel))
+    n_c = math.ceil((c1 - c0) / w0)
+    n_l, n_r = int(_tail_panels(c0 - a, w0)), int(_tail_panels(b - c1, w0))
+    x = _edges(np.arange(-n_l, n_c + n_r + 1), c0, c1, w0, (c1 - c0) / max(n_c, 1.0), n_c)
+    x[0], x[-1] = a, b
+    out = np.empty(1, dtype=complex)
+    _advance(lambda x, k: f(x), x[:-1], x[1:], np.zeros(x.size - 1, dtype=np.int64), 0, spec, out)
+    return complex(out[0])
 
 
 def _tail(q: QuadSpec) -> float:
@@ -335,6 +409,12 @@ def _tail(q: QuadSpec) -> float:
 
 def _trunc_lengths(d: DecayProfile, s: QuadSpec) -> tuple[float, float]:
     return _tail(s) / d.rate_neg, _tail(s) / d.rate_pos
+
+
+def _line_core(d: DecayProfile, s: QuadSpec) -> tuple[float, float]:
+    """Where the declared envelope is still above abs_tol/10: center -+ ln(10/abs_tol)/rate."""
+    depth = _tail(s) / s.truncation_safety
+    return d.center - depth / d.rate_neg, d.center + depth / d.rate_pos
 
 
 def integrate_line(
@@ -349,16 +429,18 @@ def integrate_line(
     L = truncation_safety * (-ln(abs_tol/10)) / rate, after which adaptive
     Gauss-Kronrod panels drive the estimated error below
     max(abs_tol, rel_tol * |I|).  A rate of math.inf gives L = 0, so the
-    interval ends at ``center`` on that side (a half-line integral).  With
-    ``freq_hint`` > 0 the first panels are at most one period 2*pi/freq_hint
-    wide.  ``f`` should accept a numpy array of abscissae, of at most 8,190
-    nodes per call (scalar-only callables are mapped, slowly).  An integral
-    that misses its tolerance raises BudgetExceededError (node budget spent)
-    or NonConvergenceError (60 splitting rounds spent), each carrying the
+    interval ends at ``center`` on that side (a half-line integral).  The
+    first panels are uniform over the core L / truncation_safety either side
+    of the center, at most one period 2*pi/freq_hint wide when ``freq_hint``
+    > 0, and double in width through the rest of each tail.  ``f`` should
+    accept a numpy array of abscissae, of at most 8,190 nodes per call
+    (scalar-only callables are mapped, slowly).  An integral that misses its
+    tolerance raises BudgetExceededError (node budget spent) or
+    NonConvergenceError (60 splitting rounds spent), each carrying the
     estimate and its bound.
     """
     l_neg, l_pos = _trunc_lengths(d, s)
-    return _adaptive(f, d.center - l_neg, d.center + l_pos, s, freq_hint)
+    return _adaptive(f, d.center - l_neg, d.center + l_pos, *_line_core(d, s), s, freq_hint)
 
 
 def integrate_plane(
@@ -371,8 +453,9 @@ def integrate_plane(
 ) -> complex:
     """Iterated line integral of f(y1, y2) with per-axis truncation.
 
-    The tolerance is split evenly between the axes.  The outer (y2) rule is
-    evaluated on arrays of abscissae, and the inner (y1) integrals of one
+    The tolerance is split evenly between the axes; each axis is cut and
+    laid out in first panels as integrate_line does it.  The outer (y2) rule
+    is evaluated on arrays of abscissae, and the inner (y1) integrals of one
     such array are advanced together: each keeps its own tolerance test,
     splits and node budget at the split tolerance, so it gives the value a
     separate integrate_line call would.  ``f`` should accept two numpy arrays
@@ -381,6 +464,7 @@ def integrate_plane(
     """
     inner_spec = s.split()
     l_neg, l_pos = _trunc_lengths(d1, inner_spec)
+    core = _line_core(d1, inner_spec)
 
     def outer(y2):
         # 1-d even for the scalar y2 of an f failing on scalars, so f's error surfaces
@@ -389,6 +473,7 @@ def integrate_plane(
             lambda y1, k: f(y1, y2[k]),
             d1.center - l_neg,
             d1.center + l_pos,
+            *core,
             inner_spec,
             freq_hint1,
             y2.size,

@@ -306,17 +306,25 @@ def b22(z: complex, p: Periods) -> complex:
     return (z * z - w * z) / ww + (p.omega1**2 + 3.0 * ww + p.omega2**2) / (6.0 * ww)
 
 
+def _ln_s2_asymptotic(z: complex, p: Periods) -> complex:
+    """sign(Im z) * i pi B22(z)/2, the log of double_sine_asymptotic (Im z != 0)."""
+    return (0.5j if z.imag > 0 else -0.5j) * math.pi * b22(z, p)
+
+
 def double_sine_asymptotic(z: complex, p: Periods) -> complex:
     """Leading large-argument form exp(sign(Im z) * i pi B22(z)/2).
 
     Valid off the real axis; raises DomainError at Im z == 0 where the sign
-    is undefined.
+    is undefined, and GammaOverflowError where the value exceeds the double
+    range.
     """
     z = complex(z)
     if z.imag == 0.0:
         raise DomainError("asymptotic form undefined on the real axis (Im z = 0)")
-    sign = 1.0 if z.imag > 0 else -1.0
-    return cmath.exp(sign * 0.5j * math.pi * b22(z, p))
+    try:
+        return cmath.exp(_ln_s2_asymptotic(z, p))
+    except OverflowError:
+        raise GammaOverflowError(f"double_sine overflowed at z = {z!r}") from None
 
 
 def _lattice_index(z: complex, p: Periods, kind: str) -> tuple[int, int] | None:

@@ -584,10 +584,14 @@ def _gauss(x):
 
 def _times_vandermonde(terms):
     """The product of (x1 - x2)^2 = x1^2 - 2 x1 x2 + x2^2 with a sum of
-    separable terms (coef, f1, f2), as such a sum."""
+    separable terms (coef, f1, f2), as such a sum.  Each x^k f is made once,
+    so equal factors stay one function (and one integral per step)."""
+    made = {}
 
     def xk(f, k):
-        return lambda x: np.asarray(x, dtype=float) ** k * f(x)
+        if (f, k) not in made:
+            made[f, k] = lambda x: np.asarray(x, dtype=float) ** k * f(x)
+        return made[f, k]
 
     return [
         t
@@ -642,7 +646,7 @@ def check_delta_sequence(
     product over the particles, and at g = 1 its Vandermonde factor
     (x1 - x2)^2 turns each term into three separable ones.  So every step,
     at either n, is sum coef prod_i J[f_i], with J the one regulated line
-    integral _regulated_line.
+    integral _regulated_line, taken once per distinct f_i and step.
     """
     if q is None:
         q = QuadSpec(rel_tol=1e-8, abs_tol=1e-10)
@@ -694,11 +698,11 @@ def check_delta_sequence(
     else:
         raise DomainError("n must be 1 or 2")
     tol = derived_threshold(name) if tol is None else tol
+    fns = list(dict.fromkeys(f for _, *fs in terms for f in fs))  # each distinct factor once
     devs, plist = [], []
     for eps, reg in schedule.steps():
-        val = sum(
-            c * math.prod(_regulated_line(f, ys, g, eps, reg, q) for f in fs) for c, *fs in terms
-        )
+        js = {f: _regulated_line(f, ys, g, eps, reg, q) for f in fns}
+        val = sum(c * math.prod(js[f] for f in fs) for c, *fs in terms)
         devs.append(abs(val - target) / abs(target))
         plist.append({**fixed, "regulator": reg, "eps": eps})
     return _trend_results(name, plist, devs, tol)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypq.errors import DomainError, KernelPoleError
+from hypq.errors import DomainError, GammaOverflowError, KernelPoleError
 from hypq.kernels import (
     Coupling,
     KernelFamily,
@@ -100,6 +100,11 @@ class TestGammaKernel:
         assert errs[0] < 5e-2
         assert errs[1] < errs[0]
 
+    def test_asymptotic_overflow_is_structured(self):
+        # e^(pi (gamma - mu)/2) beyond the double range (was a raw OverflowError)
+        with pytest.raises(GammaOverflowError):
+            hatK_asymptotic(1e20, 5.0, Coupling(1.0))
+
     def test_asymptotic_g1_elementary(self):
         # at unit coupling the kernel is pi/cosh and the asymptote 2 pi e^(...)
         d = -12.0
@@ -163,6 +168,27 @@ class TestRelativisticKernel:
         lam = 12.0
         v = kernel_Kg(lam, c) * np.exp(kap * lam * c.gstar() / 2.0)
         assert abs(abs(v) - 1.0) < 1e-8
+
+    @pytest.mark.parametrize("lam", [300.0, -300.0, 1e3, 1e20, 1e3 + 5j])
+    def test_underflow_far_out_is_zero(self, lam):
+        # each double sine factor (or their product) leaves the double range
+        # from |lam| ~ 250; Kg itself is about e^(-pi |lam| (w - g) / w1 w2)
+        # there, below the smallest double, so it is 0 (was nan, or a raw
+        # OverflowError from the asymptotic exp)
+        c = Coupling(0.9, P12)
+        assert kernel_Kg(lam, c) == 0
+        assert eigenvalue(REL, lam, 0.1, c) == 0
+
+    def test_log_route_matches_product_where_both_are_finite(self):
+        # the summed-log form the far region takes agrees with 1/(S2 S2) at
+        # heights where the product is still a double
+        from hypq.special import _ln_s2_asymptotic
+
+        c = Coupling(0.9, P12)
+        for lam in (100.0, -150.0, 200.0):
+            zs = (0.45 + 1j * lam, 0.45 - 1j * lam)
+            logs = _ln_s2_asymptotic(zs[0], P12) + _ln_s2_asymptotic(zs[1], P12)
+            assert abs(np.exp(-logs) - kernel_Kg(lam, c)) <= 1e-12 * abs(kernel_Kg(lam, c))
 
     def test_fast_evaluator_matches_direct(self):
         # validates the piecewise-Chebyshev accelerator and its asymptotic

@@ -174,11 +174,13 @@ class TestTwoVariable:
 
     def test_q2_generic_work_ceiling(self, gk_nodes):
         # the generic input is folded onto v = y1 - y2 >= 0 like the factored
-        # ones: 90,885 nodes here, where per-axis (y1, y2) panels took 227,460
+        # ones: 40,380 nodes here with first panels doubling through the
+        # tails, 90,885 with uniform ones, and per-axis (y1, y2) panels took
+        # 227,460
         spec = OperatorSpec(HYP, 2, False, Coupling(1.0), 0.0)
         h = FunctionHandle(lambda y1, y2: np.exp(-y1 * y1 - y2 * y2), Envelope(1.5, 1.5))
         assert abs(apply_Q(spec, h, (0.0, 0.0), Q) - 1.7195589569512637) <= 1e-12
-        assert 0 < sum(gk_nodes) <= 110_000
+        assert 0 < sum(gk_nodes) <= 48_000
 
     def test_q2_generic_asymmetric_vs_oracle(self):
         # a handle that is not symmetric in (y1, y2), off center, at a complex

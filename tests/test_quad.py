@@ -97,13 +97,14 @@ class TestIntegrateLine:
         assert 0 < e.nodes_used < spec.max_nodes
 
     def test_round_limit_on_interior_singularity(self, monkeypatch):
-        # |x - pi/10|^(-1/2) e^(-x^2) on [-6, 6] at rel_tol 1e-9 stops after 45
-        # rounds on its own error estimate (the value is 1.3e-8 off, below the
-        # estimator's sight); under a 30-round cap it must raise, not sum
+        # |x - pi/10|^(-1/2) e^(-x^2) on [-6, 6], all of it core, at rel_tol
+        # 1e-9 stops after 45 rounds on its own error estimate (the value is
+        # 1.3e-8 off, below the estimator's sight); under a 30-round cap it
+        # must raise, not sum
         monkeypatch.setattr(quad, "_MAX_ROUNDS", 30)
         f = lambda x: np.abs(x - math.pi / 10) ** -0.5 * np.exp(-x * x)
         with pytest.raises(NonConvergenceError) as exc:
-            quad._adaptive(f, -6.0, 6.0, QuadSpec(rel_tol=1e-9), 0.0)
+            quad._adaptive(f, -6.0, 6.0, -6.0, 6.0, QuadSpec(rel_tol=1e-9), 0.0)
         assert exc.value.error_bound > 1e-9 * abs(exc.value.estimate)
         assert abs(exc.value.estimate - 3.45383793) < 1e-3
 
@@ -211,22 +212,27 @@ class TestIntegratePlane:
 class TestPerIntegralIntervals:
     @pytest.mark.parametrize("chunk", [600, None])
     def test_many_matches_lone_calls(self, monkeypatch, chunk):
-        # 50 oscillatory integrals, each on its own interval; a small chunk
-        # splits them into several groups and integrand calls
+        # 50 oscillatory integrals, each on its own interval and core (some
+        # cores reach past an end, some are points); a small chunk splits
+        # them into several groups and integrand calls
         if chunk is not None:
             monkeypatch.setattr(quad, "_CHUNK_NODES", chunk)
         rng = np.random.RandomState(11)
         a = rng.uniform(-10.0, 2.0, 50)
         b = a + rng.uniform(0.5, 30.0, 50)
         w = rng.uniform(1.0, 20.0, 50)
+        c0 = a + (b - a) * rng.uniform(-0.2, 0.8, 50)
+        c1 = np.where(rng.uniform(size=50) < 0.2, c0, c0 + rng.uniform(0.0, 12.0, 50))
         spec = QuadSpec(rel_tol=1e-10, abs_tol=1e-12)
 
         def f(x, k):
             return np.exp(1j * w[k] * x) / np.cosh(0.3 * x)
 
-        many = quad._adaptive_many(f, a, b, spec, 5.0, 50, 2.0)
+        many = quad._adaptive_many(f, a, b, c0, c1, spec, 5.0, 50, 2.0)
         lone = [
-            quad._adaptive(lambda x: f(x, np.full(x.shape, k)), a[k], b[k], spec, 5.0, 2.0)
+            quad._adaptive(
+                lambda x: f(x, np.full(x.shape, k)), a[k], b[k], c0[k], c1[k], spec, 5.0, 2.0
+            )
             for k in range(50)
         ]
         assert (many == np.array(lone)).all()
@@ -235,18 +241,81 @@ class TestPerIntegralIntervals:
         # each node is passed with its own integral's index
         a, b = np.array([0.0, -1.0, 2.0]), np.array([1.0, 3.0, 2.5])
         w = [1.0, 4.0, 9.0]
-        got = quad._adaptive_many(lambda x, k: math.cos(w[k] * x), a, b, Q, 0.0, 3)
+        got = quad._adaptive_many(lambda x, k: math.cos(w[k] * x), a, b, a, a, Q, 0.0, 3)
         want = [(math.sin(w[k] * b[k]) - math.sin(w[k] * a[k])) / w[k] for k in range(3)]
         assert np.allclose(got, want, rtol=0.0, atol=1e-12)
 
     def test_empty_interval_refused(self):
         with pytest.raises(DomainError):
             b = np.array([1.0, 0.0, 2.0])
-            quad._adaptive_many(lambda x, k: x, np.zeros(3), b, Q, 0.0, 3)
+            quad._adaptive_many(lambda x, k: x, np.zeros(3), b, 0.0, 0.0, Q, 0.0, 3)
 
 
 class TestPanelSizing:
-    """First panels span one oscillation period of the declared frequency."""
+    """First panels over an integral's core span at most one oscillation
+    period of the declared frequency; through its tails they double."""
+
+    def test_lone_first_round_tails_are_logarithmic(self, monkeypatch):
+        # core [-2, 3] on [-40, 100]: 5 / w0 equal core panels, then widths
+        # w0, 2 w0, 4 w0, ... to each cut, the last panel taking the rest
+        first = []
+        batch = quad._gk_batch
+
+        def record(f, lo, hi, own):
+            if not first:
+                first.append((lo.copy(), hi.copy()))
+            return batch(f, lo, hi, own)
+
+        monkeypatch.setattr(quad, "_gk_batch", record)
+        omega = 12.0
+        w0 = 2.0 * math.pi / omega
+        quad._adaptive(lambda x: np.exp(-x * x), -40.0, 100.0, -2.0, 3.0, Q, omega)
+        lo, hi = first[0]
+        assert lo[0] == -40.0 and hi[-1] == 100.0 and (hi[:-1] == lo[1:]).all()
+        n_c = math.ceil(5.0 / w0)
+        n_l = math.floor(math.log2(1.0 + 38.0 / w0))
+        n_r = math.floor(math.log2(1.0 + 97.0 / w0))
+        assert lo.size == n_l + n_c + n_r  # 23 panels, where uniform ones took 268
+        core = slice(n_l, n_l + n_c)
+        assert lo[core][0] == -2.0 and hi[core][-1] == 3.0
+        assert np.allclose(hi[core] - lo[core], 5.0 / n_c, rtol=1e-12)
+        widths = w0 * 2.0 ** np.arange(n_r - 1)
+        assert np.allclose((hi - lo)[n_l + n_c : -1], widths, rtol=1e-12)
+        assert np.allclose((hi - lo)[1:n_l][::-1], w0 * 2.0 ** np.arange(n_l - 1), rtol=1e-12)
+
+    @given(
+        st.floats(1e-3, 1e3),
+        st.floats(0.2, 4.0),
+        st.floats(0.3, 1.0),
+        st.floats(0.0, 30.0),
+        st.floats(-5.0, 5.0),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_damped_cosine_closed_form(self, amp, rate, slack, omega, c):
+        # P e^(-r |x - c|) cos(w (x - c)) integrates to 2 P r / (r^2 + w^2); the
+        # declared rate is at most the true one, so the cut only lengthens
+        v = integrate_line(
+            lambda x: amp * np.exp(-rate * np.abs(x - c)) * np.cos(omega * (x - c)),
+            DecayProfile(slack * rate, slack * rate, center=c),
+            Q,
+            freq_hint=omega,
+        )
+        exact = 2.0 * amp * rate / (rate * rate + omega * omega)
+        assert abs(v - exact) <= max(Q.abs_tol, Q.rel_tol * abs(exact))
+
+    @given(st.floats(0.3, 1.0), st.floats(0.0, 20.0), st.floats(-5.0, 5.0))
+    @settings(max_examples=40, deadline=None)
+    def test_sech_cosine_closed_form(self, slack, omega, c):
+        # sech(x - c) cos(w x) integrates to pi sech(pi w / 2) cos(w c); its
+        # poles at distance pi/2 from the axis sit inside the wide tail panels
+        v = integrate_line(
+            lambda x: np.cos(omega * x) / np.cosh(x - c),
+            DecayProfile(slack, slack, center=c),
+            Q,
+            freq_hint=omega,
+        )
+        exact = math.pi / math.cosh(0.5 * math.pi * omega) * math.cos(omega * c)
+        assert abs(v - exact) <= max(Q.abs_tol, Q.rel_tol * abs(exact))
 
     @pytest.mark.parametrize("omega", [5.0, 40.0, 200.0, 1000.0])
     def test_high_frequency_accuracy(self, omega):

@@ -317,6 +317,16 @@ class TestB22AndAsymptotics:
         b = double_sine_asymptotic(z.conjugate(), p)
         assert abs(a.conjugate() - b) < 1e-14 * abs(a)
 
+    @pytest.mark.parametrize("z", [1000j, -1000j, 0.4 + 400j])
+    def test_overflow_is_structured(self, z):
+        # |S2| ~ e^(pi |Im z| |Re z - w/2| / w1 w2 + ...) leaves the double
+        # range; both routes raise GammaOverflowError (was a raw OverflowError)
+        p = Periods(1.0, math.sqrt(2.0))
+        with pytest.raises(GammaOverflowError):
+            double_sine_asymptotic(z, p)
+        with pytest.raises(GammaOverflowError):
+            double_sine(z, p)
+
     def test_error_small_and_decreasing(self):
         # sampled below the internal asymptotic switch height (where the
         # integral representation is in use); beyond it the two coincide

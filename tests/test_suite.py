@@ -282,22 +282,31 @@ class TestDeltaSequences:
     @pytest.mark.parametrize(
         "name,ceiling",
         [
-            ("delta_n2_vandermonde", 54_000),
-            ("delta_n2_power", 56_000),
-            ("qq_n2_gamma", 120_000),
-            ("eigen_n2_relativistic", 115_000),
-            ("scalar_chain_gamma", 760_000),
-            ("qlambda_hyperbolic", 193_000),
+            pytest.param(name, ceiling, id=name)
+            for name, ceiling in (
+                ("delta_n2_vandermonde", 24_000),
+                ("delta_n2_power", 24_000),
+                ("qq_n2_gamma", 113_000),
+                ("eigen_n2_relativistic", 96_000),
+                ("scalar_chain_gamma", 263_000),
+                ("scalar_chain_hyperbolic", 278_000),
+                ("scalar_chain_relativistic", 142_000),
+                ("qlambda_hyperbolic", 112_000),
+            )
         ],
     )
     def test_n2_work_ceiling(self, gk_nodes, name, ceiling):
-        # integrand nodes of the whole check, about 1.2 times the count of the
-        # two-variable work: 45,150 (delta_n2_vandermonde) and 46,350
-        # (delta_n2_power) as sums of products of one-particle integrals,
-        # 100,560 (qq_n2_gamma), 95,820 (eigen_n2_relativistic), 633,345
-        # (scalar_chain_gamma) and 160,710 (qlambda_hyperbolic); the delta
-        # checks took 10.67 M and 11.34 M on the unfolded (u, v) plane, then
-        # 2.53 M and 2.69 M on its folded quadrant
+        # integrand nodes of the whole check, about 1.2 times its count with
+        # first panels doubling through each tail and each distinct
+        # one-particle integral taken once per delta step: 19,815
+        # (delta_n2_vandermonde), 20,115 (delta_n2_power), 94,170
+        # (qq_n2_gamma), 79,995 (eigen_n2_relativistic), 218,850
+        # (scalar_chain_gamma), 232,020 (scalar_chain_hyperbolic), 118,455
+        # (scalar_chain_relativistic) and 92,985 (qlambda_hyperbolic); with
+        # uniform first panels over the whole padded interval they took
+        # 45,150, 46,350, 100,560, 95,820, 633,345, 394,200, 213,885 and
+        # 160,710, and the delta checks 10.67 M and 11.34 M on the unfolded
+        # (u, v) plane
         assert all(r.passed for r in run_suite([name]))
         assert 0 < sum(gk_nodes) <= ceiling
 
