@@ -35,6 +35,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+import numbers
 import threading
 from dataclasses import dataclass
 
@@ -95,8 +96,8 @@ class Coupling:
     periods: Periods | None = None
 
     def __post_init__(self):
-        if isinstance(self.g, complex):
-            raise DomainError("coupling g must be real")
+        if not isinstance(self.g, numbers.Real):
+            raise DomainError(f"coupling g must be a real number, got {self.g!r}")
         if not (math.isfinite(self.g) and self.g > 0):
             raise DomainError(f"coupling g must be positive, got {self.g!r}")
         object.__setattr__(self, "g", float(self.g))

@@ -71,6 +71,14 @@ __all__ = [
 _MIRROR = np.array([-1.0, 1.0])[:, None, None]
 
 
+def _complex(x, what: str) -> complex:
+    """x as a complex number; DomainError, naming it as ``what``, if it is not one."""
+    try:
+        return complex(x)
+    except (TypeError, ValueError):
+        raise DomainError(f"{what} {x!r} is not a number") from None
+
+
 @dataclass(frozen=True)
 class Envelope:
     """Signed exponential envelope of a handle: |f(t)| <~ e^(-rate_pos t) as
@@ -113,7 +121,7 @@ class OperatorSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "family", KernelFamily(self.family))
-        object.__setattr__(self, "spectral", complex(self.spectral))
+        object.__setattr__(self, "spectral", _complex(self.spectral, "spectral argument"))
         if self.arity not in (1, 2):
             raise DomainError("arity must be 1 or 2")
         if self.family is KernelFamily.HYPERBOLIC and self.dual:
@@ -182,7 +190,7 @@ class _Ops:
 def plane_wave(label: complex, family: KernelFamily, c: Coupling) -> FunctionHandle:
     """e^(i kappa label t) with exact envelope bookkeeping."""
     kappa = exponent_scale(family, c)
-    label = complex(label)
+    label = _complex(label, "plane-wave label")
 
     def fn(t):
         return np.exp(1j * kappa * label * np.asarray(t, dtype=float))
@@ -441,11 +449,13 @@ def pair_transform(
     8 / max(kappa |delta|, 1) for the cosine.  The edges do not depend on v:
     each v takes those below |v|/2, its last panel ending at y = 0.  Nodes
     reach the kernel in calls of at most _CALL_NODES, unless one v needs more.
-    An empty v gives an empty array; a non-finite v or delta raises DomainError.
+    An empty v gives an empty array; a v that is not finite and real, or a
+    delta that is not a finite number, raises DomainError.
     """
-    w = np.asarray(v, dtype=float)
-    if not (np.isfinite(w).all() and np.isfinite(complex(delta))):
-        raise DomainError("pair_transform needs a finite delta and finite v")
+    w, delta = np.asarray(v), _complex(delta, "pair_transform delta")
+    if w.dtype.kind not in "biuf" or not (np.isfinite(w).all() and np.isfinite(delta)):
+        raise DomainError("pair_transform needs a finite delta and finite real v")
+    w = w.astype(float, copy=False)
     if w.size == 0:
         return np.empty(w.shape, dtype=complex)
     ops = _Ops(kind, True, c_kernel)

@@ -108,9 +108,9 @@ class QuadSpec:
     def __post_init__(self):
         if not (self.rel_tol > 0 and self.abs_tol > 0):
             raise DomainError("rel_tol and abs_tol must be positive")
-        if self.max_nodes < 64:
+        if not self.max_nodes >= 64:  # a NaN budget would never run out
             raise DomainError("max_nodes must be at least 64")
-        if self.truncation_safety < 1.0:
+        if not self.truncation_safety >= 1.0:
             raise DomainError("truncation_safety must be >= 1")
 
     def split(self, factor: float = 2.0) -> "QuadSpec":

@@ -284,6 +284,8 @@ def log_double_sine(z: complex, p: Periods) -> complex:
     functional equations first (double_sine does this automatically).
     """
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise DomainError(f"log_double_sine needs a finite argument, got {z!r}")
     if not 0.0 < z.real < p.total:
         raise StripError(
             f"Re z = {z.real!r} outside the analytic strip (0, {p.total!r})"

@@ -185,6 +185,8 @@ def psi_asymptotic(sp: SpectralPoint, pp: PositionPoint, c: Coupling) -> complex
     if not sp.is_real:
         raise DomainError("asymptotic form is stated for real spectral values")
     l1, l2 = sp.lambda1.real, sp.lambda2.real
+    if not all(map(math.isfinite, (l1, l2, pp.x1, pp.x2))):
+        raise DomainError("asymptotic form needs finite spectral values and positions")
     if l1 == l2:
         raise KernelPoleError("coincident spectral values hit a gamma pole")
     g = c.g
@@ -211,6 +213,8 @@ _OFFS = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
 
 
 def _stencil_values(sp, pp, c, q, axis: int, h: float) -> np.ndarray:
+    if not (math.isfinite(h) and h > 0.0):
+        raise DomainError(f"finite-difference step h must be positive and finite, got {h!r}")
     vals = []
     for o in _OFFS:
         x1 = pp.x1 + (o * h if axis == 0 else 0.0)

@@ -1,6 +1,7 @@
 """tools/report_diff.py: moved fields, flipped verdicts and missing records."""
 import importlib.util
 import json
+import math
 import pathlib
 
 import pytest
@@ -35,6 +36,17 @@ def test_moved_field_is_listed_and_passes(report_diff, tmp_path, capsys):
     assert "lhs_im: 2e-17 -> -2e-17 (abs 4e-17, rel 2)" in out
     assert "1.7" not in out  # the unmoved record is not printed
     assert "1 moved, 0 verdicts flipped; record lists match" in out
+
+
+def test_move_is_shown_against_the_tolerance(report_diff, tmp_path, capsys):
+    base = [{**_record("eigen", 0.1), "tolerance": 1e-8}, {**_record("trend", 1.0), "tolerance": math.inf}]
+    change = [{**base[0], "lhs_re": 1.0 + 4e-16}, {**base[1], "lhs_re": 1.5}]
+    assert report_diff.main([_write(tmp_path / "b.jsonl", base), _write(tmp_path / "c.jsonl", change)]) == 0
+    out = capsys.readouterr().out
+    assert 'eigen {"arg": 0.1}  tolerance 1e-08' in out
+    assert "lhs_re: 1.0 -> 1.0000000000000004 (abs 4.44e-16, rel 4.44e-16, 4.44e-08 of tolerance)" in out
+    # an infinite tolerance (a trend's first step) gives no ratio
+    assert 'trend {"arg": 1.0}\n  lhs_re: 1.0 -> 1.5 (abs 0.5, rel 0.333)\n' in out
 
 
 def test_flipped_verdict_fails(report_diff, tmp_path, capsys):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from hypq.errors import DomainError, UnknownCheckError
 from hypq.kernels import Coupling, KernelFamily
+from hypq.operators import _Ops
 from hypq.quad import DecayProfile, QuadSpec, integrate_plane
 from hypq.special import Periods, complex_gamma
 from hypq.suite import (
@@ -94,6 +95,22 @@ class TestBetaChecks:
     def test_relativistic(self):
         r = check_beta(REL, 0.4, Coupling(0.8, Periods(1.0, math.sqrt(2.0))))
         assert r.passed and r.rel_err < 1e-7
+
+
+class TestEigenRelations:
+    PREFIXES = ("beta_", "eigen_n1_", "eigen_n2_", "scalar_chain_", "dual_construction_inner")
+
+    def test_scaled_eigenvalue_fails_every_record(self, monkeypatch):
+        # every eigen record is judged on its relative error, so an eigenvalue
+        # one part in 10^3 off fails it however small |rhs| is: the smallest
+        # are eigen_n2_relativistic (|rhs| = 0.018, tol 1e-4) and the
+        # two-variable scalar_chain_relativistic step (|rhs| = 1.4e-4)
+        eigen = _Ops.eigen
+        monkeypatch.setattr(_Ops, "eigen", lambda ops, s, l: eigen(ops, s, l) * (1.0 + 1e-3))
+        rows = [n for n in registry_names() if n.startswith(self.PREFIXES)] + ["dual_construction"]
+        records = [r for r in run_suite(rows) if r.check_name.startswith(self.PREFIXES)]
+        assert len(records) == 21 + 15 + 3 + 9 + 1
+        assert not [(r.check_name, r.params) for r in records if r.passed]
 
 
 class TestReductions:
@@ -284,6 +301,9 @@ class TestDeltaSequences:
         [
             pytest.param(name, ceiling, id=name)
             for name, ceiling in (
+                ("beta_hyperbolic", 6_000),
+                ("beta_gamma", 4_100),
+                ("beta_relativistic", 1_600),
                 ("delta_n2_vandermonde", 24_000),
                 ("delta_n2_power", 24_000),
                 ("qq_n2_gamma", 113_000),
@@ -298,7 +318,9 @@ class TestDeltaSequences:
     def test_n2_work_ceiling(self, gk_nodes, name, ceiling):
         # integrand nodes of the whole check, about 1.2 times its count with
         # first panels doubling through each tail and each distinct
-        # one-particle integral taken once per delta step: 19,815
+        # one-particle integral taken once per delta step: 5,040, 3,420 and
+        # 1,320 (beta_hyperbolic, beta_gamma, beta_relativistic, as the
+        # plane-wave eigen relation at label 0 and point 0), 19,815
         # (delta_n2_vandermonde), 20,115 (delta_n2_power), 94,170
         # (qq_n2_gamma), 79,995 (eigen_n2_relativistic), 218,850
         # (scalar_chain_gamma), 232,020 (scalar_chain_hyperbolic), 118,455

@@ -4,7 +4,10 @@
 
 A record is named by its check name and parameters.  For each record of
 both reports, every field whose value moved is printed with the absolute and
-the relative move (|change - base| / max(|base|, |change|)).  Records found
+the relative move (|change - base| / max(|base|, |change|)).  A moved record
+also shows its base tolerance, and each numeric move its ratio to that
+tolerance (|change - base| / tolerance), when the tolerance is finite and
+positive.  Records found
 in only one report, and verdicts (``passed``) that flip, are printed too.
 The exit status is 1 if a verdict flips or the two record lists differ, and
 0 otherwise.
@@ -12,6 +15,7 @@ The exit status is 1 if a verdict flips or the two record lists differ, and
 from __future__ import annotations
 
 import json
+import math
 import sys
 
 _IDENTITY = ("check_name", "params")
@@ -26,17 +30,31 @@ def record_key(rec: dict) -> str:
     return f"{rec['check_name']} {json.dumps(rec['params'], sort_keys=True)}"
 
 
+def _number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _tolerance(rec: dict) -> float | None:
+    """The record's tolerance if it is a finite positive number, else None."""
+    tol = rec.get("tolerance")
+    return tol if _number(tol) and 0 < tol < math.inf else None
+
+
 def moved_fields(base: dict, change: dict) -> list[str]:
     """One line per field of the pair whose value moved."""
     out = []
+    tol = _tolerance(base)
     for name in sorted((set(base) | set(change)) - set(_IDENTITY)):
         a, b = base.get(name), change.get(name)
         if a == b:
             continue
         line = f"  {name}: {a!r} -> {b!r}"
-        if all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (a, b)):
+        if _number(a) and _number(b):
             move = abs(b - a)
-            line += f" (abs {move:.3g}, rel {move / max(abs(a), abs(b)):.3g})"
+            line += f" (abs {move:.3g}, rel {move / max(abs(a), abs(b)):.3g}"
+            if tol is not None and name != "tolerance":
+                line += f", {move / tol:.3g} of tolerance"
+            line += ")"
         out.append(line)
     return out
 
@@ -59,7 +77,8 @@ def diff(base: list[dict], change: list[dict]) -> tuple[list[str], bool]:
         fields = moved_fields(rec, other)
         if fields:
             moved += 1
-            lines.append(key)
+            tol = _tolerance(rec)
+            lines.append(key if tol is None else f"{key}  tolerance {tol:.3g}")
             lines.extend(fields)
         if rec.get("passed") != other.get("passed"):
             flips += 1
