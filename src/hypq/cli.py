@@ -11,9 +11,10 @@ Four subcommands:
 Configuration comes from a JSON file (--config) with flag overrides; its
 rel_tol and abs_tol apply to eval only, checks hold their own.  Records
 are written as json-lines or CSV with identical 17-significant-digit decimal
-serialization.  --tol re-evaluates every record's pass flag against the given
-tolerance (useful to tighten or force-fail a run).  Reports are byte-identical across runs and across --jobs
-values: runtimes and timestamps are zeroed/omitted unless --timings is given.
+serialization.  --tol re-judges each record against the given tolerance under
+the record's own scale (useful to tighten or force-fail a run).  Reports are
+byte-identical across runs and across --jobs values: runtimes and timestamps
+are zeroed/omitted unless --timings is given.
 Exit codes: 0 all passed, 1 at least one failing check, 2 usage/config error.
 """
 from __future__ import annotations
@@ -283,17 +284,16 @@ def cmd_eval(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _print_table(results: list[CheckResult], stream=None) -> None:
-    stream = stream or sys.stdout
+def _print_table(results: list[CheckResult]) -> None:
     width = max((len(r.check_name) for r in results), default=10) + 2
-    stream.write(f"{'check':<{width}}{'status':<8}{'abs_err':>12}{'rel_err':>12}{'tol':>10}\n")
+    sys.stdout.write(f"{'check':<{width}}{'status':<8}{'abs_err':>12}{'rel_err':>12}{'tol':>10}\n")
     for r in results:
-        stream.write(
+        sys.stdout.write(
             f"{r.check_name:<{width}}{'PASS' if r.passed else 'FAIL':<8}"
             f"{r.abs_err:>12.3e}{r.rel_err:>12.3e}{r.tolerance:>10.1e}\n"
         )
     npass = sum(r.passed for r in results)
-    stream.write(f"{npass}/{len(results)} checks passed\n")
+    sys.stdout.write(f"{npass}/{len(results)} checks passed\n")
 
 
 def _finish(results: list[CheckResult], cfg: RunConfig) -> int:
@@ -301,8 +301,7 @@ def _finish(results: list[CheckResult], cfg: RunConfig) -> int:
     and return the exit code."""
     if cfg.tol is not None:
         for r in results:
-            r.tolerance = cfg.tol
-            r.passed = bool(r.abs_err <= cfg.tol or r.rel_err <= cfg.tol)
+            r.judge(cfg.tol)
     _write_records([_record_fields(r, cfg.hash(), cfg.timings) for r in results], cfg)
     if cfg.out:
         _print_table(results)

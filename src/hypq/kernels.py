@@ -35,13 +35,13 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-import numbers
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, GammaOverflowError, KernelPoleError
+from .quad import _real
 from .special import (
     _ASYM_FACTOR,
     _LANCZOS_C as _LANCZOS_C_K,
@@ -96,11 +96,11 @@ class Coupling:
     periods: Periods | None = None
 
     def __post_init__(self):
-        if not isinstance(self.g, numbers.Real):
-            raise DomainError(f"coupling g must be a real number, got {self.g!r}")
-        if not (math.isfinite(self.g) and self.g > 0):
+        if not (math.isfinite(_real(self.g, "coupling g")) and self.g > 0):
             raise DomainError(f"coupling g must be positive, got {self.g!r}")
         object.__setattr__(self, "g", float(self.g))
+        if not isinstance(self.periods, (Periods, type(None))):
+            raise DomainError(f"periods must be a Periods record, got {self.periods!r}")
         if self.periods is not None and not self.g < self.periods.total:
             raise DomainError(
                 f"need 0 < g < omega1 + omega2, got g = {self.g}, "

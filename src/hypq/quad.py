@@ -22,6 +22,7 @@ deterministic order, so identical inputs give bit-identical results.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -96,6 +97,14 @@ _CALL_NODES = 8_190
 _MAX_ROUNDS = 60
 
 
+def _real(x, what: str) -> float:
+    """x as a float; DomainError, naming it as ``what``, if it is not a real number."""
+    # float and int first: they pass without numbers.Real's slower ABC check
+    if not isinstance(x, (float, int, numbers.Real)):
+        raise DomainError(f"{what} must be a real number, got {x!r}")
+    return float(x)
+
+
 @dataclass(frozen=True)
 class QuadSpec:
     """Tolerances, truncation policy and node budget for the adaptive rules."""
@@ -106,6 +115,8 @@ class QuadSpec:
     truncation_safety: float = 1.5
 
     def __post_init__(self):
+        for name in ("rel_tol", "abs_tol", "max_nodes", "truncation_safety"):
+            _real(getattr(self, name), name)
         if not (self.rel_tol > 0 and self.abs_tol > 0):
             raise DomainError("rel_tol and abs_tol must be positive")
         if not self.max_nodes >= 64:  # a NaN budget would never run out
@@ -113,11 +124,11 @@ class QuadSpec:
         if not self.truncation_safety >= 1.0:
             raise DomainError("truncation_safety must be >= 1")
 
-    def split(self, factor: float = 2.0) -> "QuadSpec":
-        """Tightened spec for one axis of an iterated integral."""
+    def split(self) -> "QuadSpec":
+        """Tightened spec for one axis of an iterated integral: half of each tolerance."""
         return QuadSpec(
-            rel_tol=self.rel_tol / factor,
-            abs_tol=self.abs_tol / factor,
+            rel_tol=self.rel_tol / 2.0,
+            abs_tol=self.abs_tol / 2.0,
             max_nodes=self.max_nodes,
             truncation_safety=self.truncation_safety,
         )
@@ -136,8 +147,10 @@ class DecayProfile:
     center: float = 0.0
 
     def __post_init__(self):
-        if not (self.rate_pos > 0 and self.rate_neg > 0):
+        if not (_real(self.rate_pos, "rate_pos") > 0 and _real(self.rate_neg, "rate_neg") > 0):
             raise DomainError("decay rates must be positive")
+        if not math.isfinite(_real(self.center, "center")):
+            raise DomainError(f"center must be finite, got {self.center!r}")
 
     def shifted(self, a: float) -> "DecayProfile":
         return DecayProfile(self.rate_pos, self.rate_neg, self.center + a)

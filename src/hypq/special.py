@@ -42,7 +42,7 @@ from .errors import (
     LatticePoleError,
     StripError,
 )
-from .quad import _panels_on
+from .quad import _panels_on, _real
 
 __all__ = [
     "Periods",
@@ -160,12 +160,10 @@ class Periods:
 
     def __post_init__(self):
         for name in ("omega1", "omega2"):
-            v = getattr(self, name)
-            if isinstance(v, complex):
-                raise DomainError(f"{name} must be real, got {v!r}")
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
+            v = _real(getattr(self, name), name)
+            if not (math.isfinite(v) and v > 0):
                 raise DomainError(f"{name} must be a positive real, got {v!r}")
-            object.__setattr__(self, name, float(v))
+            object.__setattr__(self, name, v)
 
     @property
     def total(self) -> float:

@@ -9,14 +9,16 @@ line ``check``/``sweep`` commands are thin wrappers around it.
 
 The eigen rows (beta, eigen_n1, eigen_n2, the scalar-product chain and the
 inner dual construction) share two assemblies, _plane_wave_records and
-_pair_eigen_record, and are judged on the relative error alone.
+_pair_eigen_record.  Every identity row is judged on its relative error,
+abs_err <= tol * max(|lhs|, |rhs|); representation_equivalence states its
+own scale, max(1, |psi_hr|), and a deviation bound's scale is 1.
 """
 from __future__ import annotations
 
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,7 +43,7 @@ from .operators import (
     qlambda_exchange_check,
     qq_convolution_kernel,
 )
-from .quad import DecayProfile, QuadSpec, integrate_line, integrate_plane
+from .quad import DecayProfile, QuadSpec, _real, integrate_line, integrate_plane
 from .special import Periods, complex_gamma, double_sine
 from .wavefn import (
     PositionPoint,
@@ -83,7 +85,12 @@ _PERIODS = Periods(1.0, math.sqrt(2.0))  # the periods of the relativistic check
 
 @dataclass
 class CheckResult:
-    """One verified identity instance."""
+    """One verified identity instance.
+
+    ``scale`` is what the tolerance is relative to: the record passes while
+    abs_err <= tolerance * scale.  It is set by the constructors below and
+    is not serialized.
+    """
 
     check_name: str
     params: dict
@@ -94,41 +101,47 @@ class CheckResult:
     tolerance: float
     passed: bool
     runtime_ms: float = 0.0
+    scale: float = field(default=1.0, repr=False)
+
+    def judge(self, tol: float) -> "CheckResult":
+        """Set the tolerance and the verdict abs_err <= tol * scale."""
+        self.tolerance = tol
+        self.passed = bool(self.abs_err <= tol * self.scale)
+        return self
 
     @classmethod
     def compare(
-        cls, name: str, params: dict, lhs: complex, rhs: complex, tol: float
+        cls, name: str, params: dict, lhs: complex, rhs: complex, tol: float,
+        scale: float | None = None,
     ) -> "CheckResult":
+        """lhs against rhs, at the scale max(|lhs|, |rhs|) unless one is stated."""
         lhs = complex(lhs)
         rhs = complex(rhs)
         abs_err = abs(lhs - rhs)
-        rel_err = abs_err / max(abs(lhs), abs(rhs), 1e-300)
+        size = max(abs(lhs), abs(rhs))
         return cls(
-            check_name=name,
-            params=params,
-            lhs=lhs,
-            rhs=rhs,
-            abs_err=abs_err,
-            rel_err=rel_err,
-            tolerance=tol,
-            passed=bool(abs_err <= tol or rel_err <= tol),
-        )
+            name, params, lhs, rhs, abs_err, abs_err / max(size, 1e-300), tol, False,
+            scale=size if scale is None else scale,
+        ).judge(tol)
 
     @classmethod
     def bound(
         cls, name: str, params: dict, value: float, tol: float, passed: bool | None = None
     ) -> "CheckResult":
         """A nonnegative deviation that must stay within tol (or meet ``passed``)."""
-        return cls(
-            check_name=name,
-            params=params,
-            lhs=complex(value),
-            rhs=0.0,
-            abs_err=float(value),
-            rel_err=float(value),
-            tolerance=tol,
-            passed=bool(value <= tol if passed is None else passed),
-        )
+        r = cls(name, params, complex(value), 0.0, float(value), float(value), tol, False).judge(tol)
+        if passed is not None:
+            r.passed = bool(passed)
+        return r
+
+
+def _reals(seq, what: str) -> tuple:
+    """seq as a tuple of floats; DomainError if it is not a sequence of real numbers."""
+    try:
+        items = tuple(seq)
+    except TypeError:
+        raise DomainError(f"{what}s must be a sequence of numbers, got {seq!r}") from None
+    return tuple(_real(v, what) for v in items)
 
 
 @dataclass(frozen=True)
@@ -145,9 +158,9 @@ class RegSchedule:
     regulators: tuple
 
     def __post_init__(self):
-        eps = tuple(float(e) for e in self.epsilons)
-        regs = tuple(float(r) for r in self.regulators)
-        if any(e <= 0 for e in eps) or any(r <= 0 for r in regs):
+        eps = _reals(self.epsilons, "epsilon")
+        regs = _reals(self.regulators, "regulator")
+        if not all(v > 0 for v in eps + regs):
             raise DomainError("schedule entries must be positive")
         if list(eps) != sorted(eps, reverse=True):
             raise DomainError("epsilons must descend")
@@ -181,13 +194,6 @@ def _trend_results(name: str, params_list, devs, final_tol: float) -> list[Check
 # ---------------------------------------------------------------------------
 
 
-def _eigen_result(name: str, params: dict, lhs: complex, rhs: complex, tol: float) -> CheckResult:
-    """A record passed on rel_err alone, so that a small |rhs| cannot pass on abs_err."""
-    r = CheckResult.compare(name, params, lhs, rhs, tol)
-    r.passed = bool(r.rel_err <= tol)
-    return r
-
-
 def _plane_wave_records(
     name: str, spec: OperatorSpec, cases, q: QuadSpec, tol: float
 ) -> list[CheckResult]:
@@ -198,7 +204,7 @@ def _plane_wave_records(
         pw = plane_wave(label, spec.family, spec.coupling)
         lhs = apply_Q(spec, pw, at, q)
         rhs = ops.eigen(spec.spectral, label) * complex(pw.fn(at))
-        out.append(_eigen_result(name, params, lhs, rhs, tol))
+        out.append(CheckResult.compare(name, params, lhs, rhs, tol))
     return out
 
 
@@ -211,7 +217,7 @@ def _pair_eigen_record(
     h = factored_pair_handle(spec.family, ops.kernel_coupling, sp.plus, sp.delta, q)
     lhs = apply_Q(spec, h, at, q)
     eig1, eig2 = (ops.eigen(spec.spectral, label) for label in (sp.lambda1, sp.lambda2))
-    return _eigen_result(name, params, lhs, 2.0 * eig1 * eig2 * complex(h.fn(*at)), tol)
+    return CheckResult.compare(name, params, lhs, 2.0 * eig1 * eig2 * complex(h.fn(*at)), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -219,27 +225,21 @@ def _pair_eigen_record(
 # ---------------------------------------------------------------------------
 
 
-def check_beta(
-    family: KernelFamily,
-    x_or_lam: float,
-    c: Coupling,
-    q: QuadSpec = QuadSpec(),
-    tol: float = 1e-7,
-) -> CheckResult:
+def check_beta(family: KernelFamily, x_or_lam: float, c: Coupling, tol: float = 1e-7) -> CheckResult:
     """Fourier transform of the family kernel against its closed form: the
     plane-wave eigenvalue of the one-variable operator at label 0, point 0."""
     family = KernelFamily(family)
     # dual but for the hyperbolic family, so that c is the kernel's own coupling
     spec = OperatorSpec(family, 1, family is not HYP, c, x_or_lam)
     params = {"family": family.value, "arg": x_or_lam, "g": c.g}
-    return _plane_wave_records(f"beta_{family.value}", spec, [(0.0, 0.0, params)], q, tol)[0]
+    return _plane_wave_records(f"beta_{family.value}", spec, [(0.0, 0.0, params)], QuadSpec(), tol)[0]
 
 
 # ---------------------------------------------------------------------------
 # reductions between the families
 # ---------------------------------------------------------------------------
 
-# registry name -> (kind, default parameters, omega2 schedule toward the limit):
+# registry name -> (kind, parameters, omega2 schedule toward the limit):
 # descending omega2 for the small-period reductions, ascending for S2_to_gamma
 _REDUCTIONS = {
     "reduction_Kg_to_hatK": ("Kg_to_hatK", {"g": 1.2, "omega1": 1.0, "lam": 0.5}, (0.2, 0.1, 0.05)),
@@ -302,12 +302,7 @@ def _reduction_deviation(which: str, omega2: float, params: dict) -> float:
     return abs(est / complex_gamma(u / w1) - 1.0)
 
 
-def check_reduction(
-    which: str,
-    omega2_schedule,
-    params: dict | None = None,
-    tol: float | None = None,
-) -> list[CheckResult]:
+def check_reduction(which: str, omega2_schedule, tol: float | None = None) -> list[CheckResult]:
     """Deviation trend of one family reduction along its period schedule.
 
     Schedules run toward the limit, in the direction of the kind's schedule
@@ -315,13 +310,12 @@ def check_reduction(
     """
     if which not in _REDUCTION_KINDS:
         raise UnknownCheckError(which)
-    defaults, default_sched = _REDUCTION_KINDS[which]
+    params, default_sched = _REDUCTION_KINDS[which]
     sched = [float(w) for w in omega2_schedule]
     descend = default_sched[0] > default_sched[-1]
     if sched != sorted(sched, reverse=descend):
         direction = "descend" if descend else "ascend"
         raise DomainError(f"omega2 schedule must {direction} toward the limit")
-    params = {**defaults, **(params or {})}
     tol = derived_threshold(f"reduction_{which}") if tol is None else tol
     devs = [_reduction_deviation(which, w, params) for w in sched]
     plist = [{**params, "omega2": w} for w in sched]
@@ -334,35 +328,21 @@ def check_reduction(
 
 
 def check_qq_commutativity(
-    family: KernelFamily,
-    arity: int,
-    params: dict | None = None,
-    q: QuadSpec = QuadSpec(),
-    tol: float | None = None,
+    family: KernelFamily, arity: int, params: dict | None = None, tol: float | None = None
 ) -> CheckResult:
     """Composed two-operator kernel against itself with spectral arguments swapped."""
     family = KernelFamily(family)
-    params = dict(params or {})
+    params = params or {}
     g = params.get("g", 1.0)
-    if family is REL:
-        p = Periods(params.get("omega1", 1.0), params.get("omega2", _PERIODS.omega2))
-        c = Coupling(g, p)
-    else:
-        c = Coupling(g)
+    c = Coupling(g, _PERIODS if family is REL else None)
     lam = params.get("lam", 0.4)
     rho = params.get("rho", -0.3)
     if tol is None:
         tol = 1e-6 if arity == 1 else 1e-5
-    if arity == 1:
-        endpoints = (params.get("x", 0.3), params.get("z", -0.5))
-    else:
-        endpoints = (
-            tuple(params.get("x2", (0.3, -0.2))),
-            tuple(params.get("z2", (0.5, -0.6))),
-        )
+    endpoints = (0.3, -0.5) if arity == 1 else ((0.3, -0.2), (0.5, -0.6))
     spec = OperatorSpec(family, arity, family is not HYP, c, 0.0)
-    lhs = qq_convolution_kernel(spec, lam, rho, endpoints, q)
-    rhs = qq_convolution_kernel(spec, rho, lam, endpoints, q)
+    lhs = qq_convolution_kernel(spec, lam, rho, endpoints, QuadSpec())
+    rhs = qq_convolution_kernel(spec, rho, lam, endpoints, QuadSpec())
     return CheckResult.compare(
         f"qq_commutativity_{family.value}_n{arity}",
         {"family": family.value, "arity": arity, "g": g, "lam": lam, "rho": rho},
@@ -389,7 +369,7 @@ def _rational_weight_integral(a: float, b: float, expo: complex, q: QuadSpec) ->
 
 
 def q2_kernel_det_route(
-    x_pair, z_pair, lam: float, rho: float, q: QuadSpec = QuadSpec()
+    x_pair, z_pair, lam: float, rho: float, q: QuadSpec
 ) -> complex:
     """The g = 1, two-variable composed kernel via the rationalized determinant.
 
@@ -419,15 +399,10 @@ def q2_kernel_det_route(
     return complex(pref * 2.0 * det)
 
 
-def check_g1_determinant_route(
-    lam: float = 0.4,
-    z_pair=(1.5, 0.7),
-    t_pair=(0.9, 0.3),
-    q: QuadSpec = QuadSpec(),
-    tol: float = 1e-7,
-) -> list[CheckResult]:
+def check_g1_determinant_route() -> list[CheckResult]:
     """Cauchy determinant algebra, the one-variable rational identity, and the
     Andreief factorization of the twofold rational integral at unit coupling."""
+    lam, z_pair, t_pair, q, tol = 0.4, (1.5, 0.7), (0.9, 0.3), QuadSpec(), 1e-7
     out = []
     # (a) Cauchy determinant identity at a rational sample point
     z1, z2, s1, s2 = 1.0, 2.0, 3.0, 5.0
@@ -518,17 +493,7 @@ def check_g1_determinant_route(
 # ---------------------------------------------------------------------------
 
 
-def check_scalar_product_chain(
-    family: KernelFamily,
-    lams: SpectralPoint | None = None,
-    rhos: SpectralPoint | None = None,
-    t0: float = 4.0,
-    eps: float = 0.1,
-    c: Coupling | None = None,
-    q: QuadSpec | None = None,
-    t1: float = 0.3,
-    tol: float | None = None,
-) -> list[CheckResult]:
+def check_scalar_product_chain(family: KernelFamily, tol: float | None = None) -> list[CheckResult]:
     """The regularized steps of the scalar-product chain, pointwise: the two
     eigen relations at the shifted spectral values lam_j' = lam_j - i strip + i eps.
 
@@ -541,19 +506,13 @@ def check_scalar_product_chain(
     distributional limit is asserted.
     """
     family = KernelFamily(family)
-    if not (1e-3 <= eps <= 1e-1):
-        raise DomainError("eps must lie in [1e-3, 1e-1]")
-    if t0 > 12.0:
-        raise DomainError("t0 must stay moderate (<= 12)")
-    if q is None:
-        q = QuadSpec(rel_tol=1e-8, abs_tol=1e-9)
+    t0, eps, t1, q = 4.0, 0.1, 0.3, QuadSpec(rel_tol=1e-8, abs_tol=1e-9)
     # coupling, the chain's two outer points, the two labels (gamma: positions), tolerance
-    c0, lams0, rhos0, tol0 = {
+    c, lams, rhos, tol0 = {
         HYP: (Coupling(1.0), SpectralPoint(0.4, -0.3), SpectralPoint(0.3, -0.2), 1e-5),
         GAM: (Coupling(1.0), SpectralPoint(0.4, 0.1), SpectralPoint(0.3, -0.2), 1e-5),
         REL: (Coupling(0.9, _PERIODS), SpectralPoint(0.3, 0.1), SpectralPoint(0.25, -0.15), 1e-4),
     }[family]
-    c, lams, rhos = c or c0, lams or lams0, rhos or rhos0
     tol = tol0 if tol is None else tol
     dual = family is GAM
     name = f"scalar_chain_{family.value}"
@@ -566,10 +525,10 @@ def check_scalar_product_chain(
         "t0": t0,
     }
     spec2 = OperatorSpec(family, 2, dual, c, lams.lambda1 - shift + 1j * eps)
-    params2 = {**base_params, "step": "two_variable", "lam1": complex(lams.lambda1).real}
+    params2 = {**base_params, "step": "two_variable", "lam1": lams.lambda1.real}
     spec1 = OperatorSpec(family, 1, dual, c, lams.lambda2 - shift + 1j * eps)
     cases = [
-        (label, t1, {**base_params, "step": step, "lam2": complex(lams.lambda2).real})
+        (label, t1, {**base_params, "step": step, "lam2": lams.lambda2.real})
         for step, label in (("one_variable_first", rhos.lambda1), ("one_variable_second", rhos.lambda2))
     ]
     return [
@@ -631,7 +590,6 @@ def check_delta_sequence(
     test_fn=None,
     schedule: RegSchedule | None = None,
     y=None,
-    q: QuadSpec | None = None,
     tol: float | None = None,
 ) -> list[CheckResult]:
     """Weak-limit checks of the regularized delta sequences at finite regulators.
@@ -653,8 +611,7 @@ def check_delta_sequence(
     at either n, is sum coef prod_i J[f_i], with J the one regulated line
     integral _regulated_line, taken once per distinct f_i and step.
     """
-    if q is None:
-        q = QuadSpec(rel_tol=1e-8, abs_tol=1e-10)
+    q = QuadSpec(rel_tol=1e-8, abs_tol=1e-10)
     g = float(power_g)
     if n == 1:
         ys = (0.0 if y is None else float(y),)
@@ -812,41 +769,26 @@ def check_orthogonality_coefficient(
 # ---------------------------------------------------------------------------
 
 
-def check_eigen_n1(
-    family: KernelFamily,
-    points=None,
-    c: Coupling | None = None,
-    q: QuadSpec = QuadSpec(),
-    tol: float = 1e-8,
-    seed: int = 1234,
-) -> list[CheckResult]:
+def check_eigen_n1(family: KernelFamily, tol: float = 1e-8, seed: int = 1234) -> list[CheckResult]:
     """One-variable operator on a plane wave against the closed eigenvalue,
     sampled at several evaluation points (the ratio must also be constant)."""
     family = KernelFamily(family)
-    if c is None:
-        c = Coupling(0.9, _PERIODS) if family is REL else Coupling(1.1)
-    rng = np.random.RandomState(seed)
+    c = Coupling(0.9, _PERIODS) if family is REL else Coupling(1.1)
     lam = 0.7
     label = 0.25
-    pts = points if points is not None else np.round(rng.uniform(-1.5, 1.5, 5), 3)
+    pts = np.round(np.random.RandomState(seed).uniform(-1.5, 1.5, 5), 3)
     spec = OperatorSpec(family, 1, family is not HYP, c, lam)
     params = {"family": family.value, "g": c.g, "lam": lam, "label": label}
     cases = [(label, float(x0), {**params, "at": float(x0)}) for x0 in pts]
-    return _plane_wave_records(f"eigen_n1_{family.value}", spec, cases, q, tol)
+    return _plane_wave_records(f"eigen_n1_{family.value}", spec, cases, QuadSpec(), tol)
 
 
-def check_eigen_n2(
-    family: KernelFamily,
-    c: Coupling | None = None,
-    q: QuadSpec | None = None,
-    tol: float | None = None,
-) -> CheckResult:
+def check_eigen_n2(family: KernelFamily, tol: float | None = None) -> CheckResult:
     """Two-variable operator on its factored eigenfunction: value must equal
     2 q(lam, l1) q(lam, l2) times the eigenfunction."""
     family = KernelFamily(family)
-    if q is None:
-        q = QuadSpec(rel_tol=1e-9, abs_tol=1e-11)
-    c = c or (Coupling(0.9, _PERIODS) if family is REL else Coupling(1.0))
+    q = QuadSpec(rel_tol=1e-9, abs_tol=1e-11)
+    c = Coupling(0.9, _PERIODS) if family is REL else Coupling(1.0)
     # eigenfunction labels (positions for gamma and relativistic), operator
     # spectral argument, evaluation point, tolerance
     sp, lam, at, tol0 = {
@@ -870,16 +812,12 @@ _REPRESENTATION_GRIDS = {
 }
 
 
-def check_representation_equivalence(
-    relativistic: bool = False,
-    q: QuadSpec = QuadSpec(),
-    tol: float | None = None,
-) -> list[CheckResult]:
-    """Position-side against spectral-side wave function on a parameter grid."""
-    name, hr_family, mb_family, periods, (lam_plus, x_plus), gs, dls, dxs, tol0 = (
+def check_representation_equivalence(relativistic: bool) -> list[CheckResult]:
+    """Position-side against spectral-side wave function on a parameter grid,
+    to a tolerance relative to max(1, |psi_hr|)."""
+    name, hr_family, mb_family, periods, (lam_plus, x_plus), gs, dls, dxs, tol = (
         _REPRESENTATION_GRIDS[relativistic]
     )
-    tol = tol0 if tol is None else tol
     out = []
     for g in gs:
         c = Coupling(g, periods)
@@ -887,12 +825,10 @@ def check_representation_equivalence(
             for dx in dxs:
                 sp = SpectralPoint(lam_plus + dl / 2, lam_plus - dl / 2)
                 pp = PositionPoint(x_plus + dx / 2, x_plus - dx / 2)
-                a = psi_hr(sp, pp, c, hr_family, q)
-                b = psi_mb(sp, pp, c, mb_family, q)
-                r = CheckResult.compare(name, {"g": g, "dl": dl, "dx": dx}, a, b, tol)
-                # tolerance is relative to max(1, |psi|)
-                r.passed = bool(r.abs_err <= tol * max(1.0, abs(a)))
-                out.append(r)
+                a = psi_hr(sp, pp, c, hr_family, QuadSpec())
+                b = psi_mb(sp, pp, c, mb_family, QuadSpec())
+                params = {"g": g, "dl": dl, "dx": dx}
+                out.append(CheckResult.compare(name, params, a, b, tol, max(1.0, abs(a))))
     return out
 
 
@@ -919,13 +855,13 @@ def check_qlambda(
     return CheckResult.compare(f"qlambda_{family.value}", params, lhs, rhs, tol)
 
 
-def check_dual_construction(q: QuadSpec = QuadSpec(), tol: float = 1e-7) -> list[CheckResult]:
+def check_dual_construction() -> list[CheckResult]:
     """Wave function assembled through both one-variable dual operators.
 
     e^(i l2 x2) Q1(l2) applied to [the spectral-side operator's action on the
     plane wave] must reproduce both integral representations.
     """
-    c = Coupling(1.0)
+    c, q, tol = Coupling(1.0), QuadSpec(), 1e-7
     l1, l2 = 0.4, -0.3
     x1, x2 = 0.2, -0.6
     # spectral-side operator action on e^(i x1 gamma), checked pointwise: its
@@ -958,30 +894,30 @@ def check_dual_construction(q: QuadSpec = QuadSpec(), tol: float = 1e-7) -> list
 # ---------------------------------------------------------------------------
 
 
-def _residual_results(name: str, residual, q: QuadSpec, tol: float) -> list[CheckResult]:
+def _residual_results(name: str, residual, tol: float) -> list[CheckResult]:
     """Equation residuals of the g = 1 wave function at three position points."""
     c = Coupling(1.0)
     sp = SpectralPoint(0.4, -0.3)
     out = []
     for pp in (PositionPoint(0.5, -0.5), PositionPoint(0.9, 0.2), PositionPoint(-0.3, -1.1)):
-        r = residual(sp, pp, c, 1e-2, q)
+        r = residual(sp, pp, c, 1e-2, QuadSpec())
         out.append(CheckResult.bound(name, {"g": c.g, "x": (pp.x1, pp.x2), "h": 1e-2}, r, tol))
     return out
 
 
-def check_schrodinger(q: QuadSpec = QuadSpec(), tol: float = 1e-4) -> list[CheckResult]:
-    return _residual_results("schrodinger_residual", schrodinger_residual, q, tol)
+def check_schrodinger(tol: float = 1e-4) -> list[CheckResult]:
+    return _residual_results("schrodinger_residual", schrodinger_residual, tol)
 
 
-def check_momentum(q: QuadSpec = QuadSpec(), tol: float = 1e-6) -> list[CheckResult]:
-    return _residual_results("momentum_residual", momentum_residual, q, tol)
+def check_momentum(tol: float = 1e-6) -> list[CheckResult]:
+    return _residual_results("momentum_residual", momentum_residual, tol)
 
 
-def check_dual_difference(q: QuadSpec = QuadSpec(), tol_p: float = 1e-6, tol_h: float = 1e-5) -> list[CheckResult]:
+def check_dual_difference(tol_p: float = 1e-6, tol_h: float = 1e-5) -> list[CheckResult]:
     c = Coupling(2.5)
     sp = SpectralPoint(0.4, -0.3)
     pp = PositionPoint(0.2, -0.1)
-    res = dual_difference_residual(sp, pp, c, q)
+    res = dual_difference_residual(sp, pp, c, QuadSpec())
     params = {"g": c.g, "lam": (0.4, -0.3), "x": (0.2, -0.1)}
     return [
         CheckResult.bound("dual_difference_momentum", params, res.momentum, tol_p),
@@ -989,42 +925,39 @@ def check_dual_difference(q: QuadSpec = QuadSpec(), tol_p: float = 1e-6, tol_h: 
     ]
 
 
-def check_psi_asymptotics(q: QuadSpec = QuadSpec(), tol: float | None = None) -> list[CheckResult]:
+def check_psi_asymptotics() -> list[CheckResult]:
     """Two-plane-wave asymptote: deviation shrinking in the separation."""
     c = Coupling(1.0)
     sp = SpectralPoint(0.5, -0.5)
-    tol = derived_threshold("psi_asymptotic_dx8") if tol is None else tol
     devs, plist = [], []
     for dx in (6.0, 8.0):
         pp = PositionPoint(-dx / 2, dx / 2)
-        ex = psi_hr(sp, pp, c, HYP, q)
+        ex = psi_hr(sp, pp, c, HYP, QuadSpec())
         asym = psi_asymptotic(sp, pp, c)
         devs.append(abs(ex - asym) / abs(asym))
         plist.append({"g": 1.0, "dx": dx})
-    return _trend_results("psi_asymptotic", plist, devs, tol)
+    return _trend_results("psi_asymptotic", plist, devs, derived_threshold("psi_asymptotic_dx8"))
 
 
-def check_hatK_asymptotic(tol: float | None = None) -> list[CheckResult]:
+def check_hatK_asymptotic() -> list[CheckResult]:
     """Large-argument kernel asymptote on the gamma side, shrinking deviation."""
     from .kernels import hatK_asymptotic
 
     c = Coupling(1.5)
-    tol = derived_threshold("hatK_asymptotic_mu40") if tol is None else tol
     devs, plist = [], []
     for mu in (40.0, 80.0):
         ex = kernel_hatK(0.0 - mu, c)
         asym = hatK_asymptotic(0.0, mu, c)
         devs.append(abs(ex - asym) / abs(asym))
         plist.append({"g": c.g, "mu": mu})
-    return _trend_results("hatK_asymptotic", plist, devs, tol)
+    return _trend_results("hatK_asymptotic", plist, devs, derived_threshold("hatK_asymptotic_mu40"))
 
 
-def check_q_to_lambda_degeneration(tol: float | None = None) -> list[CheckResult]:
+def check_q_to_lambda_degeneration() -> list[CheckResult]:
     """Two-variable kernel degenerating to the raising kernel as y2 grows."""
     c = Coupling(1.0)
     lam = 0.4
     x1, x2, y1 = 0.3, -0.2, 0.15
-    tol = derived_threshold("q_to_lambda_y14") if tol is None else tol
     devs, plist = [], []
     for y2 in (6.0, 10.0, 14.0):
         qker = (
@@ -1044,6 +977,7 @@ def check_q_to_lambda_degeneration(tol: float | None = None) -> list[CheckResult
         )
         devs.append(abs(lhs - rhs) / abs(rhs))
         plist.append({"g": c.g, "y2": y2})
+    tol = derived_threshold("q_to_lambda_y14")
     return _trend_results("q_to_lambda_degeneration", plist, devs, tol)
 
 

@@ -22,8 +22,8 @@ import numpy as np
 
 from .errors import ContinuationError, DomainError, KernelPoleError
 from .kernels import Coupling, KernelFamily, exponent_scale
-from .operators import _kernel_line, _Ops, pair_transform
-from .quad import QuadSpec
+from .operators import _complex, _kernel_line, _Ops, pair_transform
+from .quad import QuadSpec, _real
 from .special import _nearest_nonpositive_int, complex_gamma, double_sine
 
 __all__ = [
@@ -46,8 +46,8 @@ class SpectralPoint:
     lambda2: complex
 
     def __post_init__(self):
-        object.__setattr__(self, "lambda1", complex(self.lambda1))
-        object.__setattr__(self, "lambda2", complex(self.lambda2))
+        object.__setattr__(self, "lambda1", _complex(self.lambda1, "lambda1"))
+        object.__setattr__(self, "lambda2", _complex(self.lambda2, "lambda2"))
 
     @property
     def plus(self) -> complex:
@@ -68,8 +68,8 @@ class PositionPoint:
     x2: float
 
     def __post_init__(self):
-        object.__setattr__(self, "x1", float(self.x1))
-        object.__setattr__(self, "x2", float(self.x2))
+        object.__setattr__(self, "x1", _real(self.x1, "x1"))
+        object.__setattr__(self, "x2", _real(self.x2, "x2"))
 
     @property
     def xsum(self) -> float:

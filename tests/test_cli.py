@@ -159,6 +159,16 @@ class TestCheck:
         recs = [json.loads(s) for s in out.read_text().splitlines()]
         assert any(not r["passed"] for r in recs)
 
+    def test_tol_keeps_each_records_scale(self, tmp_path):
+        # eigen_n2_relativistic reads abs_err 1.5e-14 at |rhs| = 0.018, so
+        # rel_err 8.5e-13: at --tol 1e-13 it fails on its relative scale
+        out = tmp_path / "rep.jsonl"
+        argv = ("--checks", "eigen_n2_relativistic", "--tol", "1e-13", "--out", str(out))
+        assert RUN("check", *argv) == 1
+        (rec,) = [json.loads(s) for s in out.read_text().splitlines()]
+        assert rec["passed"] is False and rec["tolerance"] == 1e-13
+        assert rec["abs_err"] <= 1e-13 < rec["rel_err"]
+
     def test_unknown_check(self, capsys):
         assert RUN("check", "--checks", "no_such_check") == 2
         err = capsys.readouterr().err
@@ -238,6 +248,17 @@ class TestSweep:
         )
         assert RUN("sweep", "--config", cfg) == 0
         assert len(out.read_text().splitlines()) == 1
+
+    def test_tol_rejudges_each_step(self, tmp_path):
+        # the S2_to_gamma deviations read 1.3e-4, 3.3e-5 and 8.2e-6; a deviation
+        # bound's scale is 1, so at --tol 5e-5 only the first step fails
+        out = tmp_path / "sw.jsonl"
+        cfg = {"command": "sweep", "checks": ["reduction_S2_to_gamma"], "out": str(out)}
+        cfg["axis"] = {"name": "omega2", "values": [10.0, 20.0, 40.0]}
+        assert RUN("sweep", "--config", write_cfg(tmp_path, "c.json", cfg), "--tol", "5e-5") == 1
+        recs = [json.loads(s) for s in out.read_text().splitlines()]
+        assert [r["passed"] for r in recs] == [False, True, True]
+        assert all(r["tolerance"] == 5e-5 for r in recs)
 
     def test_missing_axis(self, tmp_path):
         cfg = write_cfg(tmp_path, "c.json", {"command": "sweep", "checks": ["delta_n1_g1"]})

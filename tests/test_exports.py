@@ -4,9 +4,11 @@ import pkgutil
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hypq
-from hypq.errors import DomainError
+from hypq.errors import DomainError, HypqError
 
 MODULES = ["hypq"] + [f"hypq.{m.name}" for m in pkgutil.iter_modules(hypq.__path__)]
 
@@ -41,6 +43,17 @@ _SP = hypq.SpectralPoint(0.4, -0.3)
         lambda: hypq.psi_asymptotic(hypq.SpectralPoint(0.5, -0.5), hypq.PositionPoint(math.nan, 1.0), _C1),
         lambda: hypq.schrodinger_residual(_SP, hypq.PositionPoint(0.5, -0.5), _C1, h=0.0),
         lambda: hypq.momentum_residual(_SP, hypq.PositionPoint(0.5, -0.5), _C1, h=0.0),
+        lambda: hypq.SpectralPoint("x", 0),
+        lambda: hypq.PositionPoint("x", 0),
+        lambda: hypq.QuadSpec(rel_tol="x"),
+        lambda: hypq.QuadSpec(abs_tol=None),
+        lambda: hypq.QuadSpec(max_nodes="9"),
+        lambda: hypq.QuadSpec(truncation_safety="2"),
+        lambda: hypq.DecayProfile("a", 1.0),
+        lambda: hypq.DecayProfile(1, 1, "c"),
+        lambda: hypq.RegSchedule(("a",), (1.0,)),
+        lambda: hypq.RegSchedule(1.0, (1.0,)),
+        lambda: hypq.Coupling(1.0, "x"),
     ],
     ids=[
         "log_double_sine-nan-imag",
@@ -56,6 +69,17 @@ _SP = hypq.SpectralPoint(0.4, -0.3)
         "psi_asymptotic-nan-position",
         "schrodinger_residual-zero-step",
         "momentum_residual-zero-step",
+        "SpectralPoint-string",
+        "PositionPoint-string",
+        "QuadSpec-rel_tol-string",
+        "QuadSpec-abs_tol-none",
+        "QuadSpec-max_nodes-string",
+        "QuadSpec-truncation_safety-string",
+        "DecayProfile-string-rate",
+        "DecayProfile-string-center",
+        "RegSchedule-string-entry",
+        "RegSchedule-scalar",
+        "Coupling-string-periods",
     ],
 )
 def test_bad_input_is_domain_error(call):
@@ -63,3 +87,35 @@ def test_bad_input_is_domain_error(call):
     # Python exception or a silent NaN
     with pytest.raises(DomainError):
         call()
+
+
+_ANY = st.one_of(
+    st.text(max_size=4),
+    st.none(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.complex_numbers(allow_nan=True, allow_infinity=True),
+)
+
+
+_FIELDS = {
+    hypq.SpectralPoint: (_ANY, _ANY),
+    hypq.PositionPoint: (_ANY, _ANY),
+    hypq.Periods: (_ANY, _ANY),
+    hypq.Coupling: (_ANY, _ANY),
+    hypq.QuadSpec: (_ANY,) * 4,
+    hypq.DecayProfile: (_ANY,) * 3,
+    hypq.RegSchedule: (st.one_of(_ANY, st.lists(_ANY, min_size=1, max_size=3)),) * 2,
+}
+
+
+@pytest.mark.parametrize("record", list(_FIELDS), ids=lambda r: r.__name__)
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_value_record_builds_or_raises_hypq_error(record, data):
+    # a value record is built, or refused with a structured error, never a
+    # raw Python exception
+    args = data.draw(st.tuples(*_FIELDS[record]))
+    try:
+        record(*args)
+    except HypqError:
+        pass

@@ -39,7 +39,17 @@ class TestCheckResult:
         r = CheckResult.compare("x", {}, lhs, rhs, tol)
         assert r.abs_err == abs(lhs - rhs)
         assert r.rel_err == r.abs_err / max(abs(lhs), abs(rhs), 1e-300)
-        assert r.passed == (r.abs_err <= tol or r.rel_err <= tol)
+        assert r.passed == (r.abs_err <= tol * max(abs(lhs), abs(rhs)))
+
+    def test_small_pair_fails_on_its_relative_error(self):
+        # abs_err 5e-5 is below the tolerance, but rel_err is 0.048
+        assert not CheckResult.compare("x", {}, 1e-3, 1.05e-3, 1e-4).passed
+
+    def test_judge_keeps_a_stated_scale(self):
+        r = CheckResult.compare("x", {}, 1e-3, 1.05e-3, 1e-4, scale=1.0)
+        assert r.passed and r.tolerance == 1e-4
+        assert not r.judge(1e-5).passed and r.tolerance == 1e-5
+        assert CheckResult.bound("b", {}, 0.2, 0.3).judge(0.2).passed
 
 
 class TestRegSchedule:
