@@ -27,7 +27,6 @@ from .operators import (  # noqa: F401
     apply_Q,
     pair_transform,
     plane_wave,
-    qlambda_exchange_check,
     qq_convolution_kernel,
 )
 from .quad import (  # noqa: F401

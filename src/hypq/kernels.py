@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, GammaOverflowError, KernelPoleError
-from .quad import _real
+from .quad import _complex, _real
 from .special import (
     _ASYM_FACTOR,
     _LANCZOS_C as _LANCZOS_C_K,
@@ -96,7 +96,7 @@ class Coupling:
     periods: Periods | None = None
 
     def __post_init__(self):
-        if not (math.isfinite(_real(self.g, "coupling g")) and self.g > 0):
+        if not _real(self.g, "coupling g", finite=True) > 0:
             raise DomainError(f"coupling g must be positive, got {self.g!r}")
         object.__setattr__(self, "g", float(self.g))
         if not isinstance(self.periods, (Periods, type(None))):
@@ -148,11 +148,10 @@ def ln_sinh_abs(x: np.ndarray) -> np.ndarray:
 
 
 def kernel_K(x, c: Coupling):
-    """cosh(x)^(-g) for real x (scalar or array); a NaN scalar is refused."""
-    if np.isscalar(x) and math.isnan(x):
-        raise DomainError("kernel_K needs a real argument, finite or infinite; got nan")
-    out = np.exp(-c.g * ln_cosh(x))
-    return float(out) if np.isscalar(x) else out
+    """cosh(x)^(-g) for real x: an array, or one real number (+-inf, not NaN)."""
+    if not isinstance(x, np.ndarray):
+        return float(np.exp(-c.g * ln_cosh(_real(x, "kernel_K argument"))))
+    return np.exp(-c.g * ln_cosh(x))
 
 
 def kernel_K_complex(z: complex, c: Coupling) -> complex:
@@ -184,7 +183,7 @@ def _hatK_vec(lam: np.ndarray, g: float) -> np.ndarray:
 
 def kernel_hatK(lam: complex, c: Coupling) -> complex:
     """Khat(lam) = Gamma((g+i lam)/2) Gamma((g-i lam)/2) / (2^(1-g) Gamma(g))."""
-    lam = complex(lam)
+    lam = _complex(lam, "kernel_hatK")
     for z in (0.5 * (c.g + 1j * lam), 0.5 * (c.g - 1j * lam)):
         if _nearest_nonpositive_int(z) is not None:
             raise KernelPoleError(f"Khat pole: gamma argument {z!r} is a nonpositive integer")
@@ -220,7 +219,8 @@ def _ln_abs_gamma_sq_real(a: float, b) -> np.ndarray:
         if z_sq:
             mag /= (b2 + z_sq[0]) * b2 + z_sq[1]
         ln_t = (a - 0.5) * math.log(t_re * t_re + b2) - 2.0 * x * math.atan2(x, t_re)
-        out = math.log(mag) + ln_t + (_LN_2PI - 2.0 * t_re)
+        # mag underflows to 0 only where |Gamma|^2 itself does (b^4 past the double range)
+        out = (math.log(mag) if mag else -math.inf) + ln_t + (_LN_2PI - 2.0 * t_re)
         return out if np.ndim(b) == 0 else np.full(np.shape(b), out)
     b = np.asarray(b, dtype=float)
     b2 = b * b
@@ -271,7 +271,8 @@ def measure_gamma(v, c: Coupling):
 
 def hatK_asymptotic(gamma_minus_mu_base: float, mu: float, c: Coupling) -> complex:
     """Large-mu form of Khat(gamma - mu): (2 pi / Gamma(g)) mu^(g-1) e^(pi (gamma-mu)/2)."""
-    if mu <= 0:
+    gamma_minus_mu_base = _real(gamma_minus_mu_base, "gamma_minus_mu_base", finite=True)
+    if _real(mu, "mu", finite=True) <= 0:
         raise DomainError("mu must be large positive")
     g = c.g
     try:
@@ -404,7 +405,7 @@ def kernel_Kg(lam: complex, c: Coupling) -> complex:
     itself too large.
     """
     p = c.require_periods()
-    lam = complex(lam)
+    lam = _complex(lam, "kernel_Kg")
     half_g = 0.5 * c.g
     zs = (half_g + 1j * lam, half_g - 1j * lam)
     try:
@@ -419,7 +420,7 @@ def kernel_Kg(lam: complex, c: Coupling) -> complex:
         return 1.0 / den
     try:
         return cmath.exp(-(_ln_s2_asymptotic(zs[0], p) + _ln_s2_asymptotic(zs[1], p)))
-    except OverflowError:
+    except (OverflowError, ValueError):  # ValueError: an infinite phase
         raise GammaOverflowError(f"Kg overflowed at lam = {lam!r}") from None
 
 
@@ -469,7 +470,9 @@ def ln_measure_gamma(v, c: Coupling) -> np.ndarray:
 def measure(kind: KernelFamily, a: float, b: float, c: Coupling):
     """Two-variable operator measure of the given family at separation a - b."""
     kind = KernelFamily(kind)
-    if not np.isfinite(np.subtract(a, b)).all():
+    if not isinstance(a, np.ndarray) and not isinstance(b, np.ndarray):
+        a, b = _real(a, "measure a", finite=True), _real(b, "measure b", finite=True)
+    if not np.isfinite(a - b).all():
         raise DomainError("measure needs finite arguments")
     if kind is KernelFamily.HYPERBOLIC:
         return measure_hyperbolic(a - b, c)
@@ -485,12 +488,10 @@ def eigenvalue(kind: KernelFamily, spectral: complex, label: complex, c: Couplin
     relativistic -> sqrt(omega1 omega2) S2(g) Kg(spectral - label).
     """
     kind = KernelFamily(kind)
-    z = complex(spectral) - complex(label)
+    z = _complex(spectral, "eigenvalue spectral") - _complex(label, "eigenvalue label")
     if kind is KernelFamily.HYPERBOLIC:
         return kernel_hatK(z, c)
     if kind is KernelFamily.GAMMA:
-        if not cmath.isfinite(z):
-            raise DomainError(f"gamma eigenvalue needs a finite argument, got {z!r}")
         if abs(z.imag) < 1e-14:
             return complex(kernel_K(z.real, c))
         return kernel_K_complex(z, c)

@@ -44,14 +44,15 @@ from .kernels import (
     eigenvalue,
     exponent_scale,
     hatK_ln_evaluator,
-    kernel_hatK,
     kg_ln_evaluator,
     ln_cosh,
     ln_measure_gamma,
     ln_measure_hyperbolic,
     ln_measure_relativistic,
 )
-from .quad import _CALL_NODES, _GL16_NODES, _GL16_WEIGHTS, QuadSpec, _adaptive, _adaptive_many, _tail
+from .quad import (
+    _CALL_NODES, _GL16_NODES, _GL16_WEIGHTS, QuadSpec, _adaptive, _adaptive_many, _complex, _tail,
+)
 
 __all__ = [
     "OperatorSpec",
@@ -62,21 +63,12 @@ __all__ = [
     "apply_Q",
     "apply_Lambda",
     "qq_convolution_kernel",
-    "qlambda_exchange_check",
     "pair_transform",
 ]
 
 
 # the two kernel factors of pair_transform sit at |v|/2 -+ y
 _MIRROR = np.array([-1.0, 1.0])[:, None, None]
-
-
-def _complex(x, what: str) -> complex:
-    """x as a complex number; DomainError, naming it as ``what``, if it is not one."""
-    try:
-        return complex(x)
-    except (TypeError, ValueError):
-        raise DomainError(f"{what} {x!r} is not a number") from None
 
 
 @dataclass(frozen=True)
@@ -121,7 +113,7 @@ class OperatorSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "family", KernelFamily(self.family))
-        object.__setattr__(self, "spectral", _complex(self.spectral, "spectral argument"))
+        object.__setattr__(self, "spectral", _complex(self.spectral, "OperatorSpec spectral"))
         if self.arity not in (1, 2):
             raise DomainError("arity must be 1 or 2")
         if self.family is KernelFamily.HYPERBOLIC and self.dual:
@@ -142,6 +134,7 @@ class _Ops:
     what depends on the family (one constructor branch each):
 
     kernel_coupling   relativistic non-dual operators carry the dual coupling
+    eigen_coupling    kc, or kc* for the relativistic eigenvalue sqrt(w1 w2) S2(kc*) K_{kc*}
     ln_kernel, ln_measure  vectorized logs, summed in integrands before one exp
     kappa, two_pi_inv  plane-wave scale and the factor per integration variable
     k_rate, mu_rate   kernel decay and measure growth rates (mu = 2 k)
@@ -157,13 +150,13 @@ class _Ops:
         self.kappa = exponent_scale(family, c)
         self.two_pi_inv = 1.0
         if family is KernelFamily.HYPERBOLIC:
-            kc = c
+            kc = self.eigen_coupling = c
             self.ln_kernel = lambda x: -kc.g * ln_cosh(x)
             self.ln_measure = lambda v: ln_measure_hyperbolic(v, kc)
             self.k_rate = self.strip = kc.g
             self.pole = 0.5 * math.pi
         elif family is KernelFamily.GAMMA:
-            kc = c
+            kc = self.eigen_coupling = c
             self.ln_kernel = hatK_ln_evaluator(kc.g)
             self.ln_measure = lambda v: ln_measure_gamma(v, kc)
             self.two_pi_inv = 1.0 / (2.0 * math.pi)
@@ -176,21 +169,18 @@ class _Ops:
             self.k_rate = math.pi * kc.gstar() / kc.periods.product
             self.strip = 0.5 * kc.gstar()
             self.pole = 0.5 * kc.g
+            self.eigen_coupling = c.dual() if dual else c
         self.kernel_coupling = kc
         self.mu_rate = 2.0 * self.k_rate
 
     def eigen(self, spectral: complex, label: complex) -> complex:
-        if self.family is KernelFamily.RELATIVISTIC:
-            # the operator with kernel coupling kc has eigenvalue built from
-            # the opposite coupling: sqrt(w1 w2) S2(kc*) K_{kc*}
-            return eigenvalue(self.family, spectral, label, self.kernel_coupling.dual())
-        return eigenvalue(self.family, spectral, label, self.kernel_coupling)
+        return eigenvalue(self.family, spectral, label, self.eigen_coupling)
 
 
 def plane_wave(label: complex, family: KernelFamily, c: Coupling) -> FunctionHandle:
     """e^(i kappa label t) with exact envelope bookkeeping."""
     kappa = exponent_scale(family, c)
-    label = _complex(label, "plane-wave label")
+    label = _complex(label, "plane_wave label")
 
     def fn(t):
         return np.exp(1j * kappa * label * np.asarray(t, dtype=float))
@@ -219,7 +209,7 @@ def factored_pair_handle(
     """
     ops = _Ops(family, True, c_kernel)  # dual: c_kernel is the kernel's own coupling
     kappa = ops.kappa
-    label_plus, delta = complex(label_plus), complex(delta)
+    label_plus, delta = _complex(label_plus, "label_plus"), _complex(delta, "delta")
 
     def profile(v):
         return pair_transform(family, c_kernel, delta, v, q)
@@ -453,13 +443,13 @@ def pair_transform(
     delta that is not a finite number, raises DomainError.
     """
     w, delta = np.asarray(v), _complex(delta, "pair_transform delta")
-    if w.dtype.kind not in "biuf" or not (np.isfinite(w).all() and np.isfinite(delta)):
-        raise DomainError("pair_transform needs a finite delta and finite real v")
+    if w.dtype.kind not in "biuf" or not np.isfinite(w).all():
+        raise DomainError("pair_transform needs finite real v")
     w = w.astype(float, copy=False)
     if w.size == 0:
         return np.empty(w.shape, dtype=complex)
     ops = _Ops(kind, True, c_kernel)
-    kd = ops.kappa * complex(delta)
+    kd = ops.kappa * delta
     rate = 2.0 * ops.k_rate - abs(kd.imag)
     _require_positive(rate)
     kd = kd if kd.imag else kd.real  # a real cosine for real delta
@@ -494,7 +484,7 @@ def pair_transform(
 
 
 # ---------------------------------------------------------------------------
-# composed kernels and exchange relations
+# composed kernels
 # ---------------------------------------------------------------------------
 
 
@@ -512,64 +502,9 @@ def qq_convolution_kernel(
     outside it DivergenceError is raised.
     """
     ops = _Ops(spec.family, spec.dual, spec.coupling)
-    labels = (complex(first), complex(second))
+    labels = (_complex(first, "first label"), _complex(second, "second label"))
     if spec.arity == 1:
         x, z = _point(endpoints, (2,))
         return _kernel_line(ops, (x,), (z,), labels, q)
     (x1, x2), (z1, z2) = _point(endpoints, (2, 2))
     return np.exp(ops.ln_measure(z1 - z2)) * _kernel_plane(ops, (x1, x2), (z1, z2), labels, q)
-
-
-def qlambda_exchange_check(
-    family: KernelFamily,
-    lam: complex,
-    rho: complex,
-    at,
-    c: Coupling,
-    q: QuadSpec = QuadSpec(),
-    test_label: complex = 0.1,
-) -> tuple[complex, complex]:
-    """Both sides of the Q/raising-operator exchange relation at one point.
-
-    The raising operator's argument is rho - i strip with the family's
-    half-strip (g, pi/2, g*/2).  The hyperbolic family exercises the two-variable
-    relation Q2(lam) L2(rho') = 2 q(lam, rho') L2(rho') Q1(lam) on the plane
-    wave e^(i test_label t), evaluated at ``at`` = (x1, x2); the gamma and
-    relativistic families exercise the one-variable relation (the raising
-    operator there is multiplication by a shifted plane wave), with ``at``
-    the spectral point.  Im(lam - rho) must lie strictly inside (-2 strip, 0)
-    for absolute convergence.
-    """
-    lam = complex(lam)
-    rho = complex(rho)
-    d = (lam - rho).imag
-    ops = _Ops(family, True, c)
-    family = ops.family
-    strip = 2.0 * ops.strip
-    if not (-strip < d < 0.0):
-        raise DivergenceError(
-            f"Im(lam - rho) = {d:.3g} outside the convergence half-strip (-{strip:.3g}, 0)"
-        )
-    rho_shifted = rho - 1j * ops.strip
-
-    if family is KernelFamily.HYPERBOLIC:
-        x1, x2 = _point(at, (2,))
-        lam1 = complex(test_label)
-        handle = factored_pair_handle(family, c, 0.5 * (lam1 + rho_shifted), lam1 - rho_shifted, q)
-        q2 = OperatorSpec(family, 2, False, c, lam)
-        lhs = apply_Q(q2, handle, (x1, x2), q)
-        # right side: Q1 on the plane wave (checked pointwise), then the
-        # raising operator, then the scalar 2 q(lam, rho')
-        q1 = OperatorSpec(family, 1, False, c, lam)
-        pw = plane_wave(lam1, family, c)
-        r0 = apply_Q(q1, pw, 0.37, q) / complex(pw.fn(0.37))
-        lam2 = OperatorSpec(family, 2, False, c, rho_shifted)
-        rhs = 2.0 * kernel_hatK(lam - rho_shifted, c) * r0 * apply_Lambda(lam2, pw, (x1, x2), q)
-        return lhs, rhs
-
-    # one-variable relation: [Q1 e^(i kappa rho' .)](at) = q(., rho') e^(i kappa rho' at)
-    lam0 = _point(at, ())
-    pw = plane_wave(rho_shifted, family, c)
-    lhs = apply_Q(OperatorSpec(family, 1, True, c, lam), pw, lam0, q)
-    rhs = ops.eigen(lam, rho_shifted) * complex(np.exp(1j * ops.kappa * rho_shifted * lam0))
-    return lhs, rhs

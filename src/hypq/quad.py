@@ -21,9 +21,10 @@ deterministic order, so identical inputs give bit-identical results.
 """
 from __future__ import annotations
 
+import cmath
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -97,12 +98,22 @@ _CALL_NODES = 8_190
 _MAX_ROUNDS = 60
 
 
-def _real(x, what: str) -> float:
-    """x as a float; DomainError, naming it as ``what``, if it is not a real number."""
+def _real(x, what: str, finite: bool = False) -> float:
+    """x as a float; DomainError, naming it as ``what``, unless it is a real
+    number other than NaN, and a finite one if ``finite`` (decay rates and
+    kernel limits take +-inf)."""
     # float and int first: they pass without numbers.Real's slower ABC check
-    if not isinstance(x, (float, int, numbers.Real)):
-        raise DomainError(f"{what} must be a real number, got {x!r}")
-    return float(x)
+    if isinstance(x, (float, int, numbers.Real)) and (math.isfinite(x) or not (finite or math.isnan(x))):
+        return float(x)
+    kind = "finite" if finite else "finite or infinite"
+    raise DomainError(f"{what} must be a {kind} real number, got {x!r}")
+
+
+def _complex(x, what: str) -> complex:
+    """x as a complex number; DomainError, naming it as ``what``, unless it is a finite number."""
+    if not isinstance(x, (float, complex, int, numbers.Complex)) or not cmath.isfinite(x):
+        raise DomainError(f"{what} needs a finite argument, got {x!r}")
+    return complex(x)
 
 
 @dataclass(frozen=True)
@@ -116,22 +127,17 @@ class QuadSpec:
 
     def __post_init__(self):
         for name in ("rel_tol", "abs_tol", "max_nodes", "truncation_safety"):
-            _real(getattr(self, name), name)
+            _real(getattr(self, name), name, finite=True)
         if not (self.rel_tol > 0 and self.abs_tol > 0):
             raise DomainError("rel_tol and abs_tol must be positive")
-        if not self.max_nodes >= 64:  # a NaN budget would never run out
+        if self.max_nodes < 64:
             raise DomainError("max_nodes must be at least 64")
         if not self.truncation_safety >= 1.0:
             raise DomainError("truncation_safety must be >= 1")
 
     def split(self) -> "QuadSpec":
         """Tightened spec for one axis of an iterated integral: half of each tolerance."""
-        return QuadSpec(
-            rel_tol=self.rel_tol / 2.0,
-            abs_tol=self.abs_tol / 2.0,
-            max_nodes=self.max_nodes,
-            truncation_safety=self.truncation_safety,
-        )
+        return replace(self, rel_tol=self.rel_tol / 2.0, abs_tol=self.abs_tol / 2.0)
 
 
 @dataclass(frozen=True)
@@ -149,8 +155,7 @@ class DecayProfile:
     def __post_init__(self):
         if not (_real(self.rate_pos, "rate_pos") > 0 and _real(self.rate_neg, "rate_neg") > 0):
             raise DomainError("decay rates must be positive")
-        if not math.isfinite(_real(self.center, "center")):
-            raise DomainError(f"center must be finite, got {self.center!r}")
+        _real(self.center, "center", finite=True)
 
     def shifted(self, a: float) -> "DecayProfile":
         return DecayProfile(self.rate_pos, self.rate_neg, self.center + a)

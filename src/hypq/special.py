@@ -42,7 +42,7 @@ from .errors import (
     LatticePoleError,
     StripError,
 )
-from .quad import _panels_on, _real
+from .quad import _complex, _panels_on, _real
 
 __all__ = [
     "Periods",
@@ -106,8 +106,6 @@ def _ln_gamma_vec(z) -> np.ndarray:
 
 
 def _nearest_nonpositive_int(z: complex) -> int | None:
-    if not cmath.isfinite(z):
-        raise DomainError(f"argument {z!r} is not finite")
     n = round(z.real)
     if n <= 0 and abs(z - n) <= _POLE_TOL:
         return n
@@ -121,7 +119,7 @@ def complex_gamma(z: complex) -> complex:
     GammaOverflowError when the result exceeds the double range; the latter
     suggests log_complex_gamma.
     """
-    z = complex(z)
+    z = _complex(z, "complex_gamma")
     if _nearest_nonpositive_int(z) is not None:
         raise GammaPoleError(f"gamma pole at z = {z!r}")
     with np.errstate(invalid="ignore", over="ignore"):
@@ -140,7 +138,7 @@ def log_complex_gamma(z: complex) -> complex:
     canonical branch across the reflection; intended for magnitude-safe
     evaluation, exp(log_complex_gamma(z)) == Gamma(z) up to rounding.
     """
-    z = complex(z)
+    z = _complex(z, "log_complex_gamma")
     if _nearest_nonpositive_int(z) is not None:
         raise GammaPoleError(f"gamma pole at z = {z!r}")
     return complex(_ln_gamma_vec(z))
@@ -160,8 +158,8 @@ class Periods:
 
     def __post_init__(self):
         for name in ("omega1", "omega2"):
-            v = _real(getattr(self, name), name)
-            if not (math.isfinite(v) and v > 0):
+            v = _real(getattr(self, name), name, finite=True)
+            if not v > 0:
                 raise DomainError(f"{name} must be a positive real, got {v!r}")
             object.__setattr__(self, name, v)
 
@@ -279,15 +277,16 @@ def log_double_sine(z: complex, p: Periods) -> complex:
     """ln S2(z | omega) for Re z strictly inside (0, omega1 + omega2).
 
     Raises StripError outside the strip; callers must shift with the
-    functional equations first (double_sine does this automatically).
+    functional equations first (double_sine does this automatically).  Past
+    |Im z| = _ASYM_FACTOR omega_max it is the log of double_sine's asymptote.
     """
-    z = complex(z)
-    if not cmath.isfinite(z):
-        raise DomainError(f"log_double_sine needs a finite argument, got {z!r}")
+    z = _complex(z, "log_double_sine")
     if not 0.0 < z.real < p.total:
         raise StripError(
             f"Re z = {z.real!r} outside the analytic strip (0, {p.total!r})"
         )
+    if abs(z.imag) > _ASYM_FACTOR * p.omax:  # where the t rule's panels would grow without bound
+        return _ln_s2_asymptotic(z, p)
     # homogeneity S2(gz | g*omega) = S2(z | omega): normalize the small period
     # to 1 so the truncation length is well conditioned for extreme periods
     s = 1.0 / p.omin
@@ -301,6 +300,7 @@ def log_double_sine(z: complex, p: Periods) -> complex:
 
 def b22(z: complex, p: Periods) -> complex:
     """The quadratic polynomial governing the large-|Im z| behavior of S2."""
+    z = _complex(z, "b22")
     ww = p.product
     w = p.total
     return (z * z - w * z) / ww + (p.omega1**2 + 3.0 * ww + p.omega2**2) / (6.0 * ww)
@@ -315,15 +315,15 @@ def double_sine_asymptotic(z: complex, p: Periods) -> complex:
     """Leading large-argument form exp(sign(Im z) * i pi B22(z)/2).
 
     Valid off the real axis; raises DomainError at Im z == 0 where the sign
-    is undefined, and GammaOverflowError where the value exceeds the double
-    range.
+    is undefined, and GammaOverflowError where the value or its phase
+    exceeds the double range.
     """
-    z = complex(z)
+    z = _complex(z, "double_sine_asymptotic")
     if z.imag == 0.0:
         raise DomainError("asymptotic form undefined on the real axis (Im z = 0)")
     try:
         return cmath.exp(_ln_s2_asymptotic(z, p))
-    except OverflowError:
+    except (OverflowError, ValueError):  # cmath.exp raises ValueError on an infinite phase
         raise GammaOverflowError(f"double_sine overflowed at z = {z!r}") from None
 
 
@@ -353,10 +353,10 @@ def double_sine(z: complex, p: Periods) -> complex:
     warning.  A non-finite z, or |Re z| beyond 2^20 steps below the
     asymptotic region, is refused with DomainError.
     """
-    z = complex(z)
-    if not cmath.isfinite(z):
-        raise DomainError(f"double_sine needs a finite argument, got {z!r}")
-    if abs(z.imag) <= _ASYM_FACTOR * p.omax and abs(z.real) > _MAX_SHIFT_STEPS * p.omax:
+    z = _complex(z, "double_sine")
+    if abs(z.imag) > _ASYM_FACTOR * p.omax:
+        return double_sine_asymptotic(z, p)
+    if abs(z.real) > _MAX_SHIFT_STEPS * p.omax:
         raise DomainError(f"double_sine refuses Re z = {z.real!r}: too many shift steps")
     zero = _lattice_index(z, p, "zero")
     if zero is not None:
@@ -364,9 +364,6 @@ def double_sine(z: complex, p: Periods) -> complex:
     pole = _lattice_index(z, p, "pole")
     if pole is not None:
         raise LatticePoleError(*pole)
-
-    if abs(z.imag) > _ASYM_FACTOR * p.omax:
-        return double_sine_asymptotic(z, p)
 
     # normalized units: omega_min -> 1
     s = 1.0 / p.omin

@@ -7,9 +7,10 @@ parallel, and always reports results in registry order.  This module is the
 regression surface of the repository: the acceptance tests and the command
 line ``check``/``sweep`` commands are thin wrappers around it.
 
-The eigen rows (beta, eigen_n1, eigen_n2, the scalar-product chain and the
-inner dual construction) share two assemblies, _plane_wave_records and
-_pair_eigen_record.  Every identity row is judged on its relative error,
+The eigen rows (beta, eigen_n1, eigen_n2, the scalar-product chain, the
+inner dual construction and the gamma and relativistic exchange relations,
+qlambda) share two assemblies, _plane_wave_records and _pair_eigen_record.
+Every identity row is judged on its relative error,
 abs_err <= tol * max(|lhs|, |rhs|); representation_equivalence states its
 own scale, max(1, |psi_hr|), and a deviation bound's scale is 1.
 """
@@ -37,10 +38,10 @@ from .operators import (
     FunctionHandle,
     OperatorSpec,
     _Ops,
+    apply_Lambda,
     apply_Q,
     factored_pair_handle,
     plane_wave,
-    qlambda_exchange_check,
     qq_convolution_kernel,
 )
 from .quad import DecayProfile, QuadSpec, _real, integrate_line, integrate_plane
@@ -846,13 +847,29 @@ def check_qlambda(
     q: QuadSpec = QuadSpec(),
     tol: float = 1e-6,
 ) -> CheckResult:
-    """Exchange relation with the family spectral shift at one admissible point."""
+    """Exchange relation Q(lam) L(rho') = q(lam, rho') L(rho') Q(lam), rho' = rho - i strip.
+
+    Where the raising operator multiplies by a plane wave (gamma,
+    relativistic) it is the plane-wave eigen relation at label rho'; the
+    hyperbolic row takes Q2(lam) on the pair of labels (0.1, rho') against
+    2 Khat(lam - rho') q(lam, 0.1) L2(rho') on e^(0.1 i t), with q(lam, 0.1)
+    read off Q1 at one point.  The envelopes refuse Im(lam - rho) outside
+    (-2 strip, 0)."""
     family = KernelFamily(family)
     c, lam, rho, at, (lam_name, rho_name) = _QLAMBDA_POINTS[family]
-    lhs, rhs = qlambda_exchange_check(family, lam, rho, at, c, q)
+    name = f"qlambda_{family.value}"
     params = {"family": family.value, "g": c.g, lam_name: lam,
               f"{rho_name}_re": rho.real, f"{rho_name}_im": rho.imag}
-    return CheckResult.compare(f"qlambda_{family.value}", params, lhs, rhs, tol)
+    rho_s = rho - 1j * _Ops(family, True, c).strip
+    if family is not HYP:
+        spec = OperatorSpec(family, 1, True, c, lam)
+        return _plane_wave_records(name, spec, [(rho_s, at, params)], q, tol)[0]
+    pair = factored_pair_handle(HYP, c, 0.5 * (0.1 + rho_s), 0.1 - rho_s, q)
+    lhs = apply_Q(OperatorSpec(HYP, 2, False, c, lam), pair, at, q)
+    pw = plane_wave(0.1, HYP, c)
+    r0 = apply_Q(OperatorSpec(HYP, 1, False, c, lam), pw, 0.37, q) / complex(pw.fn(0.37))
+    raised = apply_Lambda(OperatorSpec(HYP, 2, False, c, rho_s), pw, at, q)
+    return CheckResult.compare(name, params, lhs, 2.0 * kernel_hatK(lam - rho_s, c) * r0 * raised, tol)
 
 
 def check_dual_construction() -> list[CheckResult]:

@@ -22,8 +22,8 @@ import numpy as np
 
 from .errors import ContinuationError, DomainError, KernelPoleError
 from .kernels import Coupling, KernelFamily, exponent_scale
-from .operators import _complex, _kernel_line, _Ops, pair_transform
-from .quad import QuadSpec, _real
+from .operators import _kernel_line, _Ops, pair_transform
+from .quad import QuadSpec, _complex, _real
 from .special import _nearest_nonpositive_int, complex_gamma, double_sine
 
 __all__ = [
@@ -68,8 +68,8 @@ class PositionPoint:
     x2: float
 
     def __post_init__(self):
-        object.__setattr__(self, "x1", _real(self.x1, "x1"))
-        object.__setattr__(self, "x2", _real(self.x2, "x2"))
+        object.__setattr__(self, "x1", _real(self.x1, "x1", finite=True))
+        object.__setattr__(self, "x2", _real(self.x2, "x2", finite=True))
 
     @property
     def xsum(self) -> float:
@@ -185,8 +185,6 @@ def psi_asymptotic(sp: SpectralPoint, pp: PositionPoint, c: Coupling) -> complex
     if not sp.is_real:
         raise DomainError("asymptotic form is stated for real spectral values")
     l1, l2 = sp.lambda1.real, sp.lambda2.real
-    if not all(map(math.isfinite, (l1, l2, pp.x1, pp.x2))):
-        raise DomainError("asymptotic form needs finite spectral values and positions")
     if l1 == l2:
         raise KernelPoleError("coincident spectral values hit a gamma pole")
     g = c.g
@@ -213,7 +211,7 @@ _OFFS = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
 
 
 def _stencil_values(sp, pp, c, q, axis: int, h: float) -> np.ndarray:
-    if not (math.isfinite(h) and h > 0.0):
+    if not _real(h, "finite-difference step h", finite=True) > 0.0:
         raise DomainError(f"finite-difference step h must be positive and finite, got {h!r}")
     vals = []
     for o in _OFFS:

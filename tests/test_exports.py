@@ -54,6 +54,13 @@ _SP = hypq.SpectralPoint(0.4, -0.3)
         lambda: hypq.RegSchedule(("a",), (1.0,)),
         lambda: hypq.RegSchedule(1.0, (1.0,)),
         lambda: hypq.Coupling(1.0, "x"),
+        lambda: hypq.QuadSpec(rel_tol=math.inf),
+        lambda: hypq.QuadSpec(abs_tol=math.inf),
+        lambda: hypq.QuadSpec(max_nodes=math.inf),
+        lambda: hypq.SpectralPoint("1.5", "nan"),
+        lambda: hypq.OperatorSpec(hypq.KernelFamily.HYPERBOLIC, 1, False, _C1, math.nan),
+        lambda: hypq.plane_wave(math.nan, hypq.KernelFamily.HYPERBOLIC, _C1),
+        lambda: hypq.PositionPoint(math.nan, math.inf),
     ],
     ids=[
         "log_double_sine-nan-imag",
@@ -80,6 +87,13 @@ _SP = hypq.SpectralPoint(0.4, -0.3)
         "RegSchedule-string-entry",
         "RegSchedule-scalar",
         "Coupling-string-periods",
+        "QuadSpec-rel_tol-inf",
+        "QuadSpec-abs_tol-inf",
+        "QuadSpec-max_nodes-inf",
+        "SpectralPoint-numeric-string",
+        "OperatorSpec-nan-spectral",
+        "plane_wave-nan-label",
+        "PositionPoint-non-finite",
     ],
 )
 def test_bad_input_is_domain_error(call):
@@ -117,5 +131,49 @@ def test_value_record_builds_or_raises_hypq_error(record, data):
     args = data.draw(st.tuples(*_FIELDS[record]))
     try:
         record(*args)
+    except HypqError:
+        pass
+
+
+def test_non_finite_position_is_named():
+    # refused where it is given, not deep inside the wave-function integral
+    with pytest.raises(DomainError, match="x1"):
+        hypq.PositionPoint(math.nan, math.inf)
+
+
+_P = hypq.Periods(1.0, math.sqrt(2.0))
+_C08, _CREL = hypq.Coupling(0.8), hypq.Coupling(0.8, _P)
+_H, _G, _R = hypq.KernelFamily
+
+_SCALAR_CALLS = {
+    "complex_gamma": (hypq.complex_gamma, 1),
+    "log_complex_gamma": (hypq.log_complex_gamma, 1),
+    "double_sine": (lambda z: hypq.double_sine(z, _P), 1),
+    "log_double_sine": (lambda z: hypq.log_double_sine(z, _P), 1),
+    "double_sine_asymptotic": (lambda z: hypq.double_sine_asymptotic(z, _P), 1),
+    "b22": (lambda z: hypq.b22(z, _P), 1),
+    "kernel_K": (lambda x: hypq.kernel_K(x, _C08), 1),
+    "kernel_hatK": (lambda x: hypq.kernel_hatK(x, _C08), 1),
+    "kernel_Kg": (lambda x: hypq.kernel_Kg(x, _CREL), 1),
+    "eigenvalue-hyperbolic": (lambda s, l: hypq.eigenvalue(_H, s, l, _C08), 2),
+    "eigenvalue-gamma": (lambda s, l: hypq.eigenvalue(_G, s, l, _C08), 2),
+    "eigenvalue-relativistic": (lambda s, l: hypq.eigenvalue(_R, s, l, _CREL), 2),
+    "measure-hyperbolic": (lambda a, b: hypq.measure(_H, a, b, _C08), 2),
+    "measure-gamma": (lambda a, b: hypq.measure(_G, a, b, _C08), 2),
+    "measure-relativistic": (lambda a, b: hypq.measure(_R, a, b, _CREL), 2),
+    "hatK_asymptotic": (lambda base, mu: hypq.hatK_asymptotic(base, mu, _C08), 2),
+}
+
+
+@pytest.mark.parametrize("name", list(_SCALAR_CALLS))
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_scalar_call_returns_or_raises_hypq_error(name, data):
+    # a scalar call at any argument, a string, None, NaN or +-inf among them,
+    # returns or is refused with a structured error, never a raw Python one
+    fn, arity = _SCALAR_CALLS[name]
+    args = data.draw(st.tuples(*(_ANY,) * arity))
+    try:
+        fn(*args)
     except HypqError:
         pass

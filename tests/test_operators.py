@@ -25,7 +25,6 @@ from hypq.operators import (
     factored_pair_handle,
     pair_transform,
     plane_wave,
-    qlambda_exchange_check,
     qq_convolution_kernel,
 )
 from hypq.quad import DecayProfile, QuadSpec, integrate_line
@@ -291,12 +290,10 @@ class TestPointShapes:
             lambda: apply_Lambda(_Q2, _PW, "ab", Q),
             lambda: qq_convolution_kernel(_Q2, 0.4, -0.3, (0.3, -0.5), Q),
             lambda: qq_convolution_kernel(_Q1, 0.4, -0.3, ((0.3, 0.1), 0.2), Q),
-            lambda: qlambda_exchange_check(HYP, 0.5, 0.2 + 0.5j, 0.3, Coupling(1.0), Q),
-            lambda: qlambda_exchange_check(GAM, 0.3, 0.1 + 0.4j, (0.7, 0.1), Coupling(1.0), Q),
         ],
         ids=[
             "Q2-float", "Q2-triple", "Q1-pair", "Q1-complex", "Q1-nan", "Lambda-float",
-            "Lambda-string", "QQ2-flat", "QQ1-ragged", "qlambda2-float", "qlambda1-pair",
+            "Lambda-string", "QQ2-flat", "QQ1-ragged",
         ],
     )
     def test_mismatched_point_is_domain_error(self, call):
@@ -511,25 +508,21 @@ class TestKernelConvolutions:
 
 
 class TestExchangeRelations:
-    def test_hyperbolic_two_variable(self):
-        c = Coupling(1.0)
-        lhs, rhs = qlambda_exchange_check(
-            HYP, 0.5, 0.2 + 0.5j, (0.3, -0.4), c, Q, test_label=0.1
-        )
-        assert abs(lhs - rhs) <= 1e-6 * abs(rhs)
-
-    def test_gamma_shifted_plane_wave(self):
-        lhs, rhs = qlambda_exchange_check(GAM, 0.3, 0.1 + 0.4j, 0.7, Coupling(1.0), Q)
-        assert abs(lhs - rhs) <= 1e-6 * abs(rhs)
-
-    def test_relativistic_shifted_plane_wave(self):
-        c = Coupling(0.8, P12)
-        lhs, rhs = qlambda_exchange_check(REL, 0.3, 0.1 + 0.3j, 0.45, c, Q)
-        assert abs(lhs - rhs) <= 1e-6 * abs(rhs)
-
     def test_half_strip_enforced(self):
-        with pytest.raises(DivergenceError):
-            qlambda_exchange_check(HYP, 0.5, 0.2, (0.3, -0.4), Coupling(1.0), Q)
+        # the exchange relation converges for Im(lam - rho) strictly inside
+        # (-2 strip, 0): Q(lam) on the plane wave of label rho' = rho - i strip
+        # is refused at both edges and taken in the middle, in every family
+        for family, c in ((HYP, Coupling(1.0)), (GAM, Coupling(1.0)), (REL, Coupling(0.8, P12))):
+            strip = _Ops(family, True, c).strip
+            spec = OperatorSpec(family, 1, family is not HYP, c, 0.3)
+            for im in (0.0, -2.0 * strip, -strip):
+                rho = 0.2 - 1j * im  # Im(lam - rho) = im
+                pw = plane_wave(rho - 1j * strip, family, c)
+                if im == -strip:
+                    assert np.isfinite(apply_Q(spec, pw, 0.4, Q))
+                    continue
+                with pytest.raises(DivergenceError):
+                    apply_Q(spec, pw, 0.4, Q)
 
     def test_n1_degenerate_is_eigenrelation(self):
         # the one-variable raising operator multiplies by a plane wave, so the
@@ -594,10 +587,8 @@ _C1 = Coupling(1.0)
         lambda: pair_transform("bogus", _C1, 0.5, 0.3),
         lambda: plane_wave(0.1, "bogus", _C1),
         lambda: psi_hr(SpectralPoint(0.4, -0.3), PositionPoint(0.2, -0.6), _C1, "bogus"),
-        lambda: qlambda_exchange_check("bogus", 0.5, 0.2 + 0.5j, (0.3, -0.4), _C1),
     ],
-    ids=["measure", "eigenvalue", "OperatorSpec", "pair_transform", "plane_wave",
-         "psi_hr", "qlambda_exchange_check"],
+    ids=["measure", "eigenvalue", "OperatorSpec", "pair_transform", "plane_wave", "psi_hr"],
 )
 def test_unknown_family_is_domain_error(call):
     with pytest.raises(DomainError, match="valid: .*hyperbolic.*gamma.*relativistic"):

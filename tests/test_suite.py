@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypq.errors import DomainError, UnknownCheckError
-from hypq.kernels import Coupling, KernelFamily
+from hypq.kernels import Coupling, KernelFamily, kernel_hatK
 from hypq.operators import _Ops
 from hypq.quad import DecayProfile, QuadSpec, integrate_plane
 from hypq.special import Periods, complex_gamma
@@ -108,7 +108,10 @@ class TestBetaChecks:
 
 
 class TestEigenRelations:
-    PREFIXES = ("beta_", "eigen_n1_", "eigen_n2_", "scalar_chain_", "dual_construction_inner")
+    PREFIXES = (
+        "beta_", "eigen_n1_", "eigen_n2_", "scalar_chain_", "dual_construction_inner",
+        "qlambda_gamma", "qlambda_relativistic",
+    )
 
     def test_scaled_eigenvalue_fails_every_record(self, monkeypatch):
         # every eigen record is judged on its relative error, so an eigenvalue
@@ -119,8 +122,15 @@ class TestEigenRelations:
         monkeypatch.setattr(_Ops, "eigen", lambda ops, s, l: eigen(ops, s, l) * (1.0 + 1e-3))
         rows = [n for n in registry_names() if n.startswith(self.PREFIXES)] + ["dual_construction"]
         records = [r for r in run_suite(rows) if r.check_name.startswith(self.PREFIXES)]
-        assert len(records) == 21 + 15 + 3 + 9 + 1
+        assert len(records) == 21 + 15 + 3 + 9 + 1 + 2
         assert not [(r.check_name, r.params) for r in records if r.passed]
+
+    def test_scaled_exchange_factor_fails_hyperbolic_qlambda(self, monkeypatch):
+        # the two-variable exchange relation takes no _Ops.eigen: its scalar
+        # factor is Khat(lam - rho') itself
+        scaled = lambda lam, c: kernel_hatK(lam, c) * (1.0 + 1e-3)
+        monkeypatch.setattr("hypq.suite.kernel_hatK", scaled)
+        assert not check_qlambda(HYP).passed
 
 
 class TestReductions:
