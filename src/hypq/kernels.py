@@ -24,11 +24,12 @@ kernel arguments take the complex ln Gamma core of special.py.
 On the real axis ln S2(u + id) + ln S2(u - id) is the closed-form log
 ln((u^2 + d^2)/((w - u)^2 + d^2)) of S2's zero at 0 and pole at
 w = omega1 + omega2, plus the smooth t-integral that special.py owns
-(_ln_s2_pair_smooth, on the same t rule as its complex ln S2).  The
-relativistic measure takes the pair from there; the relativistic evaluator
-is a piecewise Chebyshev proxy of the smooth t-integral with the log added
-back, switched to the exact exponential asymptote at large argument (both
-validated in the tests).
+(_ln_s2_pair_smooth, on the same t rule as its complex ln S2), switched
+to the exact exponential asymptote at large argument (_re_ln_s2_pair).  The
+relativistic measure and the relativistic evaluator both take the pair from
+there: the measure with its own t-integral, the evaluator with a cached
+piecewise Chebyshev proxy of it as the smooth part (both validated in the
+tests).
 """
 from __future__ import annotations
 
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, GammaOverflowError, KernelPoleError
-from .quad import _complex, _real
+from .quad import _complex, _finite, _real
 from .special import (
     _ASYM_FACTOR,
     _LANCZOS_C as _LANCZOS_C_K,
@@ -182,12 +183,17 @@ def _hatK_vec(lam: np.ndarray, g: float) -> np.ndarray:
 
 
 def kernel_hatK(lam: complex, c: Coupling) -> complex:
-    """Khat(lam) = Gamma((g+i lam)/2) Gamma((g-i lam)/2) / (2^(1-g) Gamma(g))."""
+    """Khat(lam) = Gamma((g+i lam)/2) Gamma((g-i lam)/2) / (2^(1-g) Gamma(g)).
+
+    Raises GammaOverflowError where the value is not representable.
+    """
     lam = _complex(lam, "kernel_hatK")
     for z in (0.5 * (c.g + 1j * lam), 0.5 * (c.g - 1j * lam)):
         if _nearest_nonpositive_int(z) is not None:
             raise KernelPoleError(f"Khat pole: gamma argument {z!r} is a nonpositive integer")
-    return complex(_hatK_vec(np.asarray(lam), c.g))
+    with np.errstate(invalid="ignore", over="ignore"):
+        out = complex(_hatK_vec(np.asarray(lam), c.g))
+    return _finite(out, "Khat is not representable at lam = {!r}", lam)
 
 
 def _ln_abs_gamma_sq_real(a: float, b) -> np.ndarray:
@@ -276,12 +282,12 @@ def hatK_asymptotic(gamma_minus_mu_base: float, mu: float, c: Coupling) -> compl
         raise DomainError("mu must be large positive")
     g = c.g
     try:
-        growth = math.exp(0.5 * math.pi * (gamma_minus_mu_base - mu))
+        out = (2.0 * math.pi / complex_gamma(g)) * mu ** (g - 1.0) * math.exp(
+            0.5 * math.pi * (gamma_minus_mu_base - mu)
+        )
     except OverflowError:
-        raise GammaOverflowError(
-            f"hatK_asymptotic overflowed at gamma - mu = {gamma_minus_mu_base - mu!r}"
-        ) from None
-    return (2.0 * math.pi / complex_gamma(g)) * mu ** (g - 1.0) * growth
+        out = math.inf
+    return _finite(out, "hatK_asymptotic overflowed at gamma - mu = {!r}", gamma_minus_mu_base - mu)
 
 
 # ---------------------------------------------------------------------------
@@ -340,12 +346,11 @@ def hatK_ln_evaluator(g: float):
 
 
 def _kg_real_tables(c: Coupling):
-    """Cached (proxy, x_asym, slope, s, u^2, v^2) for ln Kg on the real axis.
+    """Cached (proxy, s, u, w1, w2) for ln Kg on the real axis.
 
-    In units where the smaller period is 1 (x -> s x), the proxy fits the
-    smooth ln Kg + ln((u^2+x^2)/(v^2+x^2)), u = g/2 and v = w - g/2, which
-    leaves out the log of S2's zero and pole nearest the real axis; the
-    evaluator adds that log back.
+    In units where the smaller period is 1 (x -> s x, w1 and w2 the scaled
+    periods), ln Kg(x) is minus the pair ln S2(u + isx) + ln S2(u - isx),
+    u = s g/2, and the proxy fits that pair's smooth t-integral.
     """
     p = c.require_periods()
     key = (c.g, p.omega1, p.omega2)
@@ -354,12 +359,12 @@ def _kg_real_tables(c: Coupling):
     if hit is not None:
         return hit
     s = 1.0 / p.omin
-    w1, w2, gn = p.omega1 * s, p.omega2 * s, c.g * s
-    x_asym = _ASYM_FACTOR * max(w1, w2)
-    u = 0.5 * gn
-    proxy = _PiecewiseCheb(lambda m, o: -_ln_s2_pair_smooth(u, m, o, w1, w2), x_asym, 0.75)
-    slope = -math.pi * (w1 + w2 - gn) / (w1 * w2)  # d ln Kg / d|x|, exact beyond x_asym
-    tables = (proxy, x_asym, slope, s, u * u, (w1 + w2 - u) ** 2)
+    w1, w2 = p.omega1 * s, p.omega2 * s
+    u = 0.5 * c.g * s
+    proxy = _PiecewiseCheb(
+        lambda m, o: _ln_s2_pair_smooth(u, m, o, w1, w2), _ASYM_FACTOR * max(w1, w2), 0.75
+    )
+    tables = (proxy, s, u, w1, w2)
     with _kg_lock:
         _kg_cache[key] = tables
         while len(_kg_cache) > _KG_CACHE_MAX:
@@ -368,32 +373,16 @@ def _kg_real_tables(c: Coupling):
 
 
 def kg_ln_evaluator(c: Coupling):
-    """Fast vectorized ln Kg on the real axis (Kg is real positive and even)."""
-    proxy, x_asym, slope, s, u2, v2 = _kg_real_tables(c)
-
-    def ev(x: np.ndarray) -> np.ndarray:
-        xn = np.abs(np.asarray(x, dtype=float)) * s
-        out = np.empty_like(xn)
-        far = xn > x_asym
-        out[far] = slope * xn[far]
-        near = ~far
-        if near.any():
-            xs = xn[near]
-            x2 = xs * xs
-            out[near] = proxy(xs) + np.log((v2 + x2) / (u2 + x2))
-        return out
-
-    return ev
+    """Fast vectorized ln Kg on the real axis (Kg is real positive and even):
+    minus _re_ln_s2_pair with the cached proxy as its smooth part."""
+    proxy, s, u, w1, w2 = _kg_real_tables(c)
+    return lambda x: -_re_ln_s2_pair(u, np.asarray(x, dtype=float) * s, w1, w2, proxy)
 
 
 def kg_real_evaluator(c: Coupling):
     """Fast vectorized Kg on the real axis."""
     ln_ev = kg_ln_evaluator(c)
-
-    def ev(x: np.ndarray) -> np.ndarray:
-        return np.exp(ln_ev(x))
-
-    return ev
+    return lambda x: np.exp(ln_ev(x))
 
 
 def kernel_Kg(lam: complex, c: Coupling) -> complex:
@@ -437,9 +426,7 @@ def ln_measure_relativistic(v, c: Coupling) -> np.ndarray:
     w1, w2 = p.omega1 * s, p.omega2 * s
     wmax = max(w1, w2)
     ln_smooth = _re_ln_s2_pair(c.g * s, d, w1, w2) + _re_ln_s2_pair(wmax, d, w1, w2)
-    with np.errstate(divide="ignore"):
-        ln_sh = math.pi * d + np.log1p(-np.exp(-2.0 * math.pi * d)) - _LN2
-    return 2.0 * (ln_sh + _LN2) + ln_smooth
+    return 2.0 * (ln_sinh_abs(math.pi * d) + _LN2) + ln_smooth
 
 
 def measure_relativistic(v, c: Coupling):
@@ -457,9 +444,8 @@ def ln_measure_gamma(v, c: Coupling) -> np.ndarray:
     d = np.abs(np.asarray(v, dtype=float))
     ln_pref = 2.0 * ((1.0 - g) * _LN2 + math.lgamma(g)) - math.log(math.pi)
     with np.errstate(divide="ignore"):
-        ln_sh = 0.5 * math.pi * d + np.log1p(-np.exp(-math.pi * d)) - _LN2
         ln_d = np.log(0.5 * d)
-    return ln_pref + ln_d + ln_sh - _ln_abs_gamma_sq_real(g, 0.5 * d)
+    return ln_pref + ln_d + ln_sinh_abs(0.5 * math.pi * d) - _ln_abs_gamma_sq_real(g, 0.5 * d)
 
 
 # ---------------------------------------------------------------------------
@@ -468,17 +454,24 @@ def ln_measure_gamma(v, c: Coupling) -> np.ndarray:
 
 
 def measure(kind: KernelFamily, a: float, b: float, c: Coupling):
-    """Two-variable operator measure of the given family at separation a - b."""
+    """Two-variable operator measure of the given family at separation a - b.
+
+    At scalar a and b, a measure past the double range raises GammaOverflowError.
+    """
     kind = KernelFamily(kind)
-    if not isinstance(a, np.ndarray) and not isinstance(b, np.ndarray):
+    scalar = not isinstance(a, np.ndarray) and not isinstance(b, np.ndarray)
+    if scalar:
         a, b = _real(a, "measure a", finite=True), _real(b, "measure b", finite=True)
     if not np.isfinite(a - b).all():
         raise DomainError("measure needs finite arguments")
     if kind is KernelFamily.HYPERBOLIC:
-        return measure_hyperbolic(a - b, c)
-    if kind is KernelFamily.GAMMA:
-        return measure_gamma(a - b, c)
-    return measure_relativistic(a - b, c)
+        fn = measure_hyperbolic
+    else:
+        fn = measure_gamma if kind is KernelFamily.GAMMA else measure_relativistic
+    if not scalar:
+        return fn(a - b, c)
+    with np.errstate(over="ignore"):
+        return _finite(fn(a - b, c), kind.value + " measure overflowed at a - b = {!r}", a - b)
 
 
 def eigenvalue(kind: KernelFamily, spectral: complex, label: complex, c: Coupling) -> complex:

@@ -8,16 +8,17 @@ core, at most one period 2*pi/freq_hint wide, and double in width through
 each tail out to the cut, so the padding of a cut costs O(log) panels.  Each
 round then halves every panel whose error estimate exceeds its share of the
 tolerance, tail panels included.  Panel state lives in numpy arrays, and one
-routine can advance many integrals together, each over its own interval and
-with its own tolerance test, splits and node budget, starting from the
-panels a lone call would take, so each value is bit-identical to a lone
-call's: integrate_plane and the two-variable operators run the inner
-integrals of a whole array of outer abscissae that way, in groups whose
-first round is at most _CHUNK_NODES nodes.  The integrand is never called on
-more than _CALL_NODES nodes at once, which keeps each array of a call below
-the size at which the C allocator maps it from fresh pages and unmaps it on
-free.  Panel subdivision and the final compensated summation run in a fixed
-deterministic order, so identical inputs give bit-identical results.
+routine (_adaptive_many) advances many integrals together, each over its own
+interval and with its own tolerance test, splits and node budget, so no
+value depends on the others.  A lone integral (_adaptive) is that routine
+for one integral; integrate_plane and the two-variable operators run the
+inner integrals of a whole array of outer abscissae through it, in groups
+whose first round is at most _CHUNK_NODES nodes.  The integrand is never
+called on more than _CALL_NODES nodes at once, which keeps each array of a
+call below the size at which the C allocator maps it from fresh pages and
+unmaps it on free.  Panel subdivision and the final compensated summation
+run in a fixed deterministic order, so identical inputs give bit-identical
+results.
 """
 from __future__ import annotations
 
@@ -32,6 +33,7 @@ import numpy as np
 from .errors import (
     BudgetExceededError,
     DomainError,
+    GammaOverflowError,
     HypqError,
     NonConvergenceError,
     NonFiniteSampleError,
@@ -100,20 +102,37 @@ _MAX_ROUNDS = 60
 
 def _real(x, what: str, finite: bool = False) -> float:
     """x as a float; DomainError, naming it as ``what``, unless it is a real
-    number other than NaN, and a finite one if ``finite`` (decay rates and
-    kernel limits take +-inf)."""
+    number other than NaN within the double range, and a finite one if
+    ``finite`` (decay rates and kernel limits take +-inf)."""
     # float and int first: they pass without numbers.Real's slower ABC check
-    if isinstance(x, (float, int, numbers.Real)) and (math.isfinite(x) or not (finite or math.isnan(x))):
-        return float(x)
+    try:
+        if isinstance(x, (float, int, numbers.Real)) and (
+            math.isfinite(x) or not (finite or math.isnan(x))
+        ):
+            return float(x)
+    except OverflowError:  # an int past the double range
+        raise DomainError(f"{what} must be a real number within the double range") from None
     kind = "finite" if finite else "finite or infinite"
     raise DomainError(f"{what} must be a {kind} real number, got {x!r}")
 
 
 def _complex(x, what: str) -> complex:
-    """x as a complex number; DomainError, naming it as ``what``, unless it is a finite number."""
-    if not isinstance(x, (float, complex, int, numbers.Complex)) or not cmath.isfinite(x):
-        raise DomainError(f"{what} needs a finite argument, got {x!r}")
-    return complex(x)
+    """x as a complex number; DomainError, naming it as ``what``, unless it is
+    a finite number within the double range."""
+    try:
+        if isinstance(x, (float, complex, int, numbers.Complex)) and cmath.isfinite(x):
+            return complex(x)
+    except OverflowError:  # an int past the double range
+        raise DomainError(f"{what} needs a finite argument within the double range") from None
+    raise DomainError(f"{what} needs a finite argument, got {x!r}")
+
+
+def _finite(value, message: str, arg):
+    """value, a scalar result, if it is a finite number; else GammaOverflowError
+    with message.format(arg)."""
+    if cmath.isfinite(value):
+        return value
+    raise GammaOverflowError(message.format(arg))
 
 
 @dataclass(frozen=True)
@@ -250,15 +269,6 @@ def _tail_panels(length, w0):
     return np.maximum(np.frexp(1.0 + length / w0)[1] - 1, length > 0.0)
 
 
-def _edges(t, c0, c1, w0, step, n_c):
-    """First-round edge t, counted from the core's left end c0: t step into
-    the core [c0, c1] of n_c panels, w0 (2^|t| - 1) before it and
-    w0 (2^(t - n_c) - 1) past it.  Scalars or arrays, one entry per edge."""
-    right = t >= n_c
-    grow = np.ldexp(w0, np.where(right, t - n_c, -t)) - w0
-    return np.where(right, c1 + grow, np.where(t <= 0, c0 - grow, c0 + t * step))
-
-
 def _first_panels(a, b, c0, c1, w0):
     """First-round panels of integrals over [a[k], b[k]] with cores [c0[k], c1[k]].
 
@@ -274,25 +284,17 @@ def _first_panels(a, b, c0, c1, w0):
     n_l = _tail_panels(c0 - a, w0)
     ne = n_l + n_c + _tail_panels(b - c1, w0) + 1  # edges per integral
     first = np.cumsum(ne) - ne
-    last = first + ne - 1
     own = np.repeat(np.arange(a.size), ne)
-    x = _edges(
-        np.arange(own.size) - (first + n_l)[own], c0[own], c1[own], w0[own], step[own], n_c[own]
-    )
+    # edge t, counted from the core's left end: t step into the core of n_c
+    # panels, w0 (2^|t| - 1) before it and w0 (2^(t - n_c) - 1) past it
+    t, n_c, w0 = np.arange(own.size) - (first + n_l)[own], n_c[own], w0[own]
+    right = t >= n_c
+    grow = np.ldexp(w0, np.where(right, t - n_c, -t)) - w0
+    x = np.where(right, c1[own] + grow, np.where(t <= 0, c0[own] - grow, c0[own] + t * step[own]))
     x[first] = a
-    x[last] = b
-    keep = np.ones(own.size, dtype=bool)
-    keep[last] = False  # no panel starts at an integral's last edge
-    lo, own = x[keep], own[keep]
-    keep[last] = True
-    keep[first] = False
-    return lo, x[keep], own
-
-
-def _first_width(width, freq_hint: float, max_panel: float):
-    """The widest first-round panel: min(width/8, max_panel, one period 2 pi/freq_hint)."""
-    w0 = np.minimum(width / 8.0, max_panel)
-    return np.minimum(w0, 2.0 * math.pi / freq_hint) if freq_hint > 0.0 else w0
+    x[first + ne - 1] = b
+    same = own[1:] == own[:-1]  # two edges of one integral bound a panel
+    return x[:-1][same], x[1:][same], own[1:][same]
 
 
 def _adaptive_many(
@@ -311,13 +313,13 @@ def _adaptive_many(
     ``a``, ``b``, ``core_lo`` and ``core_hi`` are scalars or length-m arrays;
     [core_lo[k], core_hi[k]] (clipped to the interval, possibly a point) is
     the part of integral k that is not tail.  The first round lays equal
-    panels over the core, at most _first_width wide, and panels of doubling
-    width through the tails out to the cut, so padding the cut costs O(log)
-    panels.  Every integral then runs the rounds that a lone adaptive
-    integral (_adaptive) would: its own tolerance test, splits, round cap and
-    node budget, so its value does not depend on the others.  Integrals are
-    taken in consecutive groups whose first round is at most _CHUNK_NODES
-    nodes (or one integral).
+    panels over the core, at most min(width/8, max_panel, one period
+    2 pi/freq_hint) wide, and panels of doubling width through the tails out
+    to the cut, so padding the cut costs O(log) panels.  Every integral then
+    runs its own rounds: its own tolerance test, splits, round cap and node
+    budget, so its value is the one a lone call (_adaptive, m = 1) gives.
+    Integrals are taken in consecutive groups whose first round is at most
+    _CHUNK_NODES nodes (or one integral).
     """
     a = np.full(m, a, dtype=float)
     b = np.full(m, b, dtype=float)
@@ -325,7 +327,10 @@ def _adaptive_many(
         raise DomainError("empty integration interval")
     c0 = np.minimum(np.maximum(core_lo, a), b)
     c1 = np.minimum(np.maximum(core_hi, c0), b)
-    lo, hi, own = _first_panels(a, b, c0, c1, _first_width(b - a, freq_hint, max_panel))
+    w0 = np.minimum((b - a) / 8.0, max_panel)
+    if freq_hint > 0.0:
+        w0 = np.minimum(w0, 2.0 * math.pi / freq_hint)
+    lo, hi, own = _first_panels(a, b, c0, c1, w0)
     ends = np.cumsum(np.bincount(own, minlength=m))  # first-round panels up to each integral
     out = np.empty(m, dtype=complex)
     first = 0
@@ -400,24 +405,11 @@ def _adaptive(
     freq_hint: float,
     max_panel: float = math.inf,
 ) -> complex:
-    """One adaptive Gauss-Kronrod integral of f over [a, b], with core [core_lo, core_hi].
-
-    It lays out the first round of _adaptive_many for one integral from
-    scalars, without that routine's per-integral gathers, so the value is
-    the one _adaptive_many gives.
-    """
-    if not b > a:
-        raise DomainError("empty integration interval")
-    c0 = min(max(core_lo, a), b)
-    c1 = min(max(core_hi, c0), b)
-    w0 = float(_first_width(b - a, freq_hint, max_panel))
-    n_c = math.ceil((c1 - c0) / w0)
-    n_l, n_r = int(_tail_panels(c0 - a, w0)), int(_tail_panels(b - c1, w0))
-    x = _edges(np.arange(-n_l, n_c + n_r + 1), c0, c1, w0, (c1 - c0) / max(n_c, 1.0), n_c)
-    x[0], x[-1] = a, b
-    out = np.empty(1, dtype=complex)
-    _advance(lambda x, k: f(x), x[:-1], x[1:], np.zeros(x.size - 1, dtype=np.int64), 0, spec, out)
-    return complex(out[0])
+    """One adaptive Gauss-Kronrod integral of f over [a, b], with core [core_lo, core_hi]:
+    _adaptive_many for the one integral."""
+    return complex(
+        _adaptive_many(lambda x, k: f(x), a, b, core_lo, core_hi, spec, freq_hint, 1, max_panel)[0]
+    )
 
 
 def _tail(q: QuadSpec) -> float:

@@ -42,7 +42,7 @@ from .errors import (
     LatticePoleError,
     StripError,
 )
-from .quad import _complex, _panels_on, _real
+from .quad import _complex, _finite, _panels_on, _real
 
 __all__ = [
     "Periods",
@@ -124,11 +124,7 @@ def complex_gamma(z: complex) -> complex:
         raise GammaPoleError(f"gamma pole at z = {z!r}")
     with np.errstate(invalid="ignore", over="ignore"):
         out = complex(np.exp(_ln_gamma_vec(z)))
-    if not (math.isfinite(out.real) and math.isfinite(out.imag)):
-        raise GammaOverflowError(
-            f"|Gamma({z!r})| is not representable; request log_complex_gamma instead"
-        )
-    return out
+    return _finite(out, "|Gamma({!r})| is not representable; request log_complex_gamma instead", z)
 
 
 def log_complex_gamma(z: complex) -> complex:
@@ -137,11 +133,13 @@ def log_complex_gamma(z: complex) -> complex:
     The imaginary part is continuous on Re z >= 0.5 but is not glued to the
     canonical branch across the reflection; intended for magnitude-safe
     evaluation, exp(log_complex_gamma(z)) == Gamma(z) up to rounding.
+    Raises GammaOverflowError where ln Gamma(z) leaves the double range.
     """
     z = _complex(z, "log_complex_gamma")
     if _nearest_nonpositive_int(z) is not None:
         raise GammaPoleError(f"gamma pole at z = {z!r}")
-    return complex(_ln_gamma_vec(z))
+    with np.errstate(invalid="ignore", over="ignore"):
+        return _finite(complex(_ln_gamma_vec(z)), "ln Gamma({!r}) is not representable", z)
 
 
 # ---------------------------------------------------------------------------
@@ -252,11 +250,13 @@ def _ln_s2_pair_smooth(u: float, mid: np.ndarray, off: np.ndarray, w1: float, w2
     return smooth - lhs @ np.hstack([cb * cb, sb * sb, sb * cb]).T
 
 
-def _re_ln_s2_pair(u: float, d: np.ndarray, w1: float, w2: float) -> np.ndarray:
+def _re_ln_s2_pair(u: float, d: np.ndarray, w1: float, w2: float, smooth=None) -> np.ndarray:
     """ln S2(u+id) + ln S2(u-id) for real d (vectorized), 0 < u < w1+w2.
 
-    |d| beyond the asymptotic switch point uses the exact B22 limit
-    -pi |d| (2u-w)/(w1 w2).
+    |d| up to the asymptotic switch point is the log of S2's zero and pole
+    plus the smooth part, smooth(|d|) when given (a proxy of it) and else
+    _ln_s2_pair_smooth's t-integral.  Beyond it the pair is the exact B22
+    limit -pi |d| (2u-w)/(w1 w2).
     """
     d = np.abs(np.asarray(d, dtype=float))
     w = w1 + w2
@@ -267,9 +267,8 @@ def _re_ln_s2_pair(u: float, d: np.ndarray, w1: float, w2: float) -> np.ndarray:
     if near.any():
         dn = d[near]
         d2 = dn * dn
-        out[near] = _ln_s2_pair_smooth(u, dn, np.zeros(1), w1, w2)[:, 0] + np.log(
-            (u * u + d2) / ((w - u) ** 2 + d2)
-        )
+        part = smooth(dn) if smooth else _ln_s2_pair_smooth(u, dn, np.zeros(1), w1, w2)[:, 0]
+        out[near] = part + np.log((u * u + d2) / ((w - u) ** 2 + d2))
     return out
 
 
@@ -299,11 +298,15 @@ def log_double_sine(z: complex, p: Periods) -> complex:
 
 
 def b22(z: complex, p: Periods) -> complex:
-    """The quadratic polynomial governing the large-|Im z| behavior of S2."""
+    """The quadratic polynomial governing the large-|Im z| behavior of S2.
+
+    Raises GammaOverflowError where it leaves the double range.
+    """
     z = _complex(z, "b22")
     ww = p.product
     w = p.total
-    return (z * z - w * z) / ww + (p.omega1**2 + 3.0 * ww + p.omega2**2) / (6.0 * ww)
+    out = (z * z - w * z) / ww + (p.omega1**2 + 3.0 * ww + p.omega2**2) / (6.0 * ww)
+    return _finite(out, "b22 overflowed at z = {!r}", z)
 
 
 def _ln_s2_asymptotic(z: complex, p: Periods) -> complex:
@@ -387,11 +390,9 @@ def double_sine(z: complex, p: Periods) -> complex:
         steps += 1
     try:
         out = cmath.exp(log_factor + _log_s2_strip(zn, p.omega1 * s, p.omega2 * s))
-        finite = math.isfinite(out.real) and math.isfinite(out.imag)
     except OverflowError:
-        finite = False
-    if not finite:
-        raise GammaOverflowError(f"double_sine overflowed at z = {z!r}")
+        out = math.inf
+    _finite(out, "double_sine overflowed at z = {!r}", z)
     if steps > 64:
         warnings.warn(
             f"double_sine used {steps} functional-equation steps; "

@@ -369,27 +369,29 @@ def _rational_weight_integral(a: float, b: float, expo: complex, q: QuadSpec) ->
     return integrate_line(f, DecayProfile(1.0, 1.0), q, freq_hint=abs(complex(expo).imag))
 
 
+def _andreief_det(a_pair, b_pair, expo: complex, q: QuadSpec) -> complex:
+    """2 det [int_0^inf s^expo / ((a_i+s)(s+b_j)) ds]_(i,j): by the Cauchy
+    determinant identity and the Andreief formula, the twofold integral over
+    s1, s2 of (s1 s2)^expo times the two Cauchy determinants in a and b."""
+    (m11, m12), (m21, m22) = (
+        [_rational_weight_integral(a, b, expo, q) for b in b_pair] for a in a_pair
+    )
+    return 2.0 * (m11 * m22 - m12 * m21)
+
+
 def q2_kernel_det_route(
     x_pair, z_pair, lam: float, rho: float, q: QuadSpec
 ) -> complex:
     """The g = 1, two-variable composed kernel via the rationalized determinant.
 
     Positions map to a_i = e^(2 x_i), b_i = e^(2 z_i); the twofold integral
-    factorizes by the Cauchy determinant identity and the Andreief formula
-    into 2 det of one-dimensional rational integrals.
+    factorizes into 2 det of one-dimensional rational integrals
+    (_andreief_det).
     """
     x1, x2 = x_pair
     z1, z2 = z_pair
     a1, a2 = math.exp(2.0 * x1), math.exp(2.0 * x2)
     b1, b2 = math.exp(2.0 * z1), math.exp(2.0 * z2)
-    expo = 0.5j * (rho - lam)
-    m = np.array(
-        [
-            [_rational_weight_integral(a1, b1, expo, q), _rational_weight_integral(a1, b2, expo, q)],
-            [_rational_weight_integral(a2, b1, expo, q), _rational_weight_integral(a2, b2, expo, q)],
-        ]
-    )
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
     pref = (
         (abs(b1 - b2) / (2.0 * math.sqrt(b1 * b2))) ** 2
         * (a1 * a2) ** (0.5j * lam + 1.0)
@@ -397,7 +399,7 @@ def q2_kernel_det_route(
         * 16.0
         / ((a1 - a2) * (b1 - b2))
     )
-    return complex(pref * 2.0 * det)
+    return complex(pref * _andreief_det((a1, a2), (b1, b2), 0.5j * (rho - lam), q))
 
 
 def check_g1_determinant_route() -> list[CheckResult]:
@@ -444,11 +446,6 @@ def check_g1_determinant_route() -> list[CheckResult]:
     b1, b2 = t_pair
     expo = -1j * lam
 
-    def det_entry(a, b):
-        return _rational_weight_integral(a, b, expo, q)
-
-    det = det_entry(a1, b1) * det_entry(a2, b2) - det_entry(a1, b2) * det_entry(a2, b1)
-
     def f2(w1, w2):
         s1 = np.exp(np.asarray(w1, dtype=float))
         s2 = np.exp(np.asarray(w2, dtype=float))
@@ -464,7 +461,7 @@ def check_g1_determinant_route() -> list[CheckResult]:
             "det_route_andreief",
             {"lam": lam, "z": z_pair, "t": t_pair},
             twofold,
-            2.0 * det,
+            _andreief_det(z_pair, t_pair, expo, q),
             tol,
         )
     )

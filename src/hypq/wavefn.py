@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ContinuationError, DomainError, KernelPoleError
 from .kernels import Coupling, KernelFamily, exponent_scale
 from .operators import _kernel_line, _Ops, pair_transform
-from .quad import QuadSpec, _complex, _real
+from .quad import QuadSpec, _complex, _finite, _real
 from .special import _nearest_nonpositive_int, complex_gamma, double_sine
 
 __all__ = [
@@ -191,7 +191,10 @@ def psi_asymptotic(sp: SpectralPoint, pp: PositionPoint, c: Coupling) -> complex
     d = 0.5j * (l2 - l1)
     if _nearest_nonpositive_int(d) is not None or _nearest_nonpositive_int(-d) is not None:
         raise KernelPoleError("spectral separation hits a gamma pole")
-    pref = 2.0 ** (2.0 * g - 1.0) / complex_gamma(g) * math.exp(-g * (pp.x2 - pp.x1))
+    try:
+        pref = 2.0 ** (2.0 * g - 1.0) / complex_gamma(g) * math.exp(-g * (pp.x2 - pp.x1))
+    except OverflowError:
+        pref = math.inf
     term1 = (
         complex_gamma(d)
         * complex_gamma(-d + g)
@@ -202,7 +205,9 @@ def psi_asymptotic(sp: SpectralPoint, pp: PositionPoint, c: Coupling) -> complex
         * complex_gamma(d + g)
         * np.exp(1j * (l2 * pp.x1 + l1 * pp.x2))
     )
-    return complex(pref * (term1 + term2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = complex(pref * (term1 + term2))
+    return _finite(out, "psi_asymptotic overflowed at separation x2 - x1 = {!r}", pp.x2 - pp.x1)
 
 
 _D1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0  # f'(x) h^-1, 4th order

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hypq
-from hypq.errors import DomainError, HypqError
+from hypq.errors import DomainError, GammaOverflowError, HypqError
 
 MODULES = ["hypq"] + [f"hypq.{m.name}" for m in pkgutil.iter_modules(hypq.__path__)]
 
@@ -61,6 +61,10 @@ _SP = hypq.SpectralPoint(0.4, -0.3)
         lambda: hypq.OperatorSpec(hypq.KernelFamily.HYPERBOLIC, 1, False, _C1, math.nan),
         lambda: hypq.plane_wave(math.nan, hypq.KernelFamily.HYPERBOLIC, _C1),
         lambda: hypq.PositionPoint(math.nan, math.inf),
+        lambda: hypq.QuadSpec(rel_tol=10**400),
+        lambda: hypq.complex_gamma(10**400),
+        lambda: hypq.Coupling(10**400),
+        lambda: hypq.kernel_K(10**400, _C1),
     ],
     ids=[
         "log_double_sine-nan-imag",
@@ -94,6 +98,10 @@ _SP = hypq.SpectralPoint(0.4, -0.3)
         "OperatorSpec-nan-spectral",
         "plane_wave-nan-label",
         "PositionPoint-non-finite",
+        "QuadSpec-rel_tol-huge-int",
+        "complex_gamma-huge-int",
+        "Coupling-huge-int",
+        "kernel_K-huge-int",
     ],
 )
 def test_bad_input_is_domain_error(call):
@@ -170,10 +178,32 @@ _SCALAR_CALLS = {
 @settings(max_examples=100, deadline=None)
 def test_scalar_call_returns_or_raises_hypq_error(name, data):
     # a scalar call at any argument, a string, None, NaN or +-inf among them,
-    # returns or is refused with a structured error, never a raw Python one
+    # returns a finite value or is refused with a structured error, never a
+    # raw Python one
     fn, arity = _SCALAR_CALLS[name]
     args = data.draw(st.tuples(*(_ANY,) * arity))
     try:
-        fn(*args)
+        out = fn(*args)
     except HypqError:
-        pass
+        return
+    assert np.isfinite(out), f"{name}{args} returned {out!r}"
+
+
+@pytest.mark.parametrize(
+    "name, args",
+    [
+        ("b22", (1e300,)),
+        ("double_sine", (1e300 + 1e300j,)),
+        ("kernel_Kg", (1e300,)),
+        ("measure-hyperbolic", (700.0, 0.1)),
+        ("measure-gamma", (1e300, 0.0)),
+        ("log_complex_gamma", (1.7e308,)),
+        ("kernel_hatK", (1.7e308,)),
+        ("hatK_asymptotic", (1.7e308, 30.0)),
+    ],
+)
+def test_value_past_the_double_range_is_overflow_error(name, args):
+    # a finite argument whose value leaves the double range is refused, not
+    # returned as inf or nan
+    with pytest.raises(GammaOverflowError):
+        _SCALAR_CALLS[name][0](*args)

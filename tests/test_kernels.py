@@ -276,11 +276,13 @@ class TestRelativisticKernel:
         # of the sweep_couplings ranges (relativistic g is 1/4 to 3/4 of
         # omega1 + omega2)
         import hypq.kernels as K
+        from hypq.special import _ASYM_FACTOR
         from oracles import ln_s2_pair_smooth_oracle
 
-        proxy, x_asym, _, s, _, _ = K._kg_real_tables(Coupling(g, Periods(w1, w2)))
+        proxy, s, _, sw1, sw2 = K._kg_real_tables(Coupling(g, Periods(w1, w2)))
+        x_asym = _ASYM_FACTOR * max(sw1, sw2)
         x = np.concatenate([np.random.RandomState(7).uniform(0.0, x_asym, 200), [0.0, x_asym]])
-        ref = -ln_s2_pair_smooth_oracle(0.5 * g * s, x, w1 * s, w2 * s)
+        ref = ln_s2_pair_smooth_oracle(0.5 * g * s, x, w1 * s, w2 * s)
         assert np.max(np.abs(proxy(x) - ref)) < 1e-12
 
     @pytest.mark.parametrize("u, w1, w2", [(0.15, 1.0, 1.7), (0.7, 1.0, 1.7), (2.5, 1.0, 2.6)])

@@ -332,6 +332,12 @@ class TestDeltaSequences:
                 ("scalar_chain_hyperbolic", 278_000),
                 ("scalar_chain_relativistic", 142_000),
                 ("qlambda_hyperbolic", 112_000),
+                ("qq_n2_hyperbolic_g1", 106_000),
+                ("qq_n2_hyperbolic_g13", 126_000),
+                ("qq_n2_relativistic", 35_500),
+                ("eigen_n2_hyperbolic", 95_000),
+                ("eigen_n2_gamma", 74_500),
+                ("det_route_g1", 248_000),
             )
         ],
     )
@@ -344,7 +350,10 @@ class TestDeltaSequences:
         # (delta_n2_vandermonde), 20,115 (delta_n2_power), 94,170
         # (qq_n2_gamma), 79,995 (eigen_n2_relativistic), 218,850
         # (scalar_chain_gamma), 232,020 (scalar_chain_hyperbolic), 118,455
-        # (scalar_chain_relativistic) and 92,985 (qlambda_hyperbolic); with
+        # (scalar_chain_relativistic), 92,985 (qlambda_hyperbolic), 88,290
+        # and 105,240 (qq_n2_hyperbolic_g1, _g13), 29,610
+        # (qq_n2_relativistic), 79,170 (eigen_n2_hyperbolic), 61,995
+        # (eigen_n2_gamma) and 206,775 (det_route_g1); with
         # uniform first panels over the whole padded interval they took
         # 45,150, 46,350, 100,560, 95,820, 633,345, 394,200, 213,885 and
         # 160,710, and the delta checks 10.67 M and 11.34 M on the unfolded

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hypq.errors import ContinuationError, DomainError, KernelPoleError
+from hypq.errors import ContinuationError, DomainError, GammaOverflowError, KernelPoleError
 from hypq.kernels import Coupling, KernelFamily
 from hypq.quad import QuadSpec
 from hypq.special import Periods
@@ -230,6 +230,11 @@ class TestAsymptotics:
     def test_coincident_rejected(self):
         with pytest.raises(KernelPoleError):
             psi_asymptotic(SpectralPoint(0.5, 0.5), PositionPoint(-3, 3), C1)
+
+    def test_overflow_names_the_separation(self):
+        # e^(-g (x2 - x1)) leaves the double range past x1 - x2 ~ 709/g
+        with pytest.raises(GammaOverflowError, match="x2 - x1 = -800"):
+            psi_asymptotic(SpectralPoint(0.5, -0.5), PositionPoint(400, -400), C1)
 
 
 class TestEquationResiduals:
