@@ -135,6 +135,17 @@ def _finite(value, message: str, arg):
     raise GammaOverflowError(message.format(arg))
 
 
+def _exp_or_zero(ln: complex, message: str, arg) -> complex:
+    """e^ln at one point: 0 where Re ln is below the double range, whatever
+    its phase, and _finite's error where the value or its phase is above it."""
+    if ln.real < -746.0:  # e^x rounds to 0 below here
+        return 0j
+    try:
+        return _finite(cmath.exp(ln), message, arg)
+    except (OverflowError, ValueError):  # ValueError: an infinite phase
+        raise GammaOverflowError(message.format(arg)) from None
+
+
 @dataclass(frozen=True)
 class QuadSpec:
     """Tolerances, truncation policy and node budget for the adaptive rules."""

@@ -42,7 +42,7 @@ from .errors import (
     LatticePoleError,
     StripError,
 )
-from .quad import _complex, _finite, _panels_on, _real
+from .quad import _complex, _exp_or_zero, _finite, _panels_on, _real
 
 __all__ = [
     "Periods",
@@ -61,8 +61,11 @@ __all__ = [
 # Boost.Math and the GNU Scientific Library documentation).  Relative error of
 # the approximation grows with |Im z| to about 3e-13 (2.2e-13 at
 # Gamma(0.3 + 300i) against 25-digit values); arguments with Re z < 0.5 go
-# through the reflection formula.  _ln_gamma_vec is the one
-# complex core: callers sum its logs and exponentiate once.
+# through the reflection formula, whose sin(pi z) is (-1)^n sin(pi (z - n)) at
+# the integer n nearest Re z, accurate next to the poles.  _ln_gamma_vec is the
+# one complex core: callers sum its logs and exponentiate once.  One point is
+# taken in Python complex arithmetic (same terms, same order, a few
+# microseconds), an array in numpy.
 # ---------------------------------------------------------------------------
 
 _LANCZOS_G = 7.0
@@ -79,30 +82,56 @@ _LANCZOS_C = np.array(
         1.5056327351493116e-7,
     ]
 )
+_LANCZOS_TERMS = tuple(enumerate(_LANCZOS_C.tolist()))[1:]  # (k, c_k), k >= 1
+_HALF_LN_2PI = 0.5 * math.log(2.0 * math.pi)
 
 _POLE_TOL = 1e-12
 
 
-def _ln_gamma_vec(z) -> np.ndarray:
+def _ln_gamma_vec(z):
     """Vectorized ln Gamma(z), no domain checks (poles give inf/nan).
 
     Reflected below Re z = 0.5, where Im leaves the canonical branch: only
-    exp(_ln_gamma_vec(z)) == Gamma(z) holds, up to rounding.
+    exp(_ln_gamma_vec(z)) == Gamma(z) holds, up to rounding.  One point
+    gives a Python complex.
     """
+    if isinstance(z, (complex, float, int)) or np.ndim(z) == 0:
+        return _ln_gamma_one(complex(z))
     z = np.asarray(z, dtype=complex)
     refl = z.real < 0.5
     zm1 = np.where(refl, 1.0 - z, z) - 1.0
     acc = np.full_like(zm1, _LANCZOS_C[0])
-    for k in range(1, len(_LANCZOS_C)):
-        acc = acc + _LANCZOS_C[k] / (zm1 + k)
+    for k, c in _LANCZOS_TERMS:
+        acc = acc + c / (zm1 + k)
     t = zm1 + _LANCZOS_G + 0.5
-    ln = 0.5 * math.log(2.0 * math.pi) + (zm1 + 0.5) * np.log(t) - t + np.log(acc)
+    ln = _HALF_LN_2PI + (zm1 + 0.5) * np.log(t) - t + np.log(acc)
     # ln sin(pi z) via |e^(2w)| = e^(-2 pi |Im z|); sin overflows past |Im z| ~ 226
+    n = np.round(z.real)
     s = np.where(z.imag < 0.0, -1.0, 1.0)
-    w = 1j * np.pi * s * z
+    w = 1j * np.pi * s * (z - n)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ln_sin = np.log(-np.expm1(2.0 * w)) - w + np.log(0.5j * s)
+        ln_sin = np.log(-np.expm1(w + w)) - w + np.log(0.5j * s) + 1j * np.pi * (n % 2.0)
     return np.where(refl, math.log(math.pi) - ln_sin - ln, ln)
+
+
+def _ln_gamma_one(z: complex) -> complex:
+    """_ln_gamma_vec at one point, in Python complex arithmetic."""
+    refl = z.real < 0.5
+    zm1 = (1.0 - z if refl else z) - 1.0
+    acc = _LANCZOS_C[0]
+    for k, c in _LANCZOS_TERMS:
+        acc += c / (zm1 + k)
+    t = zm1 + _LANCZOS_G + 0.5
+    ln = _HALF_LN_2PI + (zm1 + 0.5) * cmath.log(t) - t + cmath.log(acc)
+    if not refl:
+        return ln
+    n = round(z.real)
+    s = -1.0 if z.imag < 0.0 else 1.0
+    w = 1j * math.pi * s * (z - n)
+    a, b = 2.0 * w.real, 2.0 * w.imag  # numpy's complex expm1 of 2w, term by term
+    em1 = complex(math.expm1(a) * math.cos(b) - 2.0 * math.sin(w.imag) ** 2, math.exp(a) * math.sin(b))
+    ln_sin = (cmath.log(-em1) if em1 else -math.inf) - w + cmath.log(0.5j * s) + 1j * math.pi * (n % 2)
+    return math.log(math.pi) - ln_sin - ln
 
 
 def _nearest_nonpositive_int(z: complex) -> int | None:
@@ -122,9 +151,8 @@ def complex_gamma(z: complex) -> complex:
     z = _complex(z, "complex_gamma")
     if _nearest_nonpositive_int(z) is not None:
         raise GammaPoleError(f"gamma pole at z = {z!r}")
-    with np.errstate(invalid="ignore", over="ignore"):
-        out = complex(np.exp(_ln_gamma_vec(z)))
-    return _finite(out, "|Gamma({!r})| is not representable; request log_complex_gamma instead", z)
+    out = _exp_or_zero(_ln_gamma_one(z), "|Gamma({!r})| is not representable; request log_complex_gamma instead", z)
+    return out if z.imag else complex(out.real)  # Im ln Gamma is 0 or pi on the real axis
 
 
 def log_complex_gamma(z: complex) -> complex:
@@ -138,8 +166,7 @@ def log_complex_gamma(z: complex) -> complex:
     z = _complex(z, "log_complex_gamma")
     if _nearest_nonpositive_int(z) is not None:
         raise GammaPoleError(f"gamma pole at z = {z!r}")
-    with np.errstate(invalid="ignore", over="ignore"):
-        return _finite(complex(_ln_gamma_vec(z)), "ln Gamma({!r}) is not representable", z)
+    return _finite(_ln_gamma_one(z), "ln Gamma({!r}) is not representable", z)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import importlib
 import math
 import pkgutil
+import warnings
 
 import numpy as np
 import pytest
@@ -194,11 +195,11 @@ def test_scalar_call_returns_or_raises_hypq_error(name, data):
     [
         ("b22", (1e300,)),
         ("double_sine", (1e300 + 1e300j,)),
-        ("kernel_Kg", (1e300,)),
+        ("complex_gamma", (200.0,)),
         ("measure-hyperbolic", (700.0, 0.1)),
         ("measure-gamma", (1e300, 0.0)),
         ("log_complex_gamma", (1.7e308,)),
-        ("kernel_hatK", (1.7e308,)),
+        ("measure-relativistic", (1e3, 0.0)),
         ("hatK_asymptotic", (1.7e308, 30.0)),
     ],
 )
@@ -207,3 +208,22 @@ def test_value_past_the_double_range_is_overflow_error(name, args):
     # returned as inf or nan
     with pytest.raises(GammaOverflowError):
         _SCALAR_CALLS[name][0](*args)
+
+
+@pytest.mark.parametrize(
+    "name, args",
+    [
+        ("kernel_Kg", (1e200,)),
+        ("kernel_Kg", (1e300,)),
+        ("kernel_hatK", (1e200,)),
+        ("kernel_hatK", (1.7e308,)),
+        ("kernel_K", (1.7e308,)),
+        ("eigenvalue-gamma", (1e300 + 1j, 0.0)),
+    ],
+)
+def test_value_below_the_double_range_is_zero(name, args):
+    # a kernel that underflows gives 0, as the real-axis evaluators do, with
+    # no numpy warning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _SCALAR_CALLS[name][0](*args) == 0

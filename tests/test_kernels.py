@@ -70,6 +70,16 @@ class TestHyperbolicKernel:
         c = Coupling(1.2)
         assert abs(kernel_K_complex(0.9 + 0j, c) - kernel_K(0.9, c)) < 1e-14
 
+    def test_complex_past_cosh_overflow_continues(self):
+        # past |Re z| = 710 cosh z is e^(+-z)/2, so two steps of 1 across the
+        # switch scale the kernel by e^(-2g) with the same phase
+        c = Coupling(0.8)
+        for x in (709.0, -709.0):
+            for y in (1.0, -3.0, 7.0, -7.0):
+                near = kernel_K_complex(complex(x, y), c)
+                far = kernel_K_complex(complex(x + math.copysign(2.0, x), y), c)
+                assert abs(far / near - math.exp(-2.0 * c.g)) < 1e-12, (x, y)
+
 
 class TestGammaKernel:
     def test_value_at_origin(self):
@@ -261,7 +271,7 @@ class TestRelativisticKernel:
         monkeypatch.setattr(K, "_kg_cache", {})
         proxy = K._kg_real_tables(Coupling(0.3, Periods(1.0, 1.7)))[0]
         assert len(s2_t_nodes) == 1
-        separable = 2 * (proxy.mid.size + 25) * s2_t_nodes[0]  # 25 Chebyshev offsets
+        separable = 2 * (proxy.mid.size + proxy.coef.shape[0]) * s2_t_nodes[0]  # offsets: degree + 1
         assert separable <= sum(trig_args) <= 1.2 * separable
 
     @pytest.mark.parametrize(

@@ -5,15 +5,19 @@ import warnings
 import numpy as np
 import pytest
 
+import hypq.special as S
 from hypq.errors import (
     DomainError,
     GammaOverflowError,
     GammaPoleError,
+    HypqError,
     LatticePoleError,
     StripError,
 )
+from hypq.kernels import Coupling, kernel_hatK
 from hypq.special import (
     Periods,
+    _ln_gamma_vec,
     b22,
     complex_gamma,
     double_sine,
@@ -104,6 +108,75 @@ class TestComplexGamma:
         for z in (49.5, 30 + 39j, -20 + 40j, 0.5 - 49j):
             ref = gamma_oracle(complex(z))
             assert abs(complex_gamma(z) - ref) <= 1e-12 * abs(ref)
+
+
+def _one_point_grid():
+    """Re z in [-20, 20] with |Im z| up to 300, points within 1e-9 of the
+    poles and both sides of the reflection's switch at Re z = 0.5."""
+    im = [0.0, 1e-6, 0.3, 2.0, 17.0, 90.0, 226.0, 300.0]
+    zs = [complex(r, s * y) for r in np.linspace(-20, 20, 97) for y in im for s in (1, -1)]
+    near = (1e-9, -1e-9, 1e-9j, -1e-9j, 7e-10 * (1 + 1j), 7e-10 * (1 - 1j))
+    zs += [n + d for n in range(-20, 1) for d in near]
+    zs += [complex(0.5 + d, y) for d in (-1e-3, -1e-12, 0.0, 1e-12, 1e-3) for y in (0, 1, -1, 300, -300)]
+    return zs
+
+
+def _array_path(z):
+    with np.errstate(all="ignore"):
+        return complex(_ln_gamma_vec(np.array([z]))[0])
+
+
+class TestOnePointGamma:
+    # exp turns an ulp of ln Gamma into a relative error of that size, and
+    # |ln Gamma| reaches ~1700 at |Im z| = 300, where one ulp is 2.3e-13; so
+    # each bound below adds a few ulps of the log to its relative floor
+
+    def test_real_argument_is_real(self):
+        assert complex_gamma(-2.5).imag == 0.0 and complex_gamma(-10.3).imag == 0.0
+        for x in np.arange(-2000, 2000) / 100.0 + 0.005:  # 0.005 or more from the poles
+            got = complex_gamma(x)
+            assert got.imag == 0.0
+            tol = 1e-14 + 4.0 * np.spacing(abs(math.lgamma(x)))
+            assert abs(got.real / math.gamma(x) - 1.0) <= tol, x
+
+    def test_one_point_matches_array_path(self):
+        checked = 0
+        for z in _one_point_grid():
+            a, b = _ln_gamma_vec(z), _array_path(z)
+            assert isinstance(a, complex)
+            if cmath.isfinite(a) and cmath.isfinite(b):
+                assert abs(cmath.exp(a - b) - 1.0) <= 1e-13 + 2.0 * np.spacing(abs(b)), z
+                checked += 1
+        assert checked > 1600
+
+    @pytest.mark.parametrize(
+        "fn",
+        [complex_gamma, log_complex_gamma, lambda lam: kernel_hatK(lam, Coupling(0.8))],
+        ids=["complex_gamma", "log_complex_gamma", "kernel_hatK"],
+    )
+    def test_public_calls_agree_on_both_paths(self, monkeypatch, fn):
+        # the same value, or the same HypqError class, with the one-point
+        # core swapped for the array path
+        zs = _one_point_grid() + [200.0, 1e300, 1.7e308, -1e308 + 1j, 0.4 + 8.5e307j, 2.8e307j]
+
+        def outcomes():
+            out = []
+            for z in zs:
+                try:
+                    out.append(fn(z))
+                except HypqError as exc:
+                    out.append(type(exc))
+            return out
+
+        one = outcomes()
+        monkeypatch.setattr(S, "_ln_gamma_one", _array_path)
+        for z, a, b in zip(zs, one, outcomes()):
+            if isinstance(a, type) or isinstance(b, type):
+                assert a is b, z
+            elif fn is log_complex_gamma:
+                assert abs(cmath.exp(a - b) - 1.0) <= 1e-13 + 2.0 * np.spacing(abs(b)), z
+            else:
+                assert abs(a - b) <= 1e-12 * abs(b), z
 
 
 class TestLogDoubleSine:
