@@ -39,37 +39,42 @@ class QuadratureError(HypqError):
     """Base class for quadrature failures."""
 
 
-class BudgetExceededError(QuadratureError):
-    """Node budget exhausted before reaching the requested tolerance.
+class _ShortOfTolerance(QuadratureError):
+    """A quadrature stopped short of its tolerance; carries the best
+    available estimate, its error bound and the nodes used (or planned)."""
 
-    Carries the best available estimate and its error bound.
-    """
+    head = ""
 
-    def __init__(self, estimate: complex, error_bound: float, nodes_used: int):
+    def __init__(self, estimate: complex, error_bound: float, nodes_used, message: str = ""):
         self.estimate = estimate
         self.error_bound = error_bound
         self.nodes_used = nodes_used
         super().__init__(
-            f"node budget exhausted after {nodes_used} evaluations; "
+            message
+            or f"{self.head} after {nodes_used} evaluations; "
             f"best estimate {estimate!r} with error bound {error_bound:.3e}"
         )
 
 
-class NonConvergenceError(QuadratureError):
+class BudgetExceededError(_ShortOfTolerance):
+    """Node budget exhausted before reaching the requested tolerance.
+
+    Carries the best available estimate and its error bound.  A layout
+    refused before its first evaluation carries estimate NaN, bound inf,
+    the planned node count and a message of its own.
+    """
+
+    head = "node budget exhausted"
+
+
+class NonConvergenceError(_ShortOfTolerance):
     """Adaptive rounds exhausted before reaching the requested tolerance.
 
     Carries the estimate, its error bound and the nodes used, as
     BudgetExceededError does.
     """
 
-    def __init__(self, estimate: complex, error_bound: float, nodes_used: int):
-        self.estimate = estimate
-        self.error_bound = error_bound
-        self.nodes_used = nodes_used
-        super().__init__(
-            f"no convergence in the round limit after {nodes_used} evaluations; "
-            f"best estimate {estimate!r} with error bound {error_bound:.3e}"
-        )
+    head = "no convergence in the round limit"
 
 
 class NonFiniteSampleError(QuadratureError):

@@ -16,10 +16,10 @@ Real powers of positive quantities are taken in the log domain, and measure
 zeros at coincident arguments come out as exact 0 rather than through gamma or
 double-sine poles.  Real-argument kernels additionally expose fast vectorized
 evaluators for the operator quadratures, in log form (the operators sum the
-logs before one exp).  On the real axis the gamma-family kernel and measure
-need only ln |Gamma(a + ib)|^2 at a fixed real a, which one core evaluates
-from Lanczos' rational form in real arithmetic (no complex power); complex
-kernel arguments take the complex ln Gamma core of special.py.
+logs before one exp).  special.py owns every ln Gamma core: on the real axis
+the gamma-family kernel and measure need only ln |Gamma(a + ib)|^2 at a
+fixed real a, which its real-arithmetic core evaluates (no complex power),
+and complex kernel arguments take its complex ln Gamma core.
 
 On the real axis ln S2(u + id) + ln S2(u - id) is the closed-form log
 ln((u^2 + d^2)/((w - u)^2 + d^2)) of S2's zero at 0 and pole at
@@ -47,8 +47,8 @@ from .errors import DomainError, KernelPoleError
 from .quad import _complex, _exp_or_zero, _finite, _real
 from .special import (
     _ASYM_FACTOR,
-    _LANCZOS_C as _LANCZOS_C_K,
     Periods,
+    _ln_abs_gamma_sq_real,
     _ln_gamma_vec,
     _ln_s2_pair_smooth,
     _nearest_nonpositive_int,
@@ -69,11 +69,6 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
-_LN_2PI = math.log(2.0 * math.pi)
-_LANCZOS_K = np.arange(8.0)  # k - 1 for the Lanczos terms c_k / (z - 1 + k)
-# points per block of _ln_abs_gamma_sq_real: its 8 x block terms (64 KiB) stay
-# under glibc's 128 KiB mmap threshold, so they are not mapped afresh
-_CORE_BLOCK = 1024
 
 
 class KernelFamily(str, enum.Enum):
@@ -200,64 +195,6 @@ def kernel_hatK(lam: complex, c: Coupling) -> complex:
         if _nearest_nonpositive_int(z) is not None:
             raise KernelPoleError(f"Khat pole: gamma argument {z!r} is a nonpositive integer")
     return _exp_or_zero(_ln_hatK_vec(lam, c.g), "Khat is not representable at lam = {!r}", lam)
-
-
-def _ln_abs_gamma_sq_real(a: float, b) -> np.ndarray:
-    """ln |Gamma(a + ib)|^2 for a fixed real a > 0 and real b, in real arithmetic.
-
-    Lanczos' rational form with z - 1 = (a - 1) + ib: the sum's real and
-    imaginary parts come from c_k / ((a - 1 + k)^2 + b^2), and
-    ln t^(z - 1/2) e^(-t) with t = a + 6.5 + ib from ln|t|^2 and arg t.
-    a < 1.5 is shifted by 2 through |Gamma(z + 2)| = |z (z + 1)| |Gamma(z)|.
-    One point, 0-d or in an array, is taken in Python floats; larger arrays
-    take the terms _CORE_BLOCK points at a time and finish in place.
-    """
-    z_sq = None
-    if a < 1.5:
-        # |z (z + 1)|^2 = b^4 + (a^2 + (a + 1)^2) b^2 + (a (a + 1))^2
-        z_sq = (a * a + (a + 1.0) ** 2, (a * (a + 1.0)) ** 2)
-        a += 2.0
-    t_re = a + 6.5
-    if np.size(b) == 1:
-        x = float(np.ravel(b)[0])
-        b2 = x * x
-        re = im = 0.0
-        for c, s in zip(_LANCZOS_C_K[1:].tolist(), (a + _LANCZOS_K).tolist()):
-            inv = c / (s * s + b2)
-            re += s * inv
-            im += inv
-        re += _LANCZOS_C_K[0]
-        mag = re * re + b2 * im * im
-        if z_sq:
-            mag /= (b2 + z_sq[0]) * b2 + z_sq[1]
-        ln_t = (a - 0.5) * math.log(t_re * t_re + b2) - 2.0 * x * math.atan2(x, t_re)
-        # mag underflows to 0 only where |Gamma|^2 itself does (b^4 past the double range)
-        out = (math.log(mag) if mag else -math.inf) + ln_t + (_LN_2PI - 2.0 * t_re)
-        return out if np.ndim(b) == 0 else np.full(np.shape(b), out)
-    b = np.asarray(b, dtype=float)
-    b2 = b * b
-    s = a + _LANCZOS_K  # a - 1 + k
-    rows = np.stack([s, np.ones_like(s)])
-    flat = b2.ravel()
-    acc = np.empty((2, flat.size))  # the sum is c_0 + acc[0] - ib acc[1]
-    for i in range(0, flat.size, _CORE_BLOCK):
-        inv = np.add.outer(s * s, flat[i : i + _CORE_BLOCK])
-        np.divide(_LANCZOS_C_K[1:, None], inv, out=inv)
-        acc[:, i : i + _CORE_BLOCK] = rows @ inv
-    re, out = acc[0].reshape(b.shape), acc[1].reshape(b.shape)
-    re += _LANCZOS_C_K[0]
-    out *= out
-    out *= b2
-    out += np.multiply(re, re, out=re)
-    if z_sq:
-        np.multiply(np.add(b2, z_sq[0], out=re), b2, out=re)
-        out /= np.add(re, z_sq[1], out=re)
-    np.log(out, out=out)
-    out += np.multiply(np.log(np.add(b2, t_re * t_re, out=re), out=re), a - 0.5, out=re)
-    np.multiply(np.arctan2(b, t_re, out=re), b, out=re)
-    out -= np.multiply(re, 2.0, out=re)
-    out += _LN_2PI - 2.0 * t_re
-    return out
 
 
 def _ln_hatK_real_vec(x: np.ndarray, g: float) -> np.ndarray:
@@ -476,7 +413,7 @@ def measure(kind: KernelFamily, a: float, b: float, c: Coupling):
         fn = measure_gamma if kind is KernelFamily.GAMMA else measure_relativistic
     if not scalar:
         return fn(a - b, c)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is a NaN that _finite refuses
         return _finite(fn(a - b, c), kind.value + " measure overflowed at a - b = {!r}", a - b)
 
 

@@ -37,7 +37,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DivergenceError, DomainError
+from .errors import BudgetExceededError, DivergenceError, DomainError
 from .kernels import (
     Coupling,
     KernelFamily,
@@ -440,7 +440,8 @@ def pair_transform(
     each v takes those below |v|/2, its last panel ending at y = 0.  Nodes
     reach the kernel in calls of at most _CALL_NODES, unless one v needs more.
     An empty v gives an empty array; a v that is not finite and real, or a
-    delta that is not a finite number, raises DomainError.
+    delta that is not a finite number, raises DomainError; a rule of more
+    than q.max_nodes nodes for one v raises BudgetExceededError unbuilt.
     """
     w, delta = np.asarray(v), _complex(delta, "pair_transform delta")
     if w.dtype.kind not in "biuf" or not np.isfinite(w).all():
@@ -454,12 +455,17 @@ def pair_transform(
     _require_positive(rate)
     kd = kd if kd.imag else kd.real  # a real cosine for real delta
     hw = 0.5 * abs(float(w)) if w.ndim == 0 else 0.5 * np.abs(w.ravel())
+    top = float(np.max(hw))
     cap = 8.0 / max(abs(kd), 1.0)
     h0 = min(8.0 / max(abs(kd), ops.k_rate, 1.0), 1.6 * ops.pole)
+    # nodes of the largest |v|/2, bounded above: the tail, geometric and linear runs
+    n_v = 16.0 * (_tail(q) / rate / h0 + math.log(cap / h0, 3.0) + top / cap + 8.0) if h0 else math.inf
+    if n_v > q.max_nodes:
+        raise BudgetExceededError(math.nan, math.inf, n_v, f"pair rule of {n_v:.3g} nodes per v refused")
     # t edges: by h0 from the tail to 2 h0, then x3 while the width 2t stays
     # under cap, by cap to about the largest |v|/2, and one at infinity as the end
     geo = [2.0 * h0 * 3.0**j for j in range(max(1, math.floor(math.log(cap / h0 / 4.0, 3.0)) + 2))]
-    lin = geo[-1] + cap * np.arange(1, max(1, math.ceil((np.max(hw) - geo[-1]) / cap)) + 1)
+    lin = geo[-1] + cap * np.arange(1, max(1, math.ceil((top - geo[-1]) / cap)) + 1)
     edges = np.concatenate([h0 * np.arange(-math.ceil(_tail(q) / (rate * h0)), 2), geo, lin, [np.inf]])
     if w.ndim == 0:
         n = int(np.searchsorted(edges, hw))  # the edges below |v|/2

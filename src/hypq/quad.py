@@ -280,20 +280,25 @@ def _tail_panels(length, w0):
     return np.maximum(np.frexp(1.0 + length / w0)[1] - 1, length > 0.0)
 
 
-def _first_panels(a, b, c0, c1, w0):
+def _first_panels(a, b, c0, c1, w0, max_nodes: float):
     """First-round panels of integrals over [a[k], b[k]] with cores [c0[k], c1[k]].
 
     Each core is cut into equal panels at most w0[k] wide; beyond it the
     panels are w0[k], 2 w0[k], 4 w0[k], ... wide (_tail_panels), the last
     one reaching a[k] or b[k].  Returns the panel edges lo, hi in integral
-    order and the integral of each panel.
+    order and the integral of each panel.  A first round of more than
+    max_nodes nodes in one integral is refused before it is laid out.
     """
     span = c1 - c0
-    n_c = np.ceil(span / w0)
+    with np.errstate(over="ignore", invalid="ignore"):  # counts past the double range are refused
+        n_c = np.ceil(span / w0)
+        n_l, n_r = _tail_panels(c0 - a, w0), _tail_panels(b - c1, w0)
+        n = _K_NODES.size * (n_c + n_l + n_r).max()  # NaN if any count is
+    if not n <= max_nodes:
+        raise BudgetExceededError(math.nan, math.inf, n, f"first round of {n:.3g} nodes refused")
     step = span / np.maximum(n_c, 1.0)
     n_c = n_c.astype(np.int64)
-    n_l = _tail_panels(c0 - a, w0)
-    ne = n_l + n_c + _tail_panels(b - c1, w0) + 1  # edges per integral
+    ne = n_l + n_c + n_r + 1  # edges per integral
     first = np.cumsum(ne) - ne
     own = np.repeat(np.arange(a.size), ne)
     # edge t, counted from the core's left end: t step into the core of n_c
@@ -341,7 +346,7 @@ def _adaptive_many(
     w0 = np.minimum((b - a) / 8.0, max_panel)
     if freq_hint > 0.0:
         w0 = np.minimum(w0, 2.0 * math.pi / freq_hint)
-    lo, hi, own = _first_panels(a, b, c0, c1, w0)
+    lo, hi, own = _first_panels(a, b, c0, c1, w0, max(spec.max_nodes, _CHUNK_NODES))
     ends = np.cumsum(np.bincount(own, minlength=m))  # first-round panels up to each integral
     out = np.empty(m, dtype=complex)
     first = 0
@@ -456,9 +461,9 @@ def integrate_line(
     > 0, and double in width through the rest of each tail.  ``f`` should
     accept a numpy array of abscissae, of at most 8,190 nodes per call
     (scalar-only callables are mapped, slowly).  An integral that misses its
-    tolerance raises BudgetExceededError (node budget spent) or
-    NonConvergenceError (60 splitting rounds spent), each carrying the
-    estimate and its bound.
+    tolerance raises BudgetExceededError (node budget spent, or a first round
+    over it) or NonConvergenceError (60 splitting rounds spent), each
+    carrying the estimate and its bound.
     """
     l_neg, l_pos = _trunc_lengths(d, s)
     return _adaptive(f, d.center - l_neg, d.center + l_pos, *_line_core(d, s), s, freq_hint)

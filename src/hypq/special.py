@@ -55,17 +55,18 @@ __all__ = [
 ]
 
 # ---------------------------------------------------------------------------
-# Complex gamma via the Lanczos rational approximation, in log form.
+# Gamma via the Lanczos rational approximation, in log form (every Lanczos sum
+# of the package is here).
 #
 # Coefficient set: g = 7, n = 9 (Godfrey's coefficients, the same set used by
 # Boost.Math and the GNU Scientific Library documentation).  Relative error of
 # the approximation grows with |Im z| to about 3e-13 (2.2e-13 at
 # Gamma(0.3 + 300i) against 25-digit values); arguments with Re z < 0.5 go
 # through the reflection formula, whose sin(pi z) is (-1)^n sin(pi (z - n)) at
-# the integer n nearest Re z, accurate next to the poles.  _ln_gamma_vec is the
-# one complex core: callers sum its logs and exponentiate once.  One point is
-# taken in Python complex arithmetic (same terms, same order, a few
-# microseconds), an array in numpy.
+# the integer n nearest Re z, accurate next to the poles.  One complex series
+# (_lanczos_ln) serves arrays in numpy (_ln_gamma_vec) and one point in Python
+# complex arithmetic (_ln_gamma_one, a few microseconds); callers sum its logs
+# and exponentiate once.  _ln_abs_gamma_sq_real is the real-axis core.
 # ---------------------------------------------------------------------------
 
 _LANCZOS_G = 7.0
@@ -82,10 +83,25 @@ _LANCZOS_C = np.array(
         1.5056327351493116e-7,
     ]
 )
+_LANCZOS_C0 = float(_LANCZOS_C[0])
 _LANCZOS_TERMS = tuple(enumerate(_LANCZOS_C.tolist()))[1:]  # (k, c_k), k >= 1
+_LANCZOS_K = np.arange(8.0)  # k - 1 for the terms c_k / (z - 1 + k)
 _HALF_LN_2PI = 0.5 * math.log(2.0 * math.pi)
+# points per block of _ln_abs_gamma_sq_real: its 8 x block terms (64 KiB) stay
+# under glibc's 128 KiB mmap threshold, so they are not mapped afresh
+_CORE_BLOCK = 1024
 
 _POLE_TOL = 1e-12
+
+
+def _lanczos_ln(zm1, log):
+    """ln Gamma(zm1 + 1) for Re zm1 >= -1/2 by the Lanczos sum, with ``log``
+    the complex log of zm1's kind: np.log on arrays, cmath.log at one point."""
+    acc = _LANCZOS_C0
+    for k, c in _LANCZOS_TERMS:
+        acc = acc + c / (zm1 + k)
+    t = zm1 + _LANCZOS_G + 0.5
+    return _HALF_LN_2PI + (zm1 + 0.5) * log(t) - t + log(acc)
 
 
 def _ln_gamma_vec(z):
@@ -99,12 +115,7 @@ def _ln_gamma_vec(z):
         return _ln_gamma_one(complex(z))
     z = np.asarray(z, dtype=complex)
     refl = z.real < 0.5
-    zm1 = np.where(refl, 1.0 - z, z) - 1.0
-    acc = np.full_like(zm1, _LANCZOS_C[0])
-    for k, c in _LANCZOS_TERMS:
-        acc = acc + c / (zm1 + k)
-    t = zm1 + _LANCZOS_G + 0.5
-    ln = _HALF_LN_2PI + (zm1 + 0.5) * np.log(t) - t + np.log(acc)
+    ln = _lanczos_ln(np.where(refl, 1.0 - z, z) - 1.0, np.log)
     # ln sin(pi z) via |e^(2w)| = e^(-2 pi |Im z|); sin overflows past |Im z| ~ 226
     n = np.round(z.real)
     s = np.where(z.imag < 0.0, -1.0, 1.0)
@@ -117,12 +128,7 @@ def _ln_gamma_vec(z):
 def _ln_gamma_one(z: complex) -> complex:
     """_ln_gamma_vec at one point, in Python complex arithmetic."""
     refl = z.real < 0.5
-    zm1 = (1.0 - z if refl else z) - 1.0
-    acc = _LANCZOS_C[0]
-    for k, c in _LANCZOS_TERMS:
-        acc += c / (zm1 + k)
-    t = zm1 + _LANCZOS_G + 0.5
-    ln = _HALF_LN_2PI + (zm1 + 0.5) * cmath.log(t) - t + cmath.log(acc)
+    ln = _lanczos_ln((1.0 - z if refl else z) - 1.0, cmath.log)
     if not refl:
         return ln
     n = round(z.real)
@@ -132,6 +138,51 @@ def _ln_gamma_one(z: complex) -> complex:
     em1 = complex(math.expm1(a) * math.cos(b) - 2.0 * math.sin(w.imag) ** 2, math.exp(a) * math.sin(b))
     ln_sin = (cmath.log(-em1) if em1 else -math.inf) - w + cmath.log(0.5j * s) + 1j * math.pi * (n % 2)
     return math.log(math.pi) - ln_sin - ln
+
+
+def _ln_abs_gamma_sq_real(a: float, b) -> np.ndarray:
+    """ln |Gamma(a + ib)|^2 for a fixed real a > 0 and real b.
+
+    One point, 0-d or in an array, is 2 Re _ln_gamma_one(a + ib).  Arrays take
+    Lanczos' rational form in real arithmetic, _CORE_BLOCK points at a time:
+    with z - 1 = (a - 1) + ib the sum's real and imaginary parts come from
+    c_k / ((a - 1 + k)^2 + b^2), and ln t^(z - 1/2) e^(-t), t = a + 6.5 + ib
+    (6.5 = _LANCZOS_G - 1/2), from ln|t|^2 and arg t.  a < 1.5 is shifted by
+    2 through |Gamma(z + 2)| = |z (z + 1)| |Gamma(z)|.
+    """
+    b = np.asarray(b, dtype=float)
+    if b.size == 1:
+        out = 2.0 * _ln_gamma_one(complex(a, b.item())).real
+        return out if b.ndim == 0 else np.full(b.shape, out)
+    z_sq = None
+    if a < 1.5:
+        # |z (z + 1)|^2 = b^4 + (a^2 + (a + 1)^2) b^2 + (a (a + 1))^2
+        z_sq = (a * a + (a + 1.0) ** 2, (a * (a + 1.0)) ** 2)
+        a += 2.0
+    t_re = a + (_LANCZOS_G - 0.5)
+    b2 = b * b
+    s = a + _LANCZOS_K  # a - 1 + k
+    rows = np.stack([s, np.ones_like(s)])
+    flat = b2.ravel()
+    acc = np.empty((2, flat.size))  # the sum is c_0 + acc[0] - ib acc[1]
+    for i in range(0, flat.size, _CORE_BLOCK):
+        inv = np.add.outer(s * s, flat[i : i + _CORE_BLOCK])
+        np.divide(_LANCZOS_C[1:, None], inv, out=inv)
+        acc[:, i : i + _CORE_BLOCK] = rows @ inv
+    re, out = acc[0].reshape(b.shape), acc[1].reshape(b.shape)
+    re += _LANCZOS_C0
+    out *= out
+    out *= b2
+    out += np.multiply(re, re, out=re)
+    if z_sq:
+        np.multiply(np.add(b2, z_sq[0], out=re), b2, out=re)
+        out /= np.add(re, z_sq[1], out=re)
+    np.log(out, out=out)
+    out += np.multiply(np.log(np.add(b2, t_re * t_re, out=re), out=re), a - 0.5, out=re)
+    np.multiply(np.arctan2(b, t_re, out=re), b, out=re)
+    out -= np.multiply(re, 2.0, out=re)
+    out += 2.0 * _HALF_LN_2PI - 2.0 * t_re
+    return out
 
 
 def _nearest_nonpositive_int(z: complex) -> int | None:

@@ -201,6 +201,9 @@ def test_scalar_call_returns_or_raises_hypq_error(name, data):
         ("log_complex_gamma", (1.7e308,)),
         ("measure-relativistic", (1e3, 0.0)),
         ("hatK_asymptotic", (1.7e308, 30.0)),
+        ("measure-hyperbolic", (0.0, 1.7e308)),
+        ("measure-gamma", (0.0, 1.7e308)),
+        ("measure-relativistic", (0.0, 1.7e308)),
     ],
 )
 def test_value_past_the_double_range_is_overflow_error(name, args):

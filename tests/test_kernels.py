@@ -385,8 +385,8 @@ class TestRealAxisGammaCore:
         assert _ln_abs_gamma_sq_real(0.5, 0.0) == pytest.approx(math.log(math.pi), rel=1e-15)
 
     def test_scalar_matches_array(self):
-        # one point runs in Python floats, arrays in numpy blocks: the same
-        # operations, so they agree to rounding
+        # one point is 2 Re of the complex one-point ln Gamma, arrays take the
+        # real-arithmetic blocks: the same Lanczos sum, so they agree to rounding
         from hypq.kernels import _ln_abs_gamma_sq_real
 
         b = np.linspace(-300.0, 300.0, 601)

@@ -593,3 +593,39 @@ _C1 = Coupling(1.0)
 def test_unknown_family_is_domain_error(call):
     with pytest.raises(DomainError, match="valid: .*hyperbolic.*gamma.*relativistic"):
         call()
+
+
+@pytest.mark.parametrize(
+    "family,c", [(HYP, Coupling(0.8)), (GAM, Coupling(0.8)), (REL, Coupling(0.8, P12))]
+)
+def test_far_points_are_refused_cheaply(family, c):
+    # layouts that grow with the point or the label: each gives a finite
+    # value or a HypqError, with no numpy warning, quickly and in little memory
+    import time
+    import tracemalloc
+    import warnings
+
+    from hypq.errors import HypqError
+
+    spec = OperatorSpec(family, 1, family is not HYP, c, 0.0)
+    calls = [lambda at=at: apply_Q(spec, plane_wave(0.3, family, c), at) for at in (1e8, 1e150, 1.7e308)]
+    calls.append(lambda: qq_convolution_kernel(spec, 0.0, 0.0, (1e8, -1e8)))
+    calls += [
+        lambda d=d, v=v: pair_transform(family, c, d, v)
+        for d, v in ((1e6, 0.5), (60.0, 1e6), (1.7e308, 0.5), (0.3, 1e300))
+    ]
+    calls.append(lambda: integrate_line(lambda x: np.exp(-x * x), DecayProfile(1e-3, 1e-3), freq_hint=1e9))
+    for i, call in enumerate(calls):
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert np.isfinite(call()), i
+        except HypqError:
+            pass
+        finally:
+            seconds = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        assert seconds < 1.0 and peak < 50e6, (i, seconds, peak)
