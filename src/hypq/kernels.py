@@ -399,7 +399,8 @@ def ln_measure_gamma(v, c: Coupling) -> np.ndarray:
 def measure(kind: KernelFamily, a: float, b: float, c: Coupling):
     """Two-variable operator measure of the given family at separation a - b.
 
-    At scalar a and b, a measure past the double range raises GammaOverflowError.
+    At scalar a and b, a measure past the double range raises GammaOverflowError;
+    on arrays it is +inf.
     """
     kind = KernelFamily(kind)
     scalar = not isinstance(a, np.ndarray) and not isinstance(b, np.ndarray)
@@ -411,10 +412,11 @@ def measure(kind: KernelFamily, a: float, b: float, c: Coupling):
         fn = measure_hyperbolic
     else:
         fn = measure_gamma if kind is KernelFamily.GAMMA else measure_relativistic
-    if not scalar:
-        return fn(a - b, c)
-    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is a NaN that _finite refuses
-        return _finite(fn(a - b, c), kind.value + " measure overflowed at a - b = {!r}", a - b)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is a NaN past the double range
+        out = fn(a - b, c)
+    if not scalar:  # there the measure grows without bound
+        return np.where(np.isnan(out), np.inf, out)
+    return _finite(out, kind.value + " measure overflowed at a - b = {!r}", a - b)
 
 
 def eigenvalue(kind: KernelFamily, spectral: complex, label: complex, c: Coupling) -> complex:

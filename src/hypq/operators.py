@@ -21,7 +21,7 @@ combined rate is nonpositive.  Every integrand is formed as one
 exp(sum ln K + sum ln mu + i kappa phase), so growing plane factors cancel
 against decaying kernels before anything is exponentiated.  Every one-fold
 integral (the one-variable operator, the raising operator, the one-variable
-QQ kernel and the direct wave-function routes of wavefn) is one
+QQ kernel and the direct spectral-side route of wavefn) is one
 kernel-product line integral, _kernel_line.  Every two-fold integral (the
 two-variable operator on a factored or a generic input and the two-variable
 QQ kernel) is its twin, _kernel_plane, taken in center-of-mass/separation
@@ -412,7 +412,11 @@ def _pair_panels(ops: _Ops, kd, lo, hi, c) -> np.ndarray:
     # nodes mirrored about each panel middle (the rule is symmetric)
     y = (c - lo - half)[:, None] + half[:, None] * _GL16_NODES
     ln = ops.ln_kernel(np.reshape(c, (-1, 1)) + _MIRROR * y)  # both factors, one call
-    return (np.exp(ln[0] + ln[1]) * np.cos(kd * y)) @ _GL16_WEIGHTS * (2.0 * ops.two_pi_inv) * half
+    ln = ln[0] + ln[1]
+    if isinstance(kd, complex):  # 2 cos(kd y) grows like e^(|Im kd| y): each exponential joins ln
+        vals = np.exp(ln + 1j * kd * y) + np.exp(ln - 1j * kd * y)
+        return vals @ _GL16_WEIGHTS * ops.two_pi_inv * half
+    return (np.exp(ln) * np.cos(kd * y)) @ _GL16_WEIGHTS * (2.0 * ops.two_pi_inv) * half
 
 
 def pair_transform(

@@ -215,7 +215,8 @@ def _eval_batch(f: Callable, x: np.ndarray, each: Callable | None = None) -> np.
     with the wrong number of arguments, raises DomainError.
     """
     try:
-        y = np.asarray(f(x), dtype=complex)
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sample is refused below
+            y = np.asarray(f(x), dtype=complex)
         if y.shape != x.shape:
             raise TypeError
     except HypqError:
@@ -287,13 +288,13 @@ def _first_panels(a, b, c0, c1, w0, max_nodes: float):
     panels are w0[k], 2 w0[k], 4 w0[k], ... wide (_tail_panels), the last
     one reaching a[k] or b[k].  Returns the panel edges lo, hi in integral
     order and the integral of each panel.  A first round of more than
-    max_nodes nodes in one integral is refused before it is laid out.
+    max_nodes nodes over all the integrals is refused before it is laid out.
     """
     span = c1 - c0
     with np.errstate(over="ignore", invalid="ignore"):  # counts past the double range are refused
         n_c = np.ceil(span / w0)
         n_l, n_r = _tail_panels(c0 - a, w0), _tail_panels(b - c1, w0)
-        n = _K_NODES.size * (n_c + n_l + n_r).max()  # NaN if any count is
+        n = _K_NODES.size * (n_c + n_l + n_r).sum()  # NaN if any count is
     if not n <= max_nodes:
         raise BudgetExceededError(math.nan, math.inf, n, f"first round of {n:.3g} nodes refused")
     step = span / np.maximum(n_c, 1.0)

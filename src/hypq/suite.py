@@ -7,12 +7,16 @@ parallel, and always reports results in registry order.  This module is the
 regression surface of the repository: the acceptance tests and the command
 line ``check``/``sweep`` commands are thin wrappers around it.
 
+A REGISTRY row is data: its function takes only what the row passes, and
+run_suite's seed or ``hypq sweep``'s schedule, so each setting is stated
+once (check body, row or derived.py); CheckResult.judge (``--tol``) re-judges.
+
 The eigen rows (beta, eigen_n1, eigen_n2, the scalar-product chain, the
 inner dual construction and the gamma and relativistic exchange relations,
-qlambda) share two assemblies, _plane_wave_records and _pair_eigen_record.
-Every identity row is judged on its relative error,
-abs_err <= tol * max(|lhs|, |rhs|); representation_equivalence states its
-own scale, max(1, |psi_hr|), and a deviation bound's scale is 1.
+qlambda) share two assemblies, _plane_wave_records and _pair_eigen_record;
+the trend rows share _trend.  Every identity row is judged on its relative
+error, abs_err <= tol * max(|lhs|, |rhs|); representation_equivalence
+states its own scale, max(1, |psi_hr|), and a deviation bound's scale is 1.
 """
 from __future__ import annotations
 
@@ -178,15 +182,16 @@ class RegSchedule:
         return list(zip(self.epsilons, self.regulators))
 
 
-def _trend_results(name: str, params_list, devs, final_tol: float) -> list[CheckResult]:
-    """CheckResults for a deviation sequence that must strictly decrease: each
-    record's tolerance is the step before it (inf first), the last also final_tol."""
-    out = []
-    for i, (p, d) in enumerate(zip(params_list, devs)):
-        tol = math.inf if i == 0 else devs[i - 1]
-        if i == len(devs) - 1:
-            tol = min(tol, final_tol)
+def _trend(name: str, steps, deviation, final_tol: float) -> list[CheckResult]:
+    """Records of deviation(p) over the params dicts ``steps``, which must
+    strictly decrease: each step's tolerance is the deviation before it (inf
+    first), the last's also final_tol."""
+    out, prev = [], math.inf
+    for i, p in enumerate(steps):
+        d = deviation(p)
+        tol = min(prev, final_tol) if i == len(steps) - 1 else prev
         out.append(CheckResult.bound(name, p, d, tol, d < tol))
+        prev = d
     return out
 
 
@@ -252,8 +257,8 @@ _REDUCTIONS = {
 _REDUCTION_KINDS = {kind: (defaults, sched) for kind, defaults, sched in _REDUCTIONS.values()}
 
 
-def _reduction_deviation(which: str, omega2: float, params: dict) -> float:
-    g = params["g"]
+def _reduction_deviation(which: str, params: dict) -> float:
+    g, omega2 = params["g"], params["omega2"]
     w1 = params["omega1"]
     if which == "Kg_to_hatK":
         lam = params["lam"]
@@ -303,7 +308,7 @@ def _reduction_deviation(which: str, omega2: float, params: dict) -> float:
     return abs(est / complex_gamma(u / w1) - 1.0)
 
 
-def check_reduction(which: str, omega2_schedule, tol: float | None = None) -> list[CheckResult]:
+def check_reduction(which: str, omega2_schedule) -> list[CheckResult]:
     """Deviation trend of one family reduction along its period schedule.
 
     Schedules run toward the limit, in the direction of the kind's schedule
@@ -317,10 +322,9 @@ def check_reduction(which: str, omega2_schedule, tol: float | None = None) -> li
     if sched != sorted(sched, reverse=descend):
         direction = "descend" if descend else "ascend"
         raise DomainError(f"omega2 schedule must {direction} toward the limit")
-    tol = derived_threshold(f"reduction_{which}") if tol is None else tol
-    devs = [_reduction_deviation(which, w, params) for w in sched]
-    plist = [{**params, "omega2": w} for w in sched]
-    return _trend_results(f"reduction_{which}", plist, devs, tol)
+    steps = [{**params, "omega2": w} for w in sched]
+    name = f"reduction_{which}"
+    return _trend(name, steps, lambda p: _reduction_deviation(which, p), derived_threshold(name))
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +333,7 @@ def check_reduction(which: str, omega2_schedule, tol: float | None = None) -> li
 
 
 def check_qq_commutativity(
-    family: KernelFamily, arity: int, params: dict | None = None, tol: float | None = None
+    family: KernelFamily, arity: int, params: dict | None = None
 ) -> CheckResult:
     """Composed two-operator kernel against itself with spectral arguments swapped."""
     family = KernelFamily(family)
@@ -338,8 +342,7 @@ def check_qq_commutativity(
     c = Coupling(g, _PERIODS if family is REL else None)
     lam = params.get("lam", 0.4)
     rho = params.get("rho", -0.3)
-    if tol is None:
-        tol = 1e-6 if arity == 1 else 1e-5
+    tol = 1e-6 if arity == 1 else 1e-5
     endpoints = (0.3, -0.5) if arity == 1 else ((0.3, -0.2), (0.5, -0.6))
     spec = OperatorSpec(family, arity, family is not HYP, c, 0.0)
     lhs = qq_convolution_kernel(spec, lam, rho, endpoints, QuadSpec())
@@ -491,7 +494,7 @@ def check_g1_determinant_route() -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
-def check_scalar_product_chain(family: KernelFamily, tol: float | None = None) -> list[CheckResult]:
+def check_scalar_product_chain(family: KernelFamily) -> list[CheckResult]:
     """The regularized steps of the scalar-product chain, pointwise: the two
     eigen relations at the shifted spectral values lam_j' = lam_j - i strip + i eps.
 
@@ -506,12 +509,11 @@ def check_scalar_product_chain(family: KernelFamily, tol: float | None = None) -
     family = KernelFamily(family)
     t0, eps, t1, q = 4.0, 0.1, 0.3, QuadSpec(rel_tol=1e-8, abs_tol=1e-9)
     # coupling, the chain's two outer points, the two labels (gamma: positions), tolerance
-    c, lams, rhos, tol0 = {
+    c, lams, rhos, tol = {
         HYP: (Coupling(1.0), SpectralPoint(0.4, -0.3), SpectralPoint(0.3, -0.2), 1e-5),
         GAM: (Coupling(1.0), SpectralPoint(0.4, 0.1), SpectralPoint(0.3, -0.2), 1e-5),
         REL: (Coupling(0.9, _PERIODS), SpectralPoint(0.3, 0.1), SpectralPoint(0.25, -0.15), 1e-4),
     }[family]
-    tol = tol0 if tol is None else tol
     dual = family is GAM
     name = f"scalar_chain_{family.value}"
     shift = 1j * _Ops(family, dual, c).strip
@@ -544,22 +546,16 @@ def _gauss(x):
     return np.exp(-(np.asarray(x, dtype=float) ** 2))
 
 
-def _times_vandermonde(terms):
-    """The product of (x1 - x2)^2 = x1^2 - 2 x1 x2 + x2^2 with a sum of
-    separable terms (coef, f1, f2), as such a sum.  Each x^k f is made once,
-    so equal factors stay one function (and one integral per step)."""
-    made = {}
+def _x_gauss(x):
+    return np.asarray(x, dtype=float) * _gauss(x)
 
-    def xk(f, k):
-        if (f, k) not in made:
-            made[f, k] = lambda x: np.asarray(x, dtype=float) ** k * f(x)
-        return made[f, k]
 
-    return [
-        t
-        for c, f1, f2 in terms
-        for t in ((c, xk(f1, 2), f2), (-2.0 * c, xk(f1, 1), xk(f2, 1)), (c, f1, xk(f2, 2)))
-    ]
+def _x2_gauss(x):
+    return np.asarray(x, dtype=float) ** 2 * _gauss(x)
+
+
+# (x1 - x2)^2 e^(-x1^2 - x2^2) = sum coef f1(x1) f2(x2) over these separable terms
+_VANDERMONDE_GAUSS = ((1.0, _x2_gauss, _gauss), (-2.0, _x_gauss, _x_gauss), (1.0, _gauss, _x2_gauss))
 
 
 def _regulated_line(h, ys, g, eps, reg, q):
@@ -583,12 +579,7 @@ def _regulated_line(h, ys, g, eps, reg, q):
 
 
 def check_delta_sequence(
-    n: int,
-    power_g: float,
-    test_fn=None,
-    schedule: RegSchedule | None = None,
-    y=None,
-    tol: float | None = None,
+    n: int, power_g: float, schedule: RegSchedule | None = None
 ) -> list[CheckResult]:
     """Weak-limit checks of the regularized delta sequences at finite regulators.
 
@@ -601,51 +592,40 @@ def check_delta_sequence(
     Deviations must decrease along the schedule, final below the pinned
     threshold.
 
-    For n = 1 test_fn is f(x).  For n = 2 it is a list of separable terms
-    (coef, f1, f2), f(x1, x2) = sum coef f1(x1) f2(x2).  The n = 2 kernel
-    G^(2(1-g)) e^(iG(x1 + x2 - y1 - y2)) prod_{i,j} (x_i - y_j - ie)^(-g) is a
-    product over the particles, and at g = 1 its Vandermonde factor
-    (x1 - x2)^2 turns each term into three separable ones.  So every step,
-    at either n, is sum coef prod_i J[f_i], with J the one regulated line
-    integral _regulated_line, taken once per distinct f_i and step.
+    f(x) = e^(-x^2) at y = 0 for n = 1.  For n = 2, at y = (0.3, -0.3), the
+    kernel G^(2(1-g)) e^(iG(x1 + x2 - y1 - y2)) prod_{i,j} (x_i - y_j - ie)^(-g)
+    is a product over the particles.  At g = 1 it carries (x1 - x2)^2 and
+    f = e^(-x1^2 - x2^2); the power form meets f = (x1 - x2)^2 e^(-x1^2 - x2^2),
+    as in the scalar-product assembly, since a plain Gaussian picks up
+    non-decaying contributions from the coincident-point pinches.  Either way
+    the integrand is the three separable terms _VANDERMONDE_GAUSS, so every
+    step is sum coef prod_i J[f_i], J the one regulated line integral
+    _regulated_line, taken once per distinct f_i and step.
     """
     q = QuadSpec(rel_tol=1e-8, abs_tol=1e-10)
     g = float(power_g)
     if n == 1:
-        ys = (0.0 if y is None else float(y),)
+        ys = (0.0,)
         fixed = {"n": 1, "g": g, "y": ys[0]}
-        f = test_fn or _gauss
-        terms = [(1.0, f)]
+        terms = [(1.0, _gauss)]
         schedule = schedule or RegSchedule((8e-3, 3e-3, 1e-3), (10.0, 20.0, 40.0))
         name = "delta_n1_g1" if g == 1.0 else "delta_n1_general"
-        weight = (
+        target = (  # times f(0) = 1
             2j * math.pi
             if g == 1.0
             else 2.0 * math.pi / complex_gamma(g) * np.exp(0.5j * math.pi * g)
         )
-        target = weight * complex(f(np.asarray(ys[0])))
     elif n == 2:
-        ys = (0.3, -0.3) if y is None else (float(y[0]), float(y[1]))
+        ys = (0.3, -0.3)
         fixed = {"n": 2, "g": g, "y": ys}
-        if callable(test_fn):
-            raise DomainError("for n = 2, test_fn is a list of separable terms (coef, f1, f2)")
-        if test_fn is not None:
-            terms = list(test_fn)
-        elif g == 1.0:
-            terms = [(1.0, _gauss, _gauss)]
-        else:
-            # the power form is conjecture-level and is used only against weights
-            # that vanish at coincident arguments (as in the scalar-product
-            # assembly); a plain Gaussian picks up non-decaying oscillatory
-            # contributions from the coincident-point pinches
-            terms = _times_vandermonde([(1.0, _gauss, _gauss)])
+        terms = _VANDERMONDE_GAUSS
         schedule = schedule or RegSchedule((4e-3, 1.5e-3, 5e-4), (10.0, 20.0, 40.0))
         y1, y2 = ys
-        sym = complex(sum(c * (f1(y1) * f2(y2) + f1(y2) * f2(y1)) for c, f1, f2 in terms))
+        f_terms = [(1.0, _gauss, _gauss)] if g == 1.0 else terms
+        sym = complex(sum(c * (f1(y1) * f2(y2) + f1(y2) * f2(y1)) for c, f1, f2 in f_terms))
         if g == 1.0:
             name = "delta_n2_vandermonde"
             target = 4.0 * math.pi**2 * sym
-            terms = _times_vandermonde(terms)  # the kernel carries (x1 - x2)^2
         else:
             name = "delta_n2_power"
             fixed["conjecture"] = True
@@ -657,15 +637,15 @@ def check_delta_sequence(
             )
     else:
         raise DomainError("n must be 1 or 2")
-    tol = derived_threshold(name) if tol is None else tol
     fns = list(dict.fromkeys(f for _, *fs in terms for f in fs))  # each distinct factor once
-    devs, plist = [], []
-    for eps, reg in schedule.steps():
-        js = {f: _regulated_line(f, ys, g, eps, reg, q) for f in fns}
+
+    def deviation(p):
+        js = {f: _regulated_line(f, ys, g, p["eps"], p["regulator"], q) for f in fns}
         val = sum(c * math.prod(js[f] for f in fs) for c, *fs in terms)
-        devs.append(abs(val - target) / abs(target))
-        plist.append({**fixed, "regulator": reg, "eps": eps})
-    return _trend_results(name, plist, devs, tol)
+        return abs(val - target) / abs(target)
+
+    steps = [{**fixed, "regulator": reg, "eps": eps} for eps, reg in schedule.steps()]
+    return _trend(name, steps, deviation, derived_threshold(name))
 
 
 # ---------------------------------------------------------------------------
@@ -673,12 +653,7 @@ def check_delta_sequence(
 # ---------------------------------------------------------------------------
 
 
-def check_orthogonality_coefficient(
-    family: KernelFamily,
-    lams: SpectralPoint | None = None,
-    c: Coupling | None = None,
-    tol: float = 1e-9,
-) -> CheckResult:
+def check_orthogonality_coefficient(family: KernelFamily) -> CheckResult:
     """Closed-form orthogonality coefficient by two independent assemblies.
 
     For the hyperbolic family: the operator-regularization route (gamma
@@ -687,12 +662,7 @@ def check_orthogonality_coefficient(
     """
     family = KernelFamily(family)
     if family is HYP:
-        c = c or Coupling(1.0)
-        lams = lams or SpectralPoint(0.5, -0.5)
-        d = complex(lams.delta)
-        if d == 0:
-            raise DomainError("coincident spectral values")
-        g = c.g
+        g, d = 1.0, complex(1.0)  # lam12 at (0.5, -0.5)
         gg = complex_gamma(g)
         route_a = (
             2.0 ** (2.0 * g - 3.0)
@@ -717,10 +687,7 @@ def check_orthogonality_coefficient(
         )
         params = {"family": "hyperbolic", "g": g, "lam12": d.real}
     elif family is GAM:
-        c = c or Coupling(1.0)
-        lams = lams or SpectralPoint(0.5, -0.5)  # position labels here
-        d = complex(lams.delta).real
-        g = c.g
+        g, d = 1.0, 1.0  # x12 at the position labels (0.5, -0.5)
         gg = complex_gamma(g)
         # operator-regularization assembly: the (z/sinh z)^2g limit factor and
         # the power-kernel delta constant cancel the gamma factors
@@ -738,10 +705,8 @@ def check_orthogonality_coefficient(
         route_b = 2.0 / math.sinh(abs(d)) ** (2.0 * g)
         params = {"family": "gamma", "g": g, "x12": d}
     else:
-        c = c or Coupling(0.9, _PERIODS)
-        lams = lams or SpectralPoint(0.4, -0.4)
+        c, d = Coupling(0.9, _PERIODS), 0.8  # lam12 at (0.4, -0.4)
         p = c.require_periods()
-        d = complex(lams.delta).real
         s2g = double_sine(c.g, p)
         # route A through the measure evaluator, route B through four direct
         # double-sine factors
@@ -759,7 +724,7 @@ def check_orthogonality_coefficient(
         )
         params = {"family": "relativistic", "g": c.g, "lam12": d}
     return CheckResult.compare(
-        f"orthogonality_{family.value}", params, route_a, route_b, tol
+        f"orthogonality_{family.value}", params, route_a, route_b, 1e-9
     )
 
 # ---------------------------------------------------------------------------
@@ -767,7 +732,7 @@ def check_orthogonality_coefficient(
 # ---------------------------------------------------------------------------
 
 
-def check_eigen_n1(family: KernelFamily, tol: float = 1e-8, seed: int = 1234) -> list[CheckResult]:
+def check_eigen_n1(family: KernelFamily, seed: int = 1234) -> list[CheckResult]:
     """One-variable operator on a plane wave against the closed eigenvalue,
     sampled at several evaluation points (the ratio must also be constant)."""
     family = KernelFamily(family)
@@ -778,10 +743,10 @@ def check_eigen_n1(family: KernelFamily, tol: float = 1e-8, seed: int = 1234) ->
     spec = OperatorSpec(family, 1, family is not HYP, c, lam)
     params = {"family": family.value, "g": c.g, "lam": lam, "label": label}
     cases = [(label, float(x0), {**params, "at": float(x0)}) for x0 in pts]
-    return _plane_wave_records(f"eigen_n1_{family.value}", spec, cases, QuadSpec(), tol)
+    return _plane_wave_records(f"eigen_n1_{family.value}", spec, cases, QuadSpec(), 1e-8)
 
 
-def check_eigen_n2(family: KernelFamily, tol: float | None = None) -> CheckResult:
+def check_eigen_n2(family: KernelFamily) -> CheckResult:
     """Two-variable operator on its factored eigenfunction: value must equal
     2 q(lam, l1) q(lam, l2) times the eigenfunction."""
     family = KernelFamily(family)
@@ -789,12 +754,11 @@ def check_eigen_n2(family: KernelFamily, tol: float | None = None) -> CheckResul
     c = Coupling(0.9, _PERIODS) if family is REL else Coupling(1.0)
     # eigenfunction labels (positions for gamma and relativistic), operator
     # spectral argument, evaluation point, tolerance
-    sp, lam, at, tol0 = {
+    sp, lam, at, tol = {
         HYP: (SpectralPoint(0.4, -0.3), 0.55, (0.3, -0.45), 1e-5),
         GAM: (SpectralPoint(0.25, -0.4), 0.5, (0.35, -0.2), 1e-4),
         REL: (SpectralPoint(0.3, -0.25), 0.4, (0.2, -0.3), 1e-4),
     }[family]
-    tol = tol0 if tol is None else tol
     spec = OperatorSpec(family, 2, family is not HYP, c, lam)
     params = {"family": family.value, "g": c.g}
     return _pair_eigen_record(f"eigen_n2_{family.value}", params, spec, sp, at, q, tol)
@@ -839,11 +803,7 @@ _QLAMBDA_POINTS = {
 }
 
 
-def check_qlambda(
-    family: KernelFamily,
-    q: QuadSpec = QuadSpec(),
-    tol: float = 1e-6,
-) -> CheckResult:
+def check_qlambda(family: KernelFamily) -> CheckResult:
     """Exchange relation Q(lam) L(rho') = q(lam, rho') L(rho') Q(lam), rho' = rho - i strip.
 
     Where the raising operator multiplies by a plane wave (gamma,
@@ -854,6 +814,7 @@ def check_qlambda(
     (-2 strip, 0)."""
     family = KernelFamily(family)
     c, lam, rho, at, (lam_name, rho_name) = _QLAMBDA_POINTS[family]
+    q, tol = QuadSpec(), 1e-6
     name = f"qlambda_{family.value}"
     params = {"family": family.value, "g": c.g, lam_name: lam,
               f"{rho_name}_re": rho.real, f"{rho_name}_im": rho.imag}
@@ -919,23 +880,23 @@ def _residual_results(name: str, residual, tol: float) -> list[CheckResult]:
     return out
 
 
-def check_schrodinger(tol: float = 1e-4) -> list[CheckResult]:
-    return _residual_results("schrodinger_residual", schrodinger_residual, tol)
+def check_schrodinger() -> list[CheckResult]:
+    return _residual_results("schrodinger_residual", schrodinger_residual, 1e-4)
 
 
-def check_momentum(tol: float = 1e-6) -> list[CheckResult]:
-    return _residual_results("momentum_residual", momentum_residual, tol)
+def check_momentum() -> list[CheckResult]:
+    return _residual_results("momentum_residual", momentum_residual, 1e-6)
 
 
-def check_dual_difference(tol_p: float = 1e-6, tol_h: float = 1e-5) -> list[CheckResult]:
+def check_dual_difference() -> list[CheckResult]:
     c = Coupling(2.5)
     sp = SpectralPoint(0.4, -0.3)
     pp = PositionPoint(0.2, -0.1)
     res = dual_difference_residual(sp, pp, c, QuadSpec())
     params = {"g": c.g, "lam": (0.4, -0.3), "x": (0.2, -0.1)}
     return [
-        CheckResult.bound("dual_difference_momentum", params, res.momentum, tol_p),
-        CheckResult.bound("dual_difference_hamiltonian", params, res.hamiltonian, tol_h),
+        CheckResult.bound("dual_difference_momentum", params, res.momentum, 1e-6),
+        CheckResult.bound("dual_difference_hamiltonian", params, res.hamiltonian, 1e-5),
     ]
 
 
@@ -943,14 +904,14 @@ def check_psi_asymptotics() -> list[CheckResult]:
     """Two-plane-wave asymptote: deviation shrinking in the separation."""
     c = Coupling(1.0)
     sp = SpectralPoint(0.5, -0.5)
-    devs, plist = [], []
-    for dx in (6.0, 8.0):
-        pp = PositionPoint(-dx / 2, dx / 2)
-        ex = psi_hr(sp, pp, c, HYP, QuadSpec())
+
+    def deviation(p):
+        pp = PositionPoint(-p["dx"] / 2, p["dx"] / 2)
         asym = psi_asymptotic(sp, pp, c)
-        devs.append(abs(ex - asym) / abs(asym))
-        plist.append({"g": 1.0, "dx": dx})
-    return _trend_results("psi_asymptotic", plist, devs, derived_threshold("psi_asymptotic_dx8"))
+        return abs(psi_hr(sp, pp, c, HYP, QuadSpec()) - asym) / abs(asym)
+
+    steps = [{"g": 1.0, "dx": dx} for dx in (6.0, 8.0)]
+    return _trend("psi_asymptotic", steps, deviation, derived_threshold("psi_asymptotic_dx8"))
 
 
 def check_hatK_asymptotic() -> list[CheckResult]:
@@ -958,13 +919,13 @@ def check_hatK_asymptotic() -> list[CheckResult]:
     from .kernels import hatK_asymptotic
 
     c = Coupling(1.5)
-    devs, plist = [], []
-    for mu in (40.0, 80.0):
-        ex = kernel_hatK(0.0 - mu, c)
-        asym = hatK_asymptotic(0.0, mu, c)
-        devs.append(abs(ex - asym) / abs(asym))
-        plist.append({"g": c.g, "mu": mu})
-    return _trend_results("hatK_asymptotic", plist, devs, derived_threshold("hatK_asymptotic_mu40"))
+
+    def deviation(p):
+        asym = hatK_asymptotic(0.0, p["mu"], c)
+        return abs(kernel_hatK(0.0 - p["mu"], c) - asym) / abs(asym)
+
+    steps = [{"g": c.g, "mu": mu} for mu in (40.0, 80.0)]
+    return _trend("hatK_asymptotic", steps, deviation, derived_threshold("hatK_asymptotic_mu40"))
 
 
 def check_q_to_lambda_degeneration() -> list[CheckResult]:
@@ -972,8 +933,9 @@ def check_q_to_lambda_degeneration() -> list[CheckResult]:
     c = Coupling(1.0)
     lam = 0.4
     x1, x2, y1 = 0.3, -0.2, 0.15
-    devs, plist = [], []
-    for y2 in (6.0, 10.0, 14.0):
+
+    def deviation(p):
+        y2 = p["y2"]
         qker = (
             complex(np.exp(1j * lam * (x1 + x2 - y1 - y2)))
             * kernel_K(x1 - y1, c)
@@ -989,10 +951,10 @@ def check_q_to_lambda_degeneration() -> list[CheckResult]:
             * kernel_K(x1 - y1, c)
             * kernel_K(x2 - y1, c)
         )
-        devs.append(abs(lhs - rhs) / abs(rhs))
-        plist.append({"g": c.g, "y2": y2})
-    tol = derived_threshold("q_to_lambda_y14")
-    return _trend_results("q_to_lambda_degeneration", plist, devs, tol)
+        return abs(lhs - rhs) / abs(rhs)
+
+    steps = [{"g": c.g, "y2": y2} for y2 in (6.0, 10.0, 14.0)]
+    return _trend("q_to_lambda_degeneration", steps, deviation, derived_threshold("q_to_lambda_y14"))
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,13 @@
 The position-side ("hr") form builds the wave function by one coordinate
 integral of two kernel factors against a plane wave; the spectral-side ("mb")
 form is the dual one-fold integral over a spectral variable.  Their equality
-is the central identity the test suite verifies.  For real arguments both
-routes reduce to a single shared separation profile,
+is the central identity the test suite verifies.  Both routes reduce to a
+single shared separation profile,
 
     Psi(x1, x2) = e^(i kappa (l1+l2)(x1+x2)/2) * phi(x1 - x2),
 
-with phi given by operators.pair_transform; complex spectral continuations
-fall back to the direct one-fold integrals, both taken by the operator
+with phi given by operators.pair_transform, the position side's at every
+spectral point; the spectral side's complex continuations take the operator
 layer's kernel-product line integral, operators._kernel_line.
 """
 from __future__ import annotations
@@ -108,11 +108,8 @@ def psi_hr(
     if family is KernelFamily.GAMMA:
         family = KernelFamily.HYPERBOLIC
     kap = exponent_scale(family, c)
-    if sp.is_real:
-        prof = pair_transform(family, c, sp.delta, pp.delta, q)
-        return complex(np.exp(1j * kap * sp.plus * pp.xsum) * prof)
-    ops = _Ops(family, True, c)
-    return _kernel_line(ops, (pp.x1, pp.x2), (), (sp.lambda2, sp.lambda1), q)
+    prof = pair_transform(family, c, sp.delta, pp.delta, q)
+    return complex(np.exp(1j * kap * sp.plus * pp.xsum) * prof)
 
 
 def psi_mb(

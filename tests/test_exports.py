@@ -213,6 +213,18 @@ def test_value_past_the_double_range_is_overflow_error(name, args):
         _SCALAR_CALLS[name][0](*args)
 
 
+@pytest.mark.parametrize("family, c", [(_H, _C08), (_G, _C08), (_R, _CREL)], ids=["hyp", "gam", "rel"])
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_array_measure_past_the_double_range_is_inf(family, c, n, sign):
+    # the measure grows without bound, so an array gives +inf where the
+    # scalar call is refused; no numpy warning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = hypq.measure(family, np.zeros(n), np.full(n, sign * 1.7e308), c)
+    assert out.shape == (n,) and np.all(out == np.inf)
+
+
 @pytest.mark.parametrize(
     "name, args",
     [

@@ -1,9 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hypq.errors import DivergenceError, DomainError, KernelPoleError
+from hypq.errors import DivergenceError, DomainError, HypqError, KernelPoleError
 from hypq.kernels import (
     Coupling,
     KernelFamily,
@@ -29,7 +32,7 @@ from hypq.operators import (
 )
 from hypq.quad import DecayProfile, QuadSpec, integrate_line
 from hypq.special import Periods
-from hypq.wavefn import PositionPoint, SpectralPoint, psi_hr
+from hypq.wavefn import PositionPoint, SpectralPoint, psi_hr, psi_mb
 
 from oracles import trapezoid_oracle_2d
 
@@ -409,6 +412,26 @@ class TestPairTransform:
         scale = 2.0 * math.pi / (np.sinh(0.5 * math.pi * v) * math.sinh(delta))
         assert np.all(np.abs(got - scale * np.sin(0.5 * delta * v)) <= 1e-10 * scale)
 
+    @pytest.mark.parametrize("d_im", [1.5, 1.9])
+    def test_complex_delta_near_the_strip_edge(self, d_im):
+        # at Im(delta) -> 2 g the cosine grows almost as fast as the kernel
+        # pair decays, over a long tail: formed apart from the kernel logs it
+        # overflowed near y = 450 while their exponential underflowed, and the
+        # profile was nan.  The profile times the plane factor is psi_MB.
+        c, delta = Coupling(1.0), 0.7 + 1j * d_im
+        sp = SpectralPoint(0.4 + 0.5j * d_im, -0.3 - 0.5j * d_im)
+        vs = np.array([0.8, -2.3, 0.0, 7.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = pair_transform(HYP, c, delta, vs, Q)
+            singles = [pair_transform(HYP, c, delta, float(v), Q) for v in vs]
+            for v, got, one in zip(vs, batch, singles):
+                pp = PositionPoint(0.2, 0.2 - v)
+                want = psi_mb(sp, pp, c, GAM, Q) / np.exp(1j * sp.plus * pp.xsum)
+                assert np.isfinite(got) and np.isfinite(one)
+                assert abs(got - want) <= 1e-12 * abs(want), v
+                assert abs(one - want) <= 1e-12 * abs(want), v
+
     @pytest.mark.parametrize(
         "family,c",
         [
@@ -610,6 +633,9 @@ def test_far_points_are_refused_cheaply(family, c):
     spec = OperatorSpec(family, 1, family is not HYP, c, 0.0)
     calls = [lambda at=at: apply_Q(spec, plane_wave(0.3, family, c), at) for at in (1e8, 1e150, 1.7e308)]
     calls.append(lambda: qq_convolution_kernel(spec, 0.0, 0.0, (1e8, -1e8)))
+    # arity 2: each inner integral of one batch is within budget, their sum is not
+    spec2 = OperatorSpec(family, 2, family is not HYP, c, 0.0)
+    calls += [lambda at=at: apply_Q(spec2, _GAUSS2, at) for at in ((-1e4, 0.0), (-3e3, 3e3))]
     calls += [
         lambda d=d, v=v: pair_transform(family, c, d, v)
         for d, v in ((1e6, 0.5), (60.0, 1e6), (1.7e308, 0.5), (0.3, 1e300))
@@ -629,3 +655,69 @@ def test_far_points_are_refused_cheaply(family, c):
             peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
         assert seconds < 1.0 and peak < 50e6, (i, seconds, peak)
+
+
+# ---------------------------------------------------------------------------
+# the array entry points at any finite point: a finite value or a HypqError
+# ---------------------------------------------------------------------------
+
+_FAR = st.one_of(st.floats(-50.0, 50.0), st.floats(allow_nan=False, allow_infinity=False))
+_COUPLED = st.one_of(
+    st.tuples(st.sampled_from([HYP, GAM]), st.floats(0.3, 2.5).map(Coupling)),
+    st.tuples(st.just(REL), st.floats(0.3, 2.0).map(lambda g: Coupling(g, P12))),
+)
+
+
+def _finite_or_refused(call):
+    """call() is finite, or refused with a HypqError, with no numpy warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            out = call()
+        except HypqError:
+            return
+    assert np.all(np.isfinite(out)), out
+
+
+@given(
+    _COUPLED,
+    st.floats(-60.0, 60.0),
+    st.floats(-0.99, 0.99),
+    st.lists(_FAR, min_size=1, max_size=4),
+)
+@settings(max_examples=60, deadline=None)
+def test_pair_transform_is_finite_or_refused(coupled, d_re, edge, vs):
+    # complex delta up to 0.99 of the strip edge |Im kappa delta| < 2 k
+    family, c = coupled
+    ops = _Ops(family, True, c)
+    delta = complex(d_re, edge * 2.0 * ops.k_rate / ops.kappa)
+    _finite_or_refused(lambda: pair_transform(family, c, delta, np.array(vs), Q))
+
+
+@given(_COUPLED, st.complex_numbers(max_magnitude=3.0), st.floats(-3.0, 3.0), _FAR)
+@settings(max_examples=40, deadline=None)
+def test_apply_Q_arity_1_is_finite_or_refused(coupled, spectral, label, at):
+    family, c = coupled
+    spec = OperatorSpec(family, 1, family is not HYP, c, spectral)
+    _finite_or_refused(lambda: apply_Q(spec, plane_wave(label, family, c), at, Q))
+
+
+@given(_COUPLED, st.floats(-3.0, 3.0), st.tuples(_FAR, _FAR))
+@settings(max_examples=15, deadline=None)
+def test_apply_Q_arity_2_is_finite_or_refused(coupled, spectral, at):
+    family, c = coupled
+    spec = OperatorSpec(family, 2, family is not HYP, c, spectral)
+    _finite_or_refused(lambda: apply_Q(spec, _GAUSS2, at, Q))
+
+
+@given(
+    _COUPLED,
+    st.complex_numbers(max_magnitude=3.0),
+    st.complex_numbers(max_magnitude=3.0),
+    st.tuples(_FAR, _FAR),
+)
+@settings(max_examples=40, deadline=None)
+def test_qq_convolution_kernel_is_finite_or_refused(coupled, first, second, endpoints):
+    family, c = coupled
+    spec = OperatorSpec(family, 1, family is not HYP, c, 0.0)
+    _finite_or_refused(lambda: qq_convolution_kernel(spec, first, second, endpoints, Q))

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -7,14 +8,16 @@ from hypothesis import strategies as st
 
 from hypq.errors import DomainError, UnknownCheckError
 from hypq.kernels import Coupling, KernelFamily, kernel_hatK
-from hypq.operators import _Ops
+from hypq.operators import OperatorSpec, _Ops, apply_Q, factored_pair_handle
 from hypq.quad import DecayProfile, QuadSpec, integrate_plane
 from hypq.special import Periods, complex_gamma
 from hypq.suite import (
     CheckResult,
     RegSchedule,
+    REGISTRY,
     check_beta,
     check_delta_sequence,
+    check_eigen_n1,
     check_g1_determinant_route,
     check_orthogonality_coefficient,
     check_qlambda,
@@ -90,6 +93,22 @@ class TestRunner:
         b = run_suite(["qq_n1_hyperbolic", "orthogonality_gamma"])
         for ra, rb in zip(a, b):
             assert ra.lhs == rb.lhs and ra.rhs == rb.rhs
+
+
+class TestRegistryRows:
+    # the seed run_suite passes to check_eigen_n1 and the schedule hypq sweep
+    # passes to check_delta_sequence (check_reduction's is already its row's)
+    EXTRAS = {check_eigen_n1: ["seed"], check_delta_sequence: ["schedule"]}
+
+    @pytest.mark.parametrize("name", registry_names())
+    def test_function_takes_what_its_row_passes(self, name):
+        # so no setting, a tolerance least of all, can be stated a second
+        # time through a parameter that only a test would set
+        fn, *args = REGISTRY[name]
+        params = inspect.signature(fn).parameters
+        extras = list(params)[len(args):]
+        assert len(params) >= len(args) and extras == self.EXTRAS.get(fn, []), (name, extras)
+        assert all(params[p].default is not inspect.Parameter.empty for p in extras)
 
 
 class TestBetaChecks:
@@ -186,12 +205,15 @@ class TestTrendRecords:
             assert r.passed == (r.abs_err < r.tolerance)
 
     def test_bounds_of_a_sequence(self):
-        from hypq.suite import _trend_results
+        from hypq.suite import _trend
 
-        rs = _trend_results("t", [{}] * 3, [0.3, 0.2, 0.1], 0.5)
+        def trend(devs, final_tol):
+            return _trend("t", [{"d": d} for d in devs], lambda p: p["d"], final_tol)
+
+        rs = trend([0.3, 0.2, 0.1], 0.5)
         assert [r.tolerance for r in rs] == [math.inf, 0.3, 0.2]
         assert all(r.passed for r in rs)
-        rs = _trend_results("t", [{}] * 3, [0.3, 0.4, 0.01], 0.05)
+        rs = trend([0.3, 0.4, 0.01], 0.05)
         assert [r.tolerance for r in rs] == [math.inf, 0.3, 0.05]
         assert [r.passed for r in rs] == [True, False, True]
 
@@ -226,19 +248,10 @@ class TestOrthogonality:
         r = check_orthogonality_coefficient(family)
         assert r.passed and r.rel_err < 1e-9
 
-    def test_hyperbolic_symmetric_under_swap(self):
-        from hypq.wavefn import SpectralPoint
-
-        a = check_orthogonality_coefficient(HYP, SpectralPoint(0.5, -0.5))
-        b = check_orthogonality_coefficient(HYP, SpectralPoint(-0.5, 0.5))
-        assert abs(a.lhs - b.lhs) < 1e-12 * abs(a.lhs)
-
     def test_relativistic_finite_positive(self):
-        from hypq.wavefn import SpectralPoint
-
-        r = check_orthogonality_coefficient(
-            REL, SpectralPoint(0.4, -0.4), Coupling(0.9, Periods(1.0, math.sqrt(2.0)))
-        )
+        # the row's own point: lam12 = 0.8 at g = 0.9, periods (1, sqrt 2)
+        r = check_orthogonality_coefficient(REL)
+        assert r.params == {"family": "relativistic", "g": 0.9, "lam12": 0.8}
         assert r.lhs.real > 0 and abs(r.lhs.imag) < 1e-10 * r.lhs.real
 
 
@@ -257,11 +270,6 @@ class TestDeltaSequences:
     def test_invalid_n(self):
         with pytest.raises(DomainError):
             check_delta_sequence(3, 1.0)
-
-    def test_n2_callable_test_fn_is_domain_error(self):
-        # n = 2 takes separable terms (coef, f1, f2), not f(x1, x2)
-        with pytest.raises(DomainError, match="separable"):
-            check_delta_sequence(2, 1.0, test_fn=lambda x1, x2: np.exp(-x1 * x1 - x2 * x2))
 
     def test_n1_g1_exact_finite_regulator(self):
         # at y = 0 and f = e^(-x^2) the step's integral has the closed form
@@ -299,20 +307,26 @@ class TestDeltaSequences:
 
     @pytest.mark.parametrize("g", [1.0, 0.8])
     def test_n2_separable_matches_plane(self, g):
-        # a complex f = e^(-x1^2 - x2^2) (1 + 0.3 x1 + 0.2i x2) with no
-        # symmetry of its own, at y1 + y2 != 0: the sum of products of
-        # one-particle integrals equals the (u, v) plane integral
+        # the rows' own test functions at their y = (0.3, -0.3): e^(-x1^2 - x2^2)
+        # against the Vandermonde kernel at g = 1, (x1 - x2)^2 e^(-x1^2 - x2^2)
+        # against the power form; the sum of products of one-particle
+        # integrals equals the (u, v) plane integral
         def gauss(x):
             return np.exp(-x * x)
 
         def x_gauss(x):
             return x * np.exp(-x * x)
 
-        terms = [(1.0, gauss, gauss), (0.3, x_gauss, gauss), (0.2j, gauss, x_gauss)]
-        eps, reg, y1, y2 = 4e-3, 10.0, 0.5, -0.2
-        rs = check_delta_sequence(
-            2, g, test_fn=terms, schedule=RegSchedule((eps,), (reg,)), y=(y1, y2)
-        )
+        def x2_gauss(x):
+            return x * x * np.exp(-x * x)
+
+        if g == 1.0:
+            terms = [(1.0, gauss, gauss)]
+        else:
+            terms = [(1.0, x2_gauss, gauss), (-2.0, x_gauss, x_gauss), (1.0, gauss, x2_gauss)]
+        eps, reg, y1, y2 = 4e-3, 10.0, 0.3, -0.3
+        rs = check_delta_sequence(2, g, schedule=RegSchedule((eps,), (reg,)))
+        assert rs[0].params["y"] == (y1, y2)
         ref = self._plane_deviation(terms, g, eps, reg, y1, y2)
         assert abs(rs[0].abs_err - ref) <= 1e-8 * rs[0].abs_err
 
@@ -366,9 +380,18 @@ class TestQLambda:
     def test_hyperbolic_value_independent_of_truncation(self):
         # the v axis must be cut at a rate that counts the plane factor of the
         # complex label_plus; a cut that ignored Im(label_plus) left the value
-        # 9.55e-12 off the one at doubled tails
-        wide = check_qlambda(HYP, QuadSpec(truncation_safety=3.0))
-        assert abs(check_qlambda(HYP).lhs - wide.lhs) <= 1e-12
+        # 9.55e-12 off the one at doubled tails.  The row's lhs, Q2(lam) on
+        # the factored pair of labels (0.1, rho'), at both specs:
+        c = Coupling(1.0)
+        rho_s = 0.2 + 0.5j - 1j * _Ops(HYP, True, c).strip
+
+        def lhs(q):
+            pair = factored_pair_handle(HYP, c, 0.5 * (0.1 + rho_s), 0.1 - rho_s, q)
+            return apply_Q(OperatorSpec(HYP, 2, False, c, 0.5), pair, (0.3, -0.4), q)
+
+        default = lhs(QuadSpec())
+        assert default == check_qlambda(HYP).lhs
+        assert abs(default - lhs(QuadSpec(truncation_safety=3.0))) <= 1e-12
 
 
 class TestQQCommutativity:

@@ -148,8 +148,9 @@ def _relativistic_position_integrand(sp, pp, c):
 
 
 class TestComplexContinuation:
-    """At complex spectral values both representations take their direct
-    one-fold integrals; the dual pair must still agree."""
+    """At complex spectral values the position side takes the pair profile at
+    a complex delta, the spectral side its direct one-fold integral; the
+    dual pair must still agree."""
 
     @pytest.mark.parametrize(
         "sp",
