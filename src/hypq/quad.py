@@ -2,23 +2,28 @@
 
 The adaptive driver uses the embedded Gauss(7)/Kronrod(15) pair on panels of a
 truncated interval; truncation lengths come from the caller-declared
-DecayProfile, never from introspecting the integrand.  Each integral names
-its core, the part that is not tail: the first panels are equal over the
-core, at most one period 2*pi/freq_hint wide, and double in width through
-each tail out to the cut, so the padding of a cut costs O(log) panels.  Each
-round then halves every panel whose error estimate exceeds its share of the
-tolerance, tail panels included.  Panel state lives in numpy arrays, and one
+DecayProfile, never from introspecting the integrand.  Each integral names its
+core, the part that is not tail: the first panels are equal over the core, at
+most one period 2*pi/freq_hint wide, and double in width through each tail out
+to the cut, so the padding of a cut costs O(log) panels.  Each round then
+halves every panel whose error estimate exceeds its share of the tolerance,
+tail panels included.  |K15 - G7| is the error of G7, not of K15: where the
+orthonormal-Legendre coefficients a_9, ..., a_14 of the Kronrod values fall by
+at least 1/4 per pair, K15 has converged, and its error is read off that decay
+instead (after Berntsen & Espelid, ACM TOMS 17, 1991, and Gonnet, ACM Comput.
+Surv. 44, 2012).  That estimate is capped by |K15 - G7| and floored at 50
+machine epsilons of the panel's integral of |f|, so it only ever lowers |K15 -
+G7|, and never below rounding.  Panel state lives in numpy arrays, and one
 routine (_adaptive_many) advances many integrals together, each over its own
-interval and with its own tolerance test, splits and node budget, so no
-value depends on the others.  A lone integral (_adaptive) is that routine
-for one integral; integrate_plane and the two-variable operators run the
-inner integrals of a whole array of outer abscissae through it, in groups
-whose first round is at most _CHUNK_NODES nodes.  The integrand is never
-called on more than _CALL_NODES nodes at once, which keeps each array of a
-call below the size at which the C allocator maps it from fresh pages and
-unmaps it on free.  Panel subdivision and the final compensated summation
-run in a fixed deterministic order, so identical inputs give bit-identical
-results.
+interval and with its own tolerance test, splits and node budget, so no value
+depends on the others.  A lone integral (_adaptive) is that routine for one
+integral; integrate_plane and the two-variable operators run the inner
+integrals of a whole array of outer abscissae through it, in groups whose
+first round is at most _CHUNK_NODES nodes.  The integrand is never called on
+more than _CALL_NODES nodes at once, which keeps each array of a call below
+the size at which the C allocator maps it from fresh pages and unmaps it on
+free.  Panel subdivision and the final compensated summation run in a fixed
+deterministic order, so identical inputs give bit-identical results.
 """
 from __future__ import annotations
 
@@ -86,9 +91,22 @@ _K_WEIGHTS = np.concatenate([_WGK[:-1], [_WGK[-1]], _WGK[:-1][::-1]])
 # the embedded Gauss-7 rule lives on nodes 1, 3, ..., 13
 _G_WEIGHTS = np.zeros(15)
 _G_WEIGHTS[1:14:2] = np.concatenate([_WG[:-1], [_WG[-1]], _WG[:-1][::-1]])
-# both rules as the columns of one complex matrix: complex @ complex runs in
-# BLAS, where complex @ float takes a generic loop hundreds of times slower
-_KG_WEIGHTS = np.stack([_K_WEIGHTS, _G_WEIGHTS], axis=1).astype(complex)
+# orthonormal-Legendre coefficients a_9, ..., a_14 of the degree-14 polynomial
+# through the 15 Kronrod values, as linear functionals of those values
+_HIGH_COEFFS = np.linalg.inv(
+    np.polynomial.legendre.legvander(_K_NODES, 14) * np.sqrt(np.arange(15) + 0.5)
+)[9:].T
+# both rules and the six coefficients as the columns of one complex matrix:
+# complex @ complex runs in BLAS, where complex @ float takes a generic loop
+# hundreds of times slower; at 8 columns OpenBLAS keeps the product of one
+# batch on one thread
+_KG_WEIGHTS = np.column_stack([_K_WEIGHTS, _G_WEIGHTS, _HIGH_COEFFS]).astype(complex)
+# the K15 error is read off the coefficient decay where the pair magnitudes
+# fall by at least _DECAY_RATIO per pair, scaled by _DECAY_SAFETY, and is
+# never put below _ROUNDING (50 eps) times the panel's integral of |f|
+_DECAY_RATIO = 0.25
+_DECAY_SAFETY = 10.0
+_ROUNDING = 50.0 * np.finfo(float).eps
 
 # first-round nodes of one group of integrals advanced together
 _CHUNK_NODES = 32_768
@@ -241,7 +259,16 @@ def _eval_batch(f: Callable, x: np.ndarray, each: Callable | None = None) -> np.
 def _gk_batch(
     f, lo: np.ndarray, hi: np.ndarray, own: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Kronrod values and |K15 - G7| error estimates for a batch of panels.
+    """Kronrod values and their error estimates for a batch of panels.
+
+    A panel's estimate is min(|K15 - G7|, max(decay, rounding)).  With E1,
+    E2, E3 the magnitudes of the coefficient pairs (a_9, a_10), (a_11, a_12),
+    (a_13, a_14) of the interpolant of the Kronrod values, each times the
+    half width, and r = max(E2/E1, E3/E2), decay is 10 E3 r^3 when r <= 1/4
+    (the coefficients fall geometrically, so K15 has converged) and |K15 -
+    G7| otherwise; rounding is 50 eps times the K15 integral of |f|.  So the
+    estimate never exceeds |K15 - G7| and never falls below the rounding
+    floor unless |K15 - G7| does.
 
     Panel i belongs to integral own[i]; f(x, k) is called with at most
     _CALL_NODES abscissae x at a time, k holding each node's integral.
@@ -258,20 +285,33 @@ def _gk_batch(
         y = _eval_batch(
             lambda v: f(v, k), xs, lambda j: f(float(xs[j]), int(k[j]))
         ).reshape(x.shape)
-        kg = half[:, None] * (y @ _KG_WEIGHTS)
-        val[part] = kg[:, 0]
-        err[part] = np.abs(kg[:, 0] - kg[:, 1])
+        kg = y @ _KG_WEIGHTS
+        val[part] = half * kg[:, 0]
+        kg_err = half * np.abs(kg[:, 0] - kg[:, 1])
+        coef = np.abs(kg[:, 2:])
+        e1, e2, e3 = (half * np.hypot(coef[:, j], coef[:, j + 1]) for j in (0, 2, 4))
+        # 0/0, inf/inf and overflowing r^3 all read as no decay
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            r = np.maximum(e2 / e1, e3 / e2)
+            decay = np.where(r <= _DECAY_RATIO, _DECAY_SAFETY * e3 * r**3, kg_err)
+        floor = _ROUNDING * half * (np.abs(y) @ _K_WEIGHTS)
+        err[part] = np.minimum(kg_err, np.maximum(decay, floor))
     return val, err
 
 
 def _fsum_by_integral(out: np.ndarray, own: np.ndarray, val: np.ndarray) -> None:
-    """out[k] = compensated sum of the panel values val[own == k], for each k in own."""
+    """out[k] = compensated sum of the panel values val[own == k], for each k in own;
+    GammaOverflowError where a sum is past the double range."""
     order = np.argsort(own)
     own = own[order]
     re, im = val.real[order].tolist(), val.imag[order].tolist()
     cuts = (np.flatnonzero(own[1:] != own[:-1]) + 1).tolist()
     for i, j in zip([0] + cuts, cuts + [own.size]):
-        out[own[i]] = complex(math.fsum(re[i:j]), math.fsum(im[i:j]))
+        try:
+            total = complex(math.fsum(re[i:j]), math.fsum(im[i:j]))
+        except (OverflowError, ValueError):  # ValueError: inf - inf among the panels
+            total = complex(math.inf)
+        out[own[i]] = _finite(total, "an integral over {} panels is past the double range", j - i)
 
 
 def _tail_panels(length, w0):
@@ -455,7 +495,11 @@ def integrate_line(
     The interval is [center - L-, center + L+] with
     L = truncation_safety * (-ln(abs_tol/10)) / rate, after which adaptive
     Gauss-Kronrod panels drive the estimated error below
-    max(abs_tol, rel_tol * |I|).  A rate of math.inf gives L = 0, so the
+    max(abs_tol, rel_tol * |I|).  A panel's error is |K15 - G7|, or less
+    where the Legendre coefficients of its Kronrod values decay fast enough
+    to show that K15 has converged (see the module docstring); the estimate
+    is never above |K15 - G7|, nor below the rounding of the panel's sum
+    unless |K15 - G7| is.  A rate of math.inf gives L = 0, so the
     interval ends at ``center`` on that side (a half-line integral).  The
     first panels are uniform over the core L / truncation_safety either side
     of the center, at most one period 2*pi/freq_hint wide when ``freq_hint``

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypq.errors import DivergenceError, DomainError, HypqError, KernelPoleError
+from hypq.errors import (
+    DivergenceError,
+    DomainError,
+    GammaOverflowError,
+    HypqError,
+    KernelPoleError,
+)
 from hypq.kernels import (
     Coupling,
     KernelFamily,
@@ -655,6 +661,18 @@ def test_far_points_are_refused_cheaply(family, c):
             peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
         assert seconds < 1.0 and peak < 50e6, (i, seconds, peak)
+
+
+@pytest.mark.parametrize("x", [1124.0, 1130.0])
+def test_integral_past_double_range_is_overflow_error(x):
+    # every panel of the kernel's integral is finite, but their sum is past
+    # the double range: a GammaOverflowError, not fsum's bare OverflowError
+    # (1120 gives 1.9e307, 1135 a NonFiniteSampleError)
+    spec = OperatorSpec(HYP, 1, False, Coupling(0.375), 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GammaOverflowError):
+            qq_convolution_kernel(spec, -1j, -1j, (x, 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -353,6 +353,102 @@ class TestPanelSizing:
         assert nodes <= 700_000
 
 
+_C = math.pi / 10
+
+
+def _log_distance(x):
+    with np.errstate(divide="ignore"):
+        return np.log(np.abs(x - _C))
+
+
+# integrand, interval, closed-form integral, and whether every parent's
+# estimate bounds |K_parent - (K_left + K_right)| at the splits; at a jump
+# or a log singularity |K15 - G7| alone does not (its miss at c = pi/10
+# reaches 1.8x on the step and 3.3x on the log, as with |K15 - G7| as the
+# only estimate), and the decay estimate, capped by it, cannot raise it
+_CLOSED_FORMS = {
+    "near_pole_0.01": (lambda x: 1.0 / (x * x + 1e-4), -1.0, 1.0, 200.0 * math.atan(100.0), True),
+    "near_pole_0.1": (lambda x: 1.0 / (x * x + 1e-2), -1.0, 1.0, 20.0 * math.atan(10.0), True),
+    "gauss_cos": (
+        lambda x: np.exp(-x * x) * np.cos(5.0 * x), -8.0, 8.0,
+        math.sqrt(math.pi) * math.exp(-6.25), True,
+    ),
+    "sech_cos": (
+        lambda x: np.cos(3.0 * x) / np.cosh(x), -40.0, 40.0, math.pi / math.cosh(1.5 * math.pi), True,
+    ),
+    "sech2_cos": (
+        lambda x: np.cos(3.0 * x) / np.cosh(x) ** 2, -40.0, 40.0,
+        3.0 * math.pi / math.sinh(1.5 * math.pi), True,
+    ),
+    "abs": (lambda x: np.abs(x - _C), -1.0, 1.0, 1.0 + _C * _C, True),
+    "step": (lambda x: np.where(x > _C, 1.0, 0.0), -1.0, 1.0, 1.0 - _C, False),
+    "log": (
+        _log_distance, -1.0, 1.0, (1 - _C) * math.log(1 - _C) + (1 + _C) * math.log(1 + _C) - 2.0, False,
+    ),
+    "sqrt": (lambda x: np.sqrt(np.abs(x)), -1.0, 1.0, 4.0 / 3.0, True),
+}
+
+
+class TestErrorEstimate:
+    """A panel's estimate, min(|K15 - G7|, max(decay, rounding)), on integrands
+    with closed-form integrals."""
+
+    @pytest.mark.parametrize("name", list(_CLOSED_FORMS))
+    def test_honest_on_closed_forms(self, monkeypatch, name):
+        f, a, b, exact, bounded = _CLOSED_FORMS[name]
+        panels = {}  # (lo, hi) -> (K15 value, estimate) of every panel evaluated
+        batch = quad._gk_batch
+
+        def record(g, lo, hi, own):
+            val, err = batch(g, lo, hi, own)
+            panels.update(zip(zip(lo.tolist(), hi.tolist()), zip(val.tolist(), err.tolist())))
+            return val, err
+
+        monkeypatch.setattr(quad, "_gk_batch", record)
+        got = quad._adaptive(f, a, b, a, b, Q, 0.0)
+        assert abs(got - exact) <= max(Q.abs_tol, Q.rel_tol * abs(exact))
+        splits = 0
+        for (lo, hi), (val, err) in panels.items():
+            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+            y = np.asarray(f(mid + half * quad._K_NODES), dtype=complex)
+            k_minus_g = half * abs(y @ (quad._K_WEIGHTS - quad._G_WEIGHTS))
+            # never above |K15 - G7|, up to the rounding of the two sums
+            slack = 4.0 * np.finfo(float).eps * half * (abs(y) @ quad._K_WEIGHTS)
+            assert err <= k_minus_g + slack
+            if (lo, mid) in panels and (mid, hi) in panels:
+                splits += 1
+                miss = abs(val - panels[lo, mid][0] - panels[mid, hi][0])
+                assert miss <= err or (not bounded and err >= k_minus_g - slack)
+        assert splits > 0
+
+    def test_interior_singularity_outcomes_unchanged(self):
+        # |x - pi/10|^(-1/2) e^(-x^2) on [-6, 6] ends as it did with |K15 -
+        # G7| as the estimate: 3.5e-6 off at rel_tol 1e-6, 1.3e-8 off at 1e-8
+        # and 1e-9 (the singular panel's estimate is below the tolerance, its
+        # error is not), and a node on the singularity at 1e-10
+        def f(x):
+            with np.errstate(divide="ignore"):
+                return np.abs(x - _C) ** -0.5 * np.exp(-x * x)
+
+        exact = 3.4538379324614
+        for rel_tol, off in ((1e-6, 3.5e-6), (1e-8, 1.3e-8), (1e-9, 1.3e-8)):
+            spec = QuadSpec(rel_tol=rel_tol, abs_tol=1e-14)
+            v = quad._adaptive(f, -6.0, 6.0, -6.0, 6.0, spec, 0.0)
+            assert abs(v - exact) / exact == pytest.approx(off, rel=0.02)
+        with pytest.raises(NonFiniteSampleError):
+            quad._adaptive(f, -6.0, 6.0, -6.0, 6.0, QuadSpec(rel_tol=1e-10, abs_tol=1e-14), 0.0)
+
+    def test_rounding_floor_is_capped(self):
+        # cos(50 x) e^(-x^2) integrates to sqrt(pi) e^(-625); the rounding
+        # floors, 50 eps of the integral of |f| in all, sum past abs_tol
+        # 1e-14, so it converges only because |K15 - G7| caps each floor
+        spec = QuadSpec(abs_tol=1e-14)
+        v = integrate_line(
+            lambda x: np.cos(50.0 * x) * np.exp(-x * x), DecayProfile(1.0, 1.0), spec, freq_hint=50.0
+        )
+        assert abs(v) <= spec.abs_tol
+
+
 class TestOracles:
     # the fixed-grid references of tests/oracles.py, which freeze expected values
 

@@ -335,43 +335,45 @@ class TestDeltaSequences:
         [
             pytest.param(name, ceiling, id=name)
             for name, ceiling in (
-                ("beta_hyperbolic", 6_000),
-                ("beta_gamma", 4_100),
-                ("beta_relativistic", 1_600),
-                ("delta_n2_vandermonde", 24_000),
-                ("delta_n2_power", 24_000),
-                ("qq_n2_gamma", 113_000),
-                ("eigen_n2_relativistic", 96_000),
-                ("scalar_chain_gamma", 263_000),
-                ("scalar_chain_hyperbolic", 278_000),
-                ("scalar_chain_relativistic", 142_000),
-                ("qlambda_hyperbolic", 112_000),
-                ("qq_n2_hyperbolic_g1", 106_000),
-                ("qq_n2_hyperbolic_g13", 126_000),
-                ("qq_n2_relativistic", 35_500),
-                ("eigen_n2_hyperbolic", 95_000),
-                ("eigen_n2_gamma", 74_500),
-                ("det_route_g1", 248_000),
+                ("beta_hyperbolic", 4_300),
+                ("beta_gamma", 3_200),
+                ("beta_relativistic", 1_200),
+                ("delta_n2_vandermonde", 18_000),
+                ("delta_n2_power", 17_800),
+                ("qq_n2_gamma", 48_500),
+                ("eigen_n2_relativistic", 80_500),
+                ("scalar_chain_gamma", 133_000),
+                ("scalar_chain_hyperbolic", 159_000),
+                ("scalar_chain_relativistic", 86_000),
+                ("qlambda_hyperbolic", 59_000),
+                ("qq_n2_hyperbolic_g1", 69_500),
+                ("qq_n2_hyperbolic_g13", 84_000),
+                ("qq_n2_relativistic", 28_500),
+                ("eigen_n2_hyperbolic", 59_000),
+                ("eigen_n2_gamma", 59_000),
+                ("det_route_g1", 79_500),
             )
         ],
     )
     def test_n2_work_ceiling(self, gk_nodes, name, ceiling):
         # integrand nodes of the whole check, about 1.2 times its count with
-        # first panels doubling through each tail and each distinct
-        # one-particle integral taken once per delta step: 5,040, 3,420 and
-        # 1,320 (beta_hyperbolic, beta_gamma, beta_relativistic, as the
-        # plane-wave eigen relation at label 0 and point 0), 19,815
-        # (delta_n2_vandermonde), 20,115 (delta_n2_power), 94,170
-        # (qq_n2_gamma), 79,995 (eigen_n2_relativistic), 218,850
-        # (scalar_chain_gamma), 232,020 (scalar_chain_hyperbolic), 118,455
-        # (scalar_chain_relativistic), 92,985 (qlambda_hyperbolic), 88,290
-        # and 105,240 (qq_n2_hyperbolic_g1, _g13), 29,610
-        # (qq_n2_relativistic), 79,170 (eigen_n2_hyperbolic), 61,995
-        # (eigen_n2_gamma) and 206,775 (det_route_g1); with
-        # uniform first panels over the whole padded interval they took
-        # 45,150, 46,350, 100,560, 95,820, 633,345, 394,200, 213,885 and
-        # 160,710, and the delta checks 10.67 M and 11.34 M on the unfolded
-        # (u, v) plane
+        # first panels doubling through each tail, each distinct one-particle
+        # integral taken once per delta step and panels judged by the decay
+        # of their Legendre coefficients: 3,540, 2,640 and 960
+        # (beta_hyperbolic, beta_gamma, beta_relativistic, as the plane-wave
+        # eigen relation at label 0 and point 0), 14,925
+        # (delta_n2_vandermonde), 14,775 (delta_n2_power), 40,140
+        # (qq_n2_gamma), 66,765 (eigen_n2_relativistic), 110,490
+        # (scalar_chain_gamma), 132,495 (scalar_chain_hyperbolic), 71,430
+        # (scalar_chain_relativistic), 48,825 (qlambda_hyperbolic), 57,720
+        # and 69,990 (qq_n2_hyperbolic_g1, _g13), 23,550
+        # (qq_n2_relativistic), 48,870 (eigen_n2_hyperbolic), 49,035
+        # (eigen_n2_gamma) and 65,910 (det_route_g1).  Judged by |K15 - G7|
+        # alone they took 5,040, 3,420, 1,320, 19,815, 20,115, 94,170,
+        # 80,025, 218,850, 232,020, 118,455, 92,985, 88,290, 105,240,
+        # 29,610, 79,170, 61,995 and 206,775; with uniform first panels over
+        # the whole padded interval the delta checks took 10.67 M and
+        # 11.34 M on the unfolded (u, v) plane
         assert all(r.passed for r in run_suite([name]))
         assert 0 < sum(gk_nodes) <= ceiling
 

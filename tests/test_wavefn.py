@@ -1,10 +1,13 @@
+import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from hypq.errors import ContinuationError, DomainError, GammaOverflowError, KernelPoleError
 from hypq.kernels import Coupling, KernelFamily
+from hypq.operators import pair_transform
 from hypq.quad import QuadSpec
 from hypq.special import Periods
 from hypq.wavefn import (
@@ -181,6 +184,24 @@ class TestComplexContinuation:
         sp = SpectralPoint(0.4 + 0.5j * d_im, -0.3 - 0.5j * d_im)
         with pytest.raises(DomainError):
             psi_hr(sp, PP, C1, HYP, Q)
+
+
+    def test_growing_plane_factor_without_warning(self):
+        # at a complex spectral point the plane factor e^(i kappa l+ (x1+x2))
+        # grows with x1 + x2.  Where it alone is past the double range but the
+        # product with the decaying profile is not, the product is formed
+        # under the log; where the product is past it too, GammaOverflowError
+        sp = SpectralPoint(0.4 - 0.3j, -0.3 - 0.2j)
+        ln_half = 0.5j * sp.plus * 3000.0  # kappa = 1 at g = 1; Re = 375
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = psi_hr(sp, PositionPoint(1700.0, 1300.0), C1, HYP, Q)
+            prof = pair_transform(HYP, C1, sp.delta, 400.0, Q)  # |prof| = 4.3e-165
+            halves = cmath.exp(ln_half) * (cmath.exp(ln_half) * prof)
+            for x in (1e5, 1e300):
+                with pytest.raises(GammaOverflowError):
+                    psi_hr(sp, PositionPoint(x, x - 0.5), C1, HYP, Q)
+        assert abs(got - halves) <= 1e-12 * abs(got)
 
 
 class TestFactoredForm:
