@@ -51,7 +51,8 @@ from .kernels import (
     ln_measure_relativistic,
 )
 from .quad import (
-    _CALL_NODES, _GL16_NODES, _GL16_WEIGHTS, QuadSpec, _adaptive, _adaptive_many, _complex, _tail,
+    _CALL_NODES, _GL16_NODES, _GL16_WEIGHTS, QuadSpec, _adaptive, _adaptive_many, _complex,
+    _exp_times, _tail,
 )
 
 __all__ = [
@@ -441,8 +442,9 @@ def pair_transform(
     y = 0, where the kernel product is smooth and about e^(-k |v|), each
     panel is twice as wide as its near edge is far from the bump, and at most
     8 / max(kappa |delta|, 1) for the cosine.  The edges do not depend on v:
-    each v takes those below |v|/2, its last panel ending at y = 0.  Nodes
-    reach the kernel in calls of at most _CALL_NODES, unless one v needs more.
+    each v takes those below |v|/2, its last panel ending at y = 0.  The
+    panels of all v are laid out once, and their nodes reach the kernel in
+    calls of at most _CALL_NODES.
     An empty v gives an empty array; a v that is not finite and real, or a
     delta that is not a finite number, raises DomainError; a rule of more
     than q.max_nodes nodes for one v raises BudgetExceededError unbuilt.
@@ -475,22 +477,14 @@ def pair_transform(
         n = int(np.searchsorted(edges, hw))  # the edges below |v|/2
         return complex(_pair_panels(ops, kd, edges[:n], np.append(edges[1:n], hw), hw).sum())
     n = np.searchsorted(edges, hw)
-    ends = np.cumsum(n)
-    start = ends - n
-    per = _CALL_NODES // (2 * _GL16_NODES.size)  # panels per kernel call
-    out = np.empty(hw.size, dtype=complex)
-    i = 0
-    while i < hw.size:
-        j = max(i + 1, int(np.searchsorted(ends, start[i] + per, side="right")))
-        m = n[i:j]
-        first = start[i:j] - start[i]  # each v's first panel
-        k = np.arange(first[-1] + m[-1]) - np.repeat(first, m)
-        hi = edges[k + 1]
-        hi[first + m - 1] = hw[i:j]
-        sums = _pair_panels(ops, kd, edges[k], hi, np.repeat(hw[i:j], m))
-        out[i:j] = np.add.reduceat(sums, first)
-        i = j
-    return out.reshape(w.shape)
+    first = np.cumsum(n) - n  # each v's first panel
+    k = np.arange(first[-1] + n[-1]) - np.repeat(first, n)
+    lo, hi, c = edges[k], edges[k + 1], np.repeat(hw, n)
+    hi[first + n - 1] = hw
+    step = _CALL_NODES // (2 * _GL16_NODES.size)  # panels per kernel call
+    parts = [slice(i, i + step) for i in range(0, k.size, step)]
+    sums = np.concatenate([_pair_panels(ops, kd, lo[p], hi[p], c[p]) for p in parts])
+    return np.add.reduceat(sums, first).reshape(w.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +503,10 @@ def qq_convolution_kernel(
 
     arity 1: endpoints = (x, z); arity 2: endpoints = ((x1, x2), (z1, z2)).
     Absolute convergence requires Im(first - second) inside the family strip;
-    outside it DivergenceError is raised.
+    outside it DivergenceError is raised.  At arity 2 the measure mu(z1 - z2)
+    multiplies the plane integral I; where mu alone is past the double range
+    the product is formed under the log, and where I is 0 there,
+    GammaOverflowError is raised.
     """
     ops = _Ops(spec.family, spec.dual, spec.coupling)
     labels = (_complex(first, "first label"), _complex(second, "second label"))
@@ -517,4 +514,7 @@ def qq_convolution_kernel(
         x, z = _point(endpoints, (2,))
         return _kernel_line(ops, (x,), (z,), labels, q)
     (x1, x2), (z1, z2) = _point(endpoints, (2, 2))
-    return np.exp(ops.ln_measure(z1 - z2)) * _kernel_plane(ops, (x1, x2), (z1, z2), labels, q)
+    # the plane integral first: it refuses endpoints too far apart for the measure's log
+    plane = _kernel_plane(ops, (x1, x2), (z1, z2), labels, q)
+    message = "qq_convolution_kernel overflowed at z1 - z2 = {!r}"
+    return _exp_times(ops.ln_measure(z1 - z2), plane, message, z1 - z2)

@@ -18,11 +18,11 @@ routine (_adaptive_many) advances many integrals together, each over its own
 interval and with its own tolerance test, splits and node budget, so no value
 depends on the others.  A lone integral (_adaptive) is that routine for one
 integral; integrate_plane and the two-variable operators run the inner
-integrals of a whole array of outer abscissae through it, in groups whose
-first round is at most _CHUNK_NODES nodes.  The integrand is never called on
-more than _CALL_NODES nodes at once, which keeps each array of a call below
-the size at which the C allocator maps it from fresh pages and unmaps it on
-free.  Panel subdivision and the final compensated summation run in a fixed
+integrals of a whole array of outer abscissae through it in one call.  The
+one bound on a batch is _CALL_NODES: the integrand is never called on more
+nodes at once, which keeps each array of a call below the size at which the
+C allocator maps it from fresh pages and unmaps it on free.  Panel
+subdivision and the final compensated summation run in a fixed
 deterministic order, so identical inputs give bit-identical results.
 """
 from __future__ import annotations
@@ -108,8 +108,6 @@ _DECAY_RATIO = 0.25
 _DECAY_SAFETY = 10.0
 _ROUNDING = 50.0 * np.finfo(float).eps
 
-# first-round nodes of one group of integrals advanced together
-_CHUNK_NODES = 32_768
 # most integrand nodes passed to one call of an integrand (546 panels): a
 # complex array of this many nodes stays under glibc's default 128 KiB mmap
 # threshold, so it is not mapped afresh, page by page, on every call
@@ -162,6 +160,17 @@ def _exp_or_zero(ln: complex, message: str, arg) -> complex:
         return _finite(cmath.exp(ln), message, arg)
     except (OverflowError, ValueError):  # ValueError: an infinite phase
         raise GammaOverflowError(message.format(arg)) from None
+
+
+def _exp_times(ln: complex, value: complex, message: str, arg) -> complex:
+    """e^ln * value at one point: the plain product where it is finite, else
+    formed under the log, as _exp_or_zero does, since e^ln alone may be past
+    the double range; _finite's error where value is 0 there."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing e^ln is taken below
+        out = complex(np.exp(ln) * value)
+    if cmath.isfinite(out) or value == 0:
+        return _finite(out, message, arg)
+    return _exp_or_zero(ln + cmath.log(value), message, arg)
 
 
 @dataclass(frozen=True)
@@ -375,8 +384,8 @@ def _adaptive_many(
     to the cut, so padding the cut costs O(log) panels.  Every integral then
     runs its own rounds: its own tolerance test, splits, round cap and node
     budget, so its value is the one a lone call (_adaptive, m = 1) gives.
-    Integrals are taken in consecutive groups whose first round is at most
-    _CHUNK_NODES nodes (or one integral).
+    A first round of more than max(spec.max_nodes, _CALL_NODES) nodes over
+    all m integrals is refused before it is laid out.
     """
     a = np.full(m, a, dtype=float)
     b = np.full(m, b, dtype=float)
@@ -387,30 +396,19 @@ def _adaptive_many(
     w0 = np.minimum((b - a) / 8.0, max_panel)
     if freq_hint > 0.0:
         w0 = np.minimum(w0, 2.0 * math.pi / freq_hint)
-    lo, hi, own = _first_panels(a, b, c0, c1, w0, max(spec.max_nodes, _CHUNK_NODES))
-    ends = np.cumsum(np.bincount(own, minlength=m))  # first-round panels up to each integral
-    out = np.empty(m, dtype=complex)
-    first = 0
-    while first < m:
-        start = int(ends[first - 1]) if first else 0
-        room = start + _CHUNK_NODES // _K_NODES.size
-        last = max(first + 1, int(np.searchsorted(ends, room, side="right")))
-        stop = int(ends[last - 1])
-        part = slice(start, stop)
-        _advance(f, lo[part], hi[part], own[part] - first, first, spec, out[first:last])
-        first = last
-    return out
+    lo, hi, own = _first_panels(a, b, c0, c1, w0, max(spec.max_nodes, _CALL_NODES))
+    return _advance(f, lo, hi, own, spec, m)
 
 
-def _advance(f, lo, hi, own, first: int, spec: QuadSpec, out) -> None:
-    """Run integrals first, ..., first+len(out)-1 of _adaptive_many to the end,
-    from the first-round panels [lo, hi] of integral own (counted from first).
+def _advance(f, lo, hi, own, spec: QuadSpec, size: int) -> np.ndarray:
+    """The values of integrals 0, ..., size-1 of _adaptive_many, run to the
+    end from the first-round panels [lo, hi] of integral own.
 
     An integral still above its tolerance after _MAX_ROUNDS splitting rounds
     raises NonConvergenceError rather than returning its partial sum.
     """
-    size = out.size
-    val, err = _gk_batch(f, lo, hi, own + first)
+    out = np.empty(size, dtype=complex)
+    val, err = _gk_batch(f, lo, hi, own)
     used = _K_NODES.size * np.bincount(own, minlength=size)
 
     for rounds in range(_MAX_ROUNDS + 1):
@@ -433,7 +431,7 @@ def _advance(f, lo, hi, own, first: int, spec: QuadSpec, out) -> None:
         if fin.any():
             _fsum_by_integral(out, own[fin], val[fin])
             if fin.all():
-                return
+                return out
         if rounds == _MAX_ROUNDS:
             k = np.flatnonzero(~done)[0]
             raise NonConvergenceError(complex(total[k]), float(total_err[k]), int(used[k]))
@@ -443,7 +441,7 @@ def _advance(f, lo, hi, own, first: int, spec: QuadSpec, out) -> None:
         lo2 = np.concatenate([lo_s, mid])
         hi2 = np.concatenate([mid, hi_s])
         own2 = np.concatenate([own[split], own[split]])
-        val2, err2 = _gk_batch(f, lo2, hi2, own2 + first)
+        val2, err2 = _gk_batch(f, lo2, hi2, own2)
         used += _K_NODES.size * np.bincount(own2, minlength=size)
         lo = np.concatenate([lo[keep], lo2])
         hi = np.concatenate([hi[keep], hi2])
@@ -474,14 +472,12 @@ def _tail(q: QuadSpec) -> float:
     return q.truncation_safety * (-math.log(q.abs_tol / 10.0))
 
 
-def _trunc_lengths(d: DecayProfile, s: QuadSpec) -> tuple[float, float]:
-    return _tail(s) / d.rate_neg, _tail(s) / d.rate_pos
-
-
-def _line_core(d: DecayProfile, s: QuadSpec) -> tuple[float, float]:
-    """Where the declared envelope is still above abs_tol/10: center -+ ln(10/abs_tol)/rate."""
-    depth = _tail(s) / s.truncation_safety
-    return d.center - depth / d.rate_neg, d.center + depth / d.rate_pos
+def _line_bounds(d: DecayProfile, s: QuadSpec) -> tuple[float, ...]:
+    """integrate_line's cut interval, center -+ _tail / rate, and its core,
+    where the declared envelope is still above abs_tol/10: center -+
+    ln(10/abs_tol) / rate."""
+    cut, depth = _tail(s), _tail(s) / s.truncation_safety
+    return tuple(d.center + x / rate for x in (cut, depth) for rate in (-d.rate_neg, d.rate_pos))
 
 
 def integrate_line(
@@ -510,8 +506,7 @@ def integrate_line(
     over it) or NonConvergenceError (60 splitting rounds spent), each
     carrying the estimate and its bound.
     """
-    l_neg, l_pos = _trunc_lengths(d, s)
-    return _adaptive(f, d.center - l_neg, d.center + l_pos, *_line_core(d, s), s, freq_hint)
+    return _adaptive(f, *_line_bounds(d, s), s, freq_hint)
 
 
 def integrate_plane(
@@ -534,20 +529,11 @@ def integrate_plane(
     are mapped, slowly).
     """
     inner_spec = s.split()
-    l_neg, l_pos = _trunc_lengths(d1, inner_spec)
-    core = _line_core(d1, inner_spec)
+    bounds = _line_bounds(d1, inner_spec)
 
     def outer(y2):
         # 1-d even for the scalar y2 of an f failing on scalars, so f's error surfaces
         y2 = np.asarray(y2, dtype=float).ravel()
-        return _adaptive_many(
-            lambda y1, k: f(y1, y2[k]),
-            d1.center - l_neg,
-            d1.center + l_pos,
-            *core,
-            inner_spec,
-            freq_hint1,
-            y2.size,
-        )
+        return _adaptive_many(lambda y1, k: f(y1, y2[k]), *bounds, inner_spec, freq_hint1, y2.size)
 
     return integrate_line(outer, d2, s, freq_hint2)

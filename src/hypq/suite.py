@@ -361,15 +361,15 @@ def check_qq_commutativity(
 # ---------------------------------------------------------------------------
 
 
-def _rational_weight_integral(a: float, b: float, expo: complex, q: QuadSpec) -> complex:
-    """int_0^inf s^expo / ((a+s)(s+b)) ds via s = e^w."""
+def _rational_weight_integral(a: float, b: float, p: complex, g: float, q: QuadSpec) -> complex:
+    """int dw s^p ((a+s)(b+s))^(-g) over the real line, s = e^w, for Re p = g:
+    the integrand then decays at rate g both ways."""
 
     def f(w):
-        w = np.asarray(w, dtype=float)
-        s = np.exp(w)
-        return s ** (expo + 1.0) / ((a + s) * (s + b))
+        s = np.exp(np.asarray(w, dtype=float))
+        return s**p / ((a + s) * (b + s)) ** g
 
-    return integrate_line(f, DecayProfile(1.0, 1.0), q, freq_hint=abs(complex(expo).imag))
+    return integrate_line(f, DecayProfile(g, g), q, freq_hint=abs(complex(p).imag))
 
 
 def _andreief_det(a_pair, b_pair, expo: complex, q: QuadSpec) -> complex:
@@ -377,7 +377,7 @@ def _andreief_det(a_pair, b_pair, expo: complex, q: QuadSpec) -> complex:
     determinant identity and the Andreief formula, the twofold integral over
     s1, s2 of (s1 s2)^expo times the two Cauchy determinants in a and b."""
     (m11, m12), (m21, m22) = (
-        [_rational_weight_integral(a, b, expo, q) for b in b_pair] for a in a_pair
+        [_rational_weight_integral(a, b, expo + 1.0, 1.0, q) for b in b_pair] for a in a_pair
     )
     return 2.0 * (m11 * m22 - m12 * m21)
 
@@ -423,17 +423,8 @@ def check_g1_determinant_route() -> list[CheckResult]:
     # (b) one-variable rational identity for general coupling
     g = 0.8
     zz, tt = 1.5, 0.7
-
-    def one_sided(sign: float) -> complex:
-        def f(w):
-            w = np.asarray(w, dtype=float)
-            s = np.exp(w)
-            return s ** (g - sign * 1j * lam) / ((zz + s) ** g * (tt + s) ** g)
-
-        return integrate_line(f, DecayProfile(g, g), q, freq_hint=abs(lam))
-
-    lhs = zz ** (1j * lam) * one_sided(+1.0)
-    rhs = tt ** (-1j * lam) * one_sided(-1.0)
+    lhs = zz ** (1j * lam) * _rational_weight_integral(zz, tt, g - 1j * lam, g, q)
+    rhs = tt ** (-1j * lam) * _rational_weight_integral(zz, tt, g + 1j * lam, g, q)
     out.append(
         CheckResult.compare(
             "det_route_n1_rational",

@@ -14,7 +14,6 @@ layer's kernel-product line integral, operators._kernel_line.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -24,7 +23,7 @@ import numpy as np
 from .errors import ContinuationError, DomainError, KernelPoleError
 from .kernels import Coupling, KernelFamily, exponent_scale
 from .operators import _kernel_line, _Ops, pair_transform
-from .quad import QuadSpec, _complex, _exp_or_zero, _finite, _real
+from .quad import QuadSpec, _complex, _exp_times, _finite, _real
 from .special import _nearest_nonpositive_int, complex_gamma, double_sine
 
 __all__ = [
@@ -110,14 +109,8 @@ def psi_hr(
         family = KernelFamily.HYPERBOLIC
     kap = exponent_scale(family, c)
     prof = complex(pair_transform(family, c, sp.delta, pp.delta, q))
-    ln_plane = 1j * kap * sp.plus * pp.xsum
-    with np.errstate(over="ignore", invalid="ignore"):  # a growing plane factor is taken below
-        out = complex(np.exp(ln_plane) * prof)
     message = "psi_hr overflowed at x1 + x2 = {!r}"
-    if not cmath.isfinite(out) and prof != 0:
-        # the plane factor alone is past the double range: form the product under the log
-        out = _exp_or_zero(ln_plane + cmath.log(prof), message, pp.xsum)
-    return _finite(out, message, pp.xsum)
+    return _exp_times(1j * kap * sp.plus * pp.xsum, prof, message, pp.xsum)
 
 
 def psi_mb(

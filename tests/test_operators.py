@@ -390,6 +390,26 @@ class TestPairTransform:
         singles = np.array([pair_transform(family, c, delta, x, Q) for x in (1.0, v)])
         assert np.all(np.abs(batch - singles) <= 1e-12 * np.abs(singles))
 
+    def test_kernel_calls_stay_small(self, monkeypatch):
+        # at v = 1000 one v's panels alone need more than one kernel call:
+        # they are split across calls like any others
+        from hypq import operators
+
+        points = []
+        direct = operators.ln_cosh
+
+        def counted(x):
+            points.append(np.size(x))
+            return direct(x)
+
+        monkeypatch.setattr(operators, "ln_cosh", counted)
+        c, vs = Coupling(1.0), np.array([1.0, 1000.0, 3.0])
+        batch = pair_transform(HYP, c, 5.0, vs, Q)
+        assert sum(points) > 8_190
+        assert max(points) <= 8_190
+        singles = np.array([pair_transform(HYP, c, 5.0, float(v), Q) for v in vs])
+        assert np.all(np.abs(batch - singles) <= 1e-12 * np.abs(singles))
+
     def test_gamma_kernel_work_ceiling(self, monkeypatch):
         # one Khat pair per node of each v's graded rule (1,040,128 points);
         # two full dense len(v) x len(y) matrices would be 11.92 M points
@@ -739,3 +759,30 @@ def test_qq_convolution_kernel_is_finite_or_refused(coupled, first, second, endp
     family, c = coupled
     spec = OperatorSpec(family, 1, family is not HYP, c, 0.0)
     _finite_or_refused(lambda: qq_convolution_kernel(spec, first, second, endpoints, Q))
+
+
+@given(
+    _COUPLED,
+    st.complex_numbers(max_magnitude=3.0),
+    st.complex_numbers(max_magnitude=3.0),
+    st.tuples(st.tuples(_FAR, _FAR), st.tuples(_FAR, _FAR)),
+)
+@settings(max_examples=15, deadline=None)
+def test_qq_convolution_kernel_arity_2_is_finite_or_refused(coupled, first, second, endpoints):
+    family, c = coupled
+    spec = OperatorSpec(family, 2, family is not HYP, c, 0.0)
+    _finite_or_refused(lambda: qq_convolution_kernel(spec, first, second, endpoints, Q))
+
+
+@pytest.mark.parametrize(
+    "family, c, z",
+    [(HYP, Coupling(1.0), 300.0), (GAM, Coupling(1.0), 400.0), (REL, Coupling(1.0, P12), 400.0)],
+)
+def test_qq_arity_2_overflowing_measure_is_refused(family, c, z):
+    # mu(z1 - z2) is past the double range while the plane integral
+    # underflows to 0: their product is unknown, so it is refused
+    spec = OperatorSpec(family, 2, family is not HYP, c, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GammaOverflowError):
+            qq_convolution_kernel(spec, 0.2, -0.1, ((0.0, 0.0), (z, -z)))

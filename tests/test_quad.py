@@ -84,6 +84,21 @@ class TestIntegrateLine:
         assert exc.value.error_bound > 0
         assert exc.value.nodes_used >= 64
 
+    def test_first_round_past_one_call_and_budget_is_refused(self):
+        # 952 core panels of one period each and 15 through the tails: 14,505
+        # first-round nodes, more than one integrand call takes and more than
+        # max_nodes, so the round is refused before any call
+        calls = []
+
+        def f(x):
+            calls.append(x.size)
+            return np.cos(100.0 * x) / np.cosh(x)
+
+        with pytest.raises(BudgetExceededError) as exc:
+            integrate_line(f, SECH, QuadSpec(max_nodes=10_000), freq_hint=100.0)
+        assert math.isnan(exc.value.estimate) and exc.value.nodes_used == 14_505
+        assert calls == []
+
     def test_round_limit_raises_instead_of_summing(self):
         # the x^(-1/2) endpoint singularity halves its panel's error bound only
         # by sqrt(2) per round, so 60 rounds stop near 1.7e-10, short of the
@@ -194,8 +209,9 @@ class TestIntegratePlane:
 
 
     def test_integrand_calls_stay_small(self, gk_nodes):
-        # groups of inner integrals start from up to _CHUNK_NODES nodes, but
-        # the integrand sees at most _CALL_NODES of them per call
+        # the inner integrals of one outer array are advanced together, over
+        # more nodes than one call takes: the integrand sees at most
+        # _CALL_NODES of them per call
         calls = []
 
         def f(a, b):
@@ -214,9 +230,9 @@ class TestPerIntegralIntervals:
     def test_many_matches_lone_calls(self, monkeypatch, chunk):
         # 50 oscillatory integrals, each on its own interval and core (some
         # cores reach past an end, some are points); a small chunk splits
-        # them into several groups and integrand calls
+        # their panels into many integrand calls, some across two integrals
         if chunk is not None:
-            monkeypatch.setattr(quad, "_CHUNK_NODES", chunk)
+            monkeypatch.setattr(quad, "_CALL_NODES", chunk)
         rng = np.random.RandomState(11)
         a = rng.uniform(-10.0, 2.0, 50)
         b = a + rng.uniform(0.5, 30.0, 50)

@@ -1,15 +1,20 @@
-"""Integrand nodes of each `hypq check` row, and their total.
+"""Integrand nodes and minor page faults of each `hypq check` row, and their totals.
 
     python3 tools/node_counts.py
 
-Runs every REGISTRY row once, in registry order, in this process, and counts
-the abscissae of every Gauss-Kronrod batch it evaluates (15 per panel), by
-wrapping quad._gk_batch as the tests' gk_nodes fixture does.  The last line
-is the total over all rows.  The counts are deterministic: they depend on
-the source alone, not on the host or its load.
+Runs every REGISTRY row once, in registry order, in this process.  The first
+column counts the abscissae of every Gauss-Kronrod batch a row evaluates (15
+per panel), by wrapping quad._gk_batch as the tests' gk_nodes fixture does.
+The second counts the minor page faults the process takes over the row
+(resource.getrusage's ru_minflt): first touches of freshly mapped pages, as
+of an array the C allocator maps anew on every call.  The last line holds the totals over all rows.  The node counts are
+deterministic: they depend on the source alone.  The fault counts are not:
+they depend on the host, the allocator and the heap layout the earlier rows
+left, so compare them only between runs on one host.
 """
 from __future__ import annotations
 
+import resource
 import sys
 from pathlib import Path
 
@@ -19,8 +24,12 @@ from hypq import quad  # noqa: E402
 from hypq.suite import registry_names, run_suite  # noqa: E402
 
 
-def count_nodes() -> dict[str, int]:
-    """Integrand nodes per REGISTRY row name, in registry order."""
+def _minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def count_nodes() -> dict[str, tuple[int, int]]:
+    """(integrand nodes, minor page faults) per REGISTRY row name, in registry order."""
     nodes = [0]
     batch = quad._gk_batch
 
@@ -33,8 +42,9 @@ def count_nodes() -> dict[str, int]:
     try:
         for name in registry_names():
             nodes[0] = 0
+            faults = _minor_faults()
             run_suite([name])
-            counts[name] = nodes[0]
+            counts[name] = (nodes[0], _minor_faults() - faults)
     finally:
         quad._gk_batch = batch
     return counts
@@ -42,9 +52,10 @@ def count_nodes() -> dict[str, int]:
 
 def main() -> None:
     counts = count_nodes()
-    for name, n in counts.items():
-        print(f"{name:<32} {n:>10,}")
-    print(f"{'total':<32} {sum(counts.values()):>10,}")
+    for name, (n, faults) in counts.items():
+        print(f"{name:<32} {n:>10,} {faults:>10,}")
+    total_n, total_faults = (sum(col) for col in zip(*counts.values()))
+    print(f"{'total':<32} {total_n:>10,} {total_faults:>10,}")
 
 
 if __name__ == "__main__":
