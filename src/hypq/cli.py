@@ -11,10 +11,11 @@ Four subcommands:
 Configuration comes from a JSON file (--config) with flag overrides; its
 rel_tol and abs_tol apply to eval only, checks hold their own.  Records
 are written as json-lines or CSV with identical 17-significant-digit decimal
-serialization.  --tol re-judges each record against the given tolerance under
-the record's own scale (useful to tighten or force-fail a run).  Reports are
-byte-identical across runs and across --jobs values: runtimes and timestamps
-are zeroed/omitted unless --timings is given.
+serialization.  --tol (check and sweep) re-judges each record against the
+given tolerance under the record's own scale (useful to tighten or
+force-fail a run).  Reports are byte-identical across runs and across --jobs
+values (check): runtimes and timestamps are zeroed/omitted unless --timings
+is given.
 Exit codes: 0 all passed, 1 at least one failing check, 2 usage/config error.
 """
 from __future__ import annotations
@@ -392,9 +393,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--out", help="output path (default: stdout)")
         p.add_argument("--format", choices=("json-lines", "csv"))
-        p.add_argument("--tol", type=float, help="override pass tolerance")
-        p.add_argument("--jobs", type=int, help="parallel workers for checks")
-        p.add_argument("--seed", type=int, help="seed for random parameter draws")
         p.add_argument("--timings", action="store_true",
                        help="record real runtimes and timestamps (breaks byte-reproducibility)")
 
@@ -407,10 +405,14 @@ def _build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--checks", action="append", default=None,
                     help="comma-separated check names (default: all)")
     pc.add_argument("--list", action="store_true", help="list check names and exit")
+    pc.add_argument("--jobs", type=int, help="parallel workers for checks")
+    pc.add_argument("--seed", type=int, help="seed for random parameter draws")
 
     ps = sub.add_parser("sweep", help="run a trend check across a parameter axis")
     common(ps)
     ps.add_argument("--checks", action="append", default=None, help="the check to sweep")
+    for p in (pc, ps):
+        p.add_argument("--tol", type=float, help="override pass tolerance")
 
     pr = sub.add_parser("report", help="merge json-lines reports into a table")
     pr.add_argument("paths", nargs="*", help="report files")

@@ -37,8 +37,8 @@ from __future__ import annotations
 
 import cmath
 import enum
+import functools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,14 +132,22 @@ class Coupling:
 # ---------------------------------------------------------------------------
 
 
+def _real_arg(x) -> np.ndarray:
+    """x as a float array; DomainError for a complex x, which the cast would cut to its real part."""
+    x = np.asarray(x)
+    if x.dtype.kind == "c":
+        raise DomainError("the real-axis kernel and measure evaluators take real arguments only")
+    return x.astype(float, copy=False)
+
+
 def ln_cosh(x: np.ndarray) -> np.ndarray:
-    x = np.abs(np.asarray(x, dtype=float))
+    x = np.abs(_real_arg(x))
     return x + np.log1p(np.exp(-2.0 * x)) - _LN2
 
 
 def ln_sinh_abs(x: np.ndarray) -> np.ndarray:
     """log sinh|x|; -inf at 0 (callers exponentiate, giving exact 0)."""
-    x = np.abs(np.asarray(x, dtype=float))
+    x = np.abs(_real_arg(x))
     with np.errstate(divide="ignore"):
         return x + np.log1p(-np.exp(-2.0 * x)) - _LN2
 
@@ -279,12 +287,6 @@ class _PiecewiseCheb:
         return s * b1 - b2 + self.coef[0].take(idx)
 
 
-# Kg tables kept at most (oldest evicted first), so coupling sweeps stay bounded
-_KG_CACHE_MAX = 64
-_kg_cache: dict[tuple[float, float, float], tuple] = {}
-_kg_lock = threading.Lock()
-
-
 def hatK_ln_evaluator(g: float):
     """Vectorized ln Khat: real-arithmetic core for real x, complex core otherwise."""
     g = float(g)
@@ -293,6 +295,7 @@ def hatK_ln_evaluator(g: float):
     )
 
 
+@functools.lru_cache(maxsize=64)  # keyed on g and periods; bounded for coupling sweeps
 def _kg_real_tables(c: Coupling):
     """Cached (proxy, s, u, w1, w2) for ln Kg on the real axis.
 
@@ -304,30 +307,20 @@ def _kg_real_tables(c: Coupling):
     the narrow pieces halve the Clenshaw steps at the same build cost.
     """
     p = c.require_periods()
-    key = (c.g, p.omega1, p.omega2)
-    with _kg_lock:
-        hit = _kg_cache.get(key)
-    if hit is not None:
-        return hit
     s = 1.0 / p.omin
     w1, w2 = p.omega1 * s, p.omega2 * s
     u = 0.5 * c.g * s
     proxy = _PiecewiseCheb(
         lambda m, o: _ln_s2_pair_smooth(u, m, o, w1, w2), _ASYM_FACTOR * max(w1, w2), 0.375
     )
-    tables = (proxy, s, u, w1, w2)
-    with _kg_lock:
-        _kg_cache[key] = tables
-        while len(_kg_cache) > _KG_CACHE_MAX:
-            del _kg_cache[next(iter(_kg_cache))]
-    return tables
+    return proxy, s, u, w1, w2
 
 
 def kg_ln_evaluator(c: Coupling):
     """Fast vectorized ln Kg on the real axis (Kg is real positive and even):
     minus _re_ln_s2_pair with the cached proxy as its smooth part."""
     proxy, s, u, w1, w2 = _kg_real_tables(c)
-    return lambda x: -_re_ln_s2_pair(u, np.asarray(x, dtype=float) * s, w1, w2, proxy)
+    return lambda x: -_re_ln_s2_pair(u, _real_arg(x) * s, w1, w2, proxy)
 
 
 def kg_real_evaluator(c: Coupling):
@@ -365,7 +358,7 @@ def ln_measure_relativistic(v, c: Coupling) -> np.ndarray:
     """
     p = c.require_periods()
     s = 1.0 / p.omin
-    d = np.abs(np.asarray(v, dtype=float)) * s
+    d = np.abs(_real_arg(v)) * s
     w1, w2 = p.omega1 * s, p.omega2 * s
     wmax = max(w1, w2)
     ln_smooth = _re_ln_s2_pair(c.g * s, d, w1, w2) + _re_ln_s2_pair(wmax, d, w1, w2)
@@ -384,7 +377,7 @@ def ln_measure_hyperbolic(v, c: Coupling) -> np.ndarray:
 
 def ln_measure_gamma(v, c: Coupling) -> np.ndarray:
     g = c.g
-    d = np.abs(np.asarray(v, dtype=float))
+    d = np.abs(_real_arg(v))
     ln_pref = 2.0 * ((1.0 - g) * _LN2 + math.lgamma(g)) - math.log(math.pi)
     with np.errstate(divide="ignore"):
         ln_d = np.log(0.5 * d)

@@ -32,7 +32,7 @@ advanced together.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -52,7 +52,7 @@ from .kernels import (
 )
 from .quad import (
     _CALL_NODES, _GL16_NODES, _GL16_WEIGHTS, QuadSpec, _adaptive, _adaptive_many, _complex,
-    _exp_times, _tail,
+    _exp_times, _real, _tail,
 )
 
 __all__ = [
@@ -85,6 +85,10 @@ class Envelope:
     center: float = 0.0
     freq: float = 0.0
 
+    def __post_init__(self):
+        for name in ("rate_pos", "rate_neg", "center", "freq"):
+            object.__setattr__(self, name, _real(getattr(self, name), f"Envelope {name}", finite=True))
+
 
 @dataclass(frozen=True)
 class FunctionHandle:
@@ -92,8 +96,21 @@ class FunctionHandle:
 
     fn: Callable
     envelope: Envelope = Envelope()
-    kind: str = "generic"
-    meta: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if not callable(self.fn) or not isinstance(self.envelope, Envelope):
+            raise DomainError(f"a FunctionHandle needs a callable and an Envelope, got {self!r}")
+
+
+@dataclass(frozen=True, kw_only=True)
+class _FactoredPair(FunctionHandle):
+    """factored_pair_handle's e^(i kappa label_plus (y1+y2)) * profile(y1-y2),
+    with the profile's decay rate and frequency on the separation axis."""
+
+    label_plus: complex
+    profile: Callable
+    profile_rate: float
+    profile_freq: float
 
 
 @dataclass(frozen=True)
@@ -192,7 +209,7 @@ def plane_wave(label: complex, family: KernelFamily, c: Coupling) -> FunctionHan
         center=0.0,
         freq=kappa * abs(label.real),
     )
-    return FunctionHandle(fn, env, kind="plane_wave", meta={"label": label})
+    return FunctionHandle(fn, env)
 
 
 def factored_pair_handle(
@@ -227,16 +244,10 @@ def factored_pair_handle(
         center=0.0,
         freq=kappa * abs(label_plus.real) + profile_freq,
     )
-    return FunctionHandle(
-        fn,
-        env,
-        kind="factored_pair",
-        meta={
-            "label_plus": label_plus,
-            "profile": profile,
-            "profile_rate": ops.k_rate - 0.5 * kappa * abs(delta.imag),
-            "profile_freq": profile_freq,
-        },
+    profile_rate = ops.k_rate - 0.5 * kappa * abs(delta.imag)
+    return _FactoredPair(
+        fn, env, label_plus=label_plus, profile=profile, profile_rate=profile_rate,
+        profile_freq=profile_freq,
     )
 
 
@@ -322,7 +333,7 @@ def _kernel_plane(ops, xs, zs, labels, q: QuadSpec, f: FunctionHandle | None = N
     a, b = labels
     kap = ops.kappa
     centers = [*xs, *zs]
-    generic = f is not None and f.kind != "factored_pair"
+    generic = f is not None and not isinstance(f, _FactoredPair)
     h_pos = h_neg = h_v = h_freq = 0.0
     profile = lambda v: 1.0
     if generic:
@@ -331,9 +342,8 @@ def _kernel_plane(ops, xs, zs, labels, q: QuadSpec, f: FunctionHandle | None = N
         h_pos, h_neg = 0.5 * env.rate_pos, 0.5 * env.rate_neg
         h_v, h_freq = min(h_pos, h_neg), env.freq
     elif f is not None:
-        meta = f.meta
-        b = b + meta["label_plus"]
-        profile, h_v, h_freq = meta["profile"], meta["profile_rate"], meta["profile_freq"]
+        b = b + f.label_plus
+        profile, h_v, h_freq = f.profile, f.profile_rate, f.profile_freq
     n = len(xs) + len(zs)
     s = kap * (b - a).imag
     u_rate_pos = n * ops.k_rate + s + h_pos

@@ -232,11 +232,11 @@ def _panels_on(a: float, b: float, width: float) -> tuple[np.ndarray, np.ndarray
     return nodes, weights
 
 
-def _eval_batch(f: Callable, x: np.ndarray, each: Callable | None = None) -> np.ndarray:
+def _eval_batch(f: Callable, x: np.ndarray, each: Callable) -> np.ndarray:
     """Evaluate f on an array of abscissae, accepting scalar-only callables.
 
-    If f fails on the array, node i is evaluated alone, as each(i) when given
-    (for an integrand that needs more than the abscissa), else as f(x[i]).
+    If f fails on the array, node i is evaluated alone, as each(i) (which
+    also passes what the integrand needs besides the abscissa).
     A HypqError from f is its verdict on these abscissae and propagates; a
     TypeError or ValueError on a lone node, as from a function handle called
     with the wrong number of arguments, raises DomainError.
@@ -249,8 +249,6 @@ def _eval_batch(f: Callable, x: np.ndarray, each: Callable | None = None) -> np.
     except HypqError:
         raise
     except (TypeError, ValueError):
-        if each is None:
-            each = lambda i: f(float(x[i]))
         try:
             y = np.array([complex(each(i)) for i in range(x.size)])
         except HypqError:

@@ -24,6 +24,17 @@ def s2_t_nodes(monkeypatch):
 
 
 @pytest.fixture
+def kg_cache():
+    """The Kg proxy table cache, emptied before the test and again after it,
+    so that no table built under the test's stubs outlives it."""
+    from hypq import kernels
+
+    kernels._kg_real_tables.cache_clear()
+    yield kernels._kg_real_tables
+    kernels._kg_real_tables.cache_clear()
+
+
+@pytest.fixture
 def gk_nodes(monkeypatch):
     """Integrand nodes of the Gauss-Kronrod batches evaluated while the test
     runs, one count per batch."""

@@ -118,6 +118,15 @@ class TestEval:
         cfg = write_cfg(tmp_path, "c2.json", {"command": "eval", "bogus_field": 1})
         assert RUN("eval", "--config", cfg) == 2
 
+    @pytest.mark.parametrize("flag", [("--tol", "1e-300"), ("--jobs", "2"), ("--seed", "7")])
+    def test_unread_flag_is_usage_error(self, tmp_path, capsys, flag):
+        # eval reads none of these; --tol and --seed used to change config_hash
+        cfg = write_cfg(
+            tmp_path, "c.json", {"command": "eval", "target": "K", "grid": {"points": [[0.0]]}}
+        )
+        assert RUN("eval", "--config", cfg, *flag) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestCheck:
     def test_selected_checks_pass(self, tmp_path):
@@ -263,6 +272,13 @@ class TestSweep:
     def test_missing_axis(self, tmp_path):
         cfg = write_cfg(tmp_path, "c.json", {"command": "sweep", "checks": ["delta_n1_g1"]})
         assert RUN("sweep", "--config", cfg) == 2
+
+    @pytest.mark.parametrize("flag", [("--jobs", "2"), ("--seed", "7")])
+    def test_unread_flag_is_usage_error(self, tmp_path, capsys, flag):
+        cfg = {"command": "sweep", "checks": ["reduction_S2_to_gamma"]}
+        cfg["axis"] = {"name": "omega2", "values": [40.0]}
+        assert RUN("sweep", "--config", write_cfg(tmp_path, "c.json", cfg), *flag) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     @pytest.mark.parametrize("field", ["rel_tol", "abs_tol"])
     def test_quadrature_tolerance_refused(self, tmp_path, capsys, field):

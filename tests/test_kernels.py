@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,13 +12,17 @@ from hypq.kernels import (
     KernelFamily,
     eigenvalue,
     hatK_asymptotic,
+    hatK_ln_evaluator,
     kernel_hatK,
     kernel_K,
     kernel_K_complex,
     kernel_Kg,
+    kg_ln_evaluator,
     kg_real_evaluator,
+    ln_cosh,
     ln_measure_gamma,
     ln_measure_relativistic,
+    ln_sinh_abs,
     measure,
     measure_gamma,
     measure_relativistic,
@@ -237,17 +242,16 @@ class TestRelativisticKernel:
             b22_line = -math.pi * d[-1] * (2.0 * u - p.total) / p.product
             assert abs(got[-1] - b22_line) < 2e-10
 
-    def test_kg_build_work_ceiling(self, monkeypatch, s2_t_nodes):
+    def test_kg_build_work_ceiling(self, kg_cache, s2_t_nodes):
         # (d, t) pairs of one proxy build at small g: the t range no longer
         # grows like 1/g once S2's zero and pole are integrated in closed form
         import hypq.kernels as K
 
-        monkeypatch.setattr(K, "_kg_cache", {})
         proxy = K._kg_real_tables(Coupling(0.3, Periods(1.0, 1.7)))[0]
         assert len(s2_t_nodes) == 1
         assert 0 < s2_t_nodes[0] * proxy.coef.size <= 250_000
 
-    def test_kg_build_trig_work(self, monkeypatch, s2_t_nodes):
+    def test_kg_build_trig_work(self, monkeypatch, kg_cache, s2_t_nodes):
         # the t-integral of one build takes two sines or cosines per
         # (piece, t) and per (offset, t) pair, not one per (d, t) pair
         import hypq.kernels as K
@@ -268,7 +272,6 @@ class TestRelativisticKernel:
                 return counted
 
         monkeypatch.setattr(S, "np", CountingNumpy())
-        monkeypatch.setattr(K, "_kg_cache", {})
         proxy = K._kg_real_tables(Coupling(0.3, Periods(1.0, 1.7)))[0]
         assert len(s2_t_nodes) == 1
         separable = 2 * (proxy.mid.size + proxy.coef.shape[0]) * s2_t_nodes[0]  # offsets: degree + 1
@@ -501,7 +504,7 @@ class TestMeasures:
 
 
 class TestKgCache:
-    def test_bounded_and_still_hits(self, monkeypatch):
+    def test_bounded_and_still_hits(self, monkeypatch, kg_cache):
         import hypq.kernels as K
 
         builds = []
@@ -511,12 +514,12 @@ class TestKgCache:
                 builds.append(args)
 
         monkeypatch.setattr(K, "_PiecewiseCheb", Stub)
-        monkeypatch.setattr(K, "_kg_cache", {})
         couplings = [Coupling(0.5 + 0.01 * i, P12) for i in range(70)]
         for c in couplings:
             K._kg_real_tables(c)
         assert len(builds) == 70
-        assert len(K._kg_cache) <= K._KG_CACHE_MAX
+        info = kg_cache.cache_info()
+        assert info.currsize == info.maxsize == 64
         # the oldest entry went first; a repeated recent coupling still hits
         assert K._kg_real_tables(couplings[-1]) is K._kg_real_tables(couplings[-1])
         assert len(builds) == 70
@@ -525,14 +528,11 @@ class TestKgCache:
 
 
 class TestConcurrency:
-    def test_threaded_evaluations_consistent(self):
-        # pure functions + lock-guarded caches: concurrent use must agree
+    def test_threaded_evaluations_consistent(self, kg_cache):
+        # pure functions + a functools.lru_cache: concurrent use must agree
         # with sequential results bit for bit
         from concurrent.futures import ThreadPoolExecutor
 
-        import hypq.kernels as K
-
-        K._kg_cache.clear()
         c = Coupling(0.85, P12)
         xs = np.linspace(-6, 6, 101)
 
@@ -593,3 +593,41 @@ def test_non_finite_argument_is_domain_error(call):
 def test_kernel_K_infinite_limit():
     # the NaN refusal leaves the limit cosh(x)^(-g) -> 0 at x = +-inf
     assert kernel_K(math.inf, Coupling(0.7)) == kernel_K(-math.inf, Coupling(0.7)) == 0.0
+
+
+_Z = np.array([0.3 + 0.5j])
+_C1, _CP = Coupling(1.0), Coupling(1.0, P12)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: kernel_K(_Z, _C1),
+        lambda: measure(HYP, _Z, np.array([0.0]), _C1),
+        lambda: measure(GAM, _Z, np.array([0.0]), _C1),
+        lambda: measure(REL, _Z, np.array([0.0]), _CP),
+        lambda: ln_measure_gamma(_Z, _C1),
+        lambda: ln_measure_relativistic(_Z, _CP),
+        lambda: ln_cosh(_Z),
+        lambda: ln_sinh_abs(_Z),
+        lambda: kg_ln_evaluator(_CP)(_Z),
+    ],
+    ids=[
+        "K", "measure-hyp", "measure-gamma", "measure-rel", "ln_measure_gamma",
+        "ln_measure_rel", "ln_cosh", "ln_sinh_abs", "kg_ln_evaluator",
+    ],
+)
+def test_complex_array_on_real_axis_evaluator_is_domain_error(call):
+    # these evaluators hold on the real axis only; a complex array used to
+    # give the value at its real part, with only numpy's ComplexWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="real arguments only"):
+            call()
+
+
+def test_gamma_evaluator_keeps_its_complex_core():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = np.exp(hatK_ln_evaluator(_C1.g)(_Z))
+    assert abs(got[0] - kernel_hatK(_Z[0], _C1)) < 1e-13 * abs(got[0])

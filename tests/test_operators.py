@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -329,6 +330,58 @@ class TestHandleArity:
         # the arguments the handle takes or misses
         with pytest.raises(DomainError, match="positional argument"):
             call()
+
+
+class TestHandles:
+    def test_plain_handle_is_generic(self):
+        # a hand-made handle has fn and envelope only; with a kind tag and a
+        # meta dict it used to reach the factored branch, and apply_Q raised
+        # KeyError (no label_plus) or TypeError (a malformed meta)
+        f2 = lambda y1, y2: np.exp(-y1 * y1 - y2 * y2)
+        h = FunctionHandle(f2, Envelope(2.0, 2.0))
+        assert [fl.name for fl in dataclasses.fields(h)] == ["fn", "envelope"]
+        assert not hasattr(h, "kind") and not hasattr(h, "meta")
+        for extra in ({"kind": "factored_pair"}, {"kind": "factored_pair", "meta": {"profile": 1}}):
+            with pytest.raises(TypeError):
+                FunctionHandle(f2, Envelope(2.0, 2.0), **extra)
+        spec = OperatorSpec(HYP, 2, False, Coupling(1.0), 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isfinite(apply_Q(spec, h, (0.1, 0.2)))
+
+    def test_factored_pair_takes_the_pair_branch(self):
+        # the pair branch reads the profile on the v axis and never calls fn
+        c = Coupling(1.0)
+        h = factored_pair_handle(HYP, c, 0.05, 0.7, Q)
+        assert isinstance(h, FunctionHandle)
+
+        def unused(y1, y2):
+            raise AssertionError("the factored pair's fn was called")
+
+        spec = OperatorSpec(HYP, 2, False, c, 0.5)
+        got = apply_Q(spec, dataclasses.replace(h, fn=unused), (0.1, -0.2), Q)
+        assert got == apply_Q(spec, h, (0.1, -0.2), Q)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: Envelope("1", 1.0),
+            lambda: Envelope(None, 1.0),
+            lambda: Envelope(1.0, math.inf),
+            lambda: Envelope(center=math.nan),
+            lambda: Envelope(freq=1j),
+            lambda: FunctionHandle(None, Envelope()),
+            lambda: FunctionHandle(abs, (1.0, 1.0)),
+        ],
+        ids=["string", "None", "inf", "nan", "complex", "fn-None", "envelope-tuple"],
+    )
+    def test_bad_field_is_domain_error(self, make):
+        # Envelope("1", 1.0) or Envelope(None, 1.0) used to reach apply_Q and
+        # raise a raw TypeError there
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                make()
 
 
 class TestPairTransform:
